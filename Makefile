@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: ci build fmt vet lint test race-stress bench-smoke metrics-smoke cache-smoke localeval-smoke aggregate-smoke replication-smoke durability-smoke perf-gate
+.PHONY: ci build fmt vet lint test race-stress bench-smoke metrics-smoke cache-smoke localeval-smoke aggregate-smoke replication-smoke durability-smoke perf-gate bench-e2e bench-compare
 
 ci: build fmt lint test race-stress bench-smoke metrics-smoke cache-smoke localeval-smoke aggregate-smoke replication-smoke durability-smoke perf-gate
 
@@ -88,8 +88,20 @@ durability-smoke:
 
 # Benchmarks HEAD against its merge base and fails on a >15% median ns/op
 # regression in the tier-1 benchmarks (BenchmarkSnapshotQuery,
-# BenchmarkSerialize; BenchmarkAggregateCompute is watched once both sides
-# have it). benchstat renders the comparison when installed; cmd/benchgate
-# decides the verdict either way.
+# BenchmarkSerialize; BenchmarkAggregateCompute, BenchmarkCacheMissMerge and
+# BenchmarkTouchAnswer are watched once both sides have them). benchstat
+# renders the comparison when installed; cmd/benchgate decides the verdict
+# either way.
 perf-gate:
 	./scripts/perf_gate.sh
+
+# The repository's one end-to-end benchmark (BENCHMARK.json): every workload,
+# untraced then traced, ~4 minutes. Not part of `make ci`.
+bench-e2e:
+	bash benchmark/run.sh --workload all --seed 1 --seconds 20 --trace both
+
+# Alternating parent/change runs of that benchmark fed to benchmark/compare
+# (ten pairs per workload, ~40 minutes for all four). BASE=<commit> picks
+# the parent. Not part of `make ci`.
+bench-compare:
+	./scripts/bench_compare.sh

@@ -113,3 +113,10 @@ func (s *Store) CachedBytes() int {
 func (w *COW) CachedBytes() int {
 	return w.out.CachedBytes()
 }
+
+// Root exposes the in-progress version's root for read-only walks: the
+// eviction policy adopts cached units it finds in the version it is
+// trimming, not in the published one the transaction started from.
+func (w *COW) Root() *xmldb.Node {
+	return w.out.Root
+}

@@ -1,7 +1,7 @@
 package site
 
 import (
-	"sort"
+	"container/heap"
 	"sync"
 	"time"
 
@@ -16,8 +16,8 @@ import (
 // fragment.COW.EvictLocalInfo transaction whenever the accounted cache
 // bytes (fragment.Store.CachedBytes) exceed the budget. Eviction runs in
 // the same COW transaction as the cache merge that caused the overflow, so
-// every published version already respects the budget (up to units pinned
-// by in-flight coalesced fetches); a low-frequency background pressure
+// every published version already respects the budget (up to the units the
+// merge itself is installing); a low-frequency background pressure
 // loop mops up growth from paths that bypass the merge hook (ownership
 // migrations downgrading owned data to cached copies).
 //
@@ -32,112 +32,168 @@ const pressureInterval = 250 * time.Millisecond
 
 // unitMeta is the residency record of one cached local-information unit.
 type unitMeta struct {
+	key        string  // ID-path key (xmldb.IDPath.Key)
 	lastAccess float64 // site clock seconds; query touched the unit
 	fetchedAt  float64 // site clock seconds; unit (re-)entered the cache
+	idx        int     // position in unitHeap; -1 while out of the heap
+	held       bool    // being installed by the merge in progress; not evictable
+}
+
+// unitHeap is a min-heap of tracked units, coldest on top: by last access,
+// then by fetch time, then by key for determinism. Units know their
+// position, so re-stamping one is a heap.Fix.
+type unitHeap []*unitMeta
+
+func (h unitHeap) Len() int { return len(h) }
+
+func (h unitHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	if a.lastAccess != b.lastAccess {
+		return a.lastAccess < b.lastAccess
+	}
+	if a.fetchedAt != b.fetchedAt {
+		return a.fetchedAt < b.fetchedAt
+	}
+	return a.key < b.key
+}
+
+func (h unitHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx, h[j].idx = i, j
+}
+
+func (h *unitHeap) Push(x any) {
+	m := x.(*unitMeta)
+	m.idx = len(*h)
+	*h = append(*h, m)
+}
+
+func (h *unitHeap) Pop() any {
+	old := *h
+	m := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	m.idx = -1
+	return m
 }
 
 // cacheManager holds the eviction policy's state: per-unit recency metadata
-// keyed by ID-path key, plus the pin table of units whose freshly fetched
-// fragment is being merged. It is shared by query goroutines (touch), the
-// dispatch layer (pin/unpin) and writers holding wmu (eviction), so it has
-// its own small mutex; none of the critical sections block on I/O.
+// keyed by ID-path key and ordered coldest-first in a heap, plus the units
+// held by the merge transaction in progress. It is shared by query
+// goroutines (touch) and writers holding wmu (fetch stamps, eviction), so it
+// has its own small mutex; none of the critical sections block on I/O. A
+// touch or fetch stamp costs one O(log units) heap fix per unit named; an
+// eviction pass pops only what it evicts (plus the held units it meets).
 type cacheManager struct {
 	mu    sync.Mutex
 	units map[string]*unitMeta
-	pins  map[string]int // target ID-path key -> active flight count
+	heap  unitHeap
+	// held lists the units marked unevictable by the merge transaction in
+	// progress (noteFetched with hold), until its release. Merge
+	// transactions run under wmu, one at a time.
+	held []*unitMeta
+	// keyBuf is the scratch buffer tree walks build unit keys in.
+	keyBuf []byte
 }
 
 func newCacheManager() *cacheManager {
-	return &cacheManager{units: map[string]*unitMeta{}, pins: map[string]int{}}
+	return &cacheManager{units: map[string]*unitMeta{}}
 }
 
-// pin marks a single unit as unevictable until the matching unpin. A status
-// of complete covers only the node's own local information — not its
-// descendants — so protecting exactly the pinned unit is sufficient; other
-// units in the same subtree stay independently evictable.
-func (c *cacheManager) pin(key string) {
+// walkLocked takes the mutex and calls fn with the ID-path key of every
+// complete unit in the given trees. The key is only valid during the call.
+func (c *cacheManager) walkLocked(roots []*xmldb.Node, fn func(key []byte)) {
 	c.mu.Lock()
-	c.pins[key]++
-	c.mu.Unlock()
-}
-
-func (c *cacheManager) unpin(key string) {
-	c.mu.Lock()
-	c.unpinLocked(key)
-	c.mu.Unlock()
-}
-
-func (c *cacheManager) unpinLocked(key string) {
-	if c.pins[key] <= 1 {
-		delete(c.pins, key)
-	} else {
-		c.pins[key]--
+	defer c.mu.Unlock()
+	for _, root := range roots {
+		c.keyBuf = walkCompleteUnits(root, root.ID(), c.keyBuf[:0], fn)
 	}
 }
 
-// pinFragment pins exactly the units a fetched fragment carries, for the
-// duration of the merge transaction installing them: the budget eviction
-// running inside that transaction must not cancel the fetch it is
-// committing. Pinning the precise unit set — rather than the fetch target's
-// whole prefix for the flight's lifetime — keeps the rest of the cache
-// evictable, so a published version can exceed the budget only by the one
-// fragment being installed.
-func (c *cacheManager) pinFragment(frag *xmldb.Node) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	walkCompleteUnits(frag, func(key string) { c.pins[key]++ })
-}
-
-func (c *cacheManager) unpinFragment(frag *xmldb.Node) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	walkCompleteUnits(frag, func(key string) { c.unpinLocked(key) })
-}
-
-// pinnedLocked reports whether the unit itself is pinned.
-func (c *cacheManager) pinnedLocked(key string) bool {
-	return c.pins[key] > 0
-}
-
 // walkCompleteUnits calls fn with the ID-path key of every complete unit in
-// the fragment.
-func walkCompleteUnits(root *xmldb.Node, fn func(key string)) {
-	root.Walk(func(n *xmldb.Node) bool {
-		if fragment.StatusOf(n) == fragment.StatusComplete {
-			if p, ok := xmldb.IDPathOf(n); ok {
-				fn(p.Key())
-			}
+// the tree under n (whose id the caller has already looked up). The key is
+// carried down the descent in buf — each level appends its own step and
+// truncates it on the way out — and is byte-identical to
+// xmldb.IDPathOf(node).Key(). Only IDable children are descended into:
+// nodes inside a local-information unit carry no status and have no ID
+// path. It returns buf truncated to its length on entry, grown or not.
+func walkCompleteUnits(n *xmldb.Node, id string, buf []byte, fn func(key []byte)) []byte {
+	mark := len(buf)
+	buf = xmldb.Step{Name: n.Name, ID: id}.AppendKey(buf)
+	if fragment.StatusOf(n) == fragment.StatusComplete {
+		fn(buf)
+	}
+	for _, c := range n.Children {
+		if cid := c.ID(); cid != "" {
+			buf = walkCompleteUnits(c, cid, buf, fn)
 		}
-		return true
-	})
+	}
+	return buf[:mark]
+}
+
+// stampLocked records a unit's stamps, tracking it if it is new, and
+// restores the heap order around it.
+func (c *cacheManager) stampLocked(key []byte, lastAccess, fetchedAt float64) *unitMeta {
+	m := c.units[string(key)]
+	if m == nil {
+		m = &unitMeta{key: string(key), lastAccess: lastAccess, fetchedAt: fetchedAt}
+		c.units[m.key] = m
+		heap.Push(&c.heap, m)
+		return m
+	}
+	m.lastAccess, m.fetchedAt = lastAccess, fetchedAt
+	c.fixLocked(m)
+	return m
+}
+
+// fixLocked restores the heap order after m's stamps changed. A unit an
+// eviction pass has set aside is out of the heap and is re-ordered when the
+// pass pushes it back.
+func (c *cacheManager) fixLocked(m *unitMeta) {
+	if m.idx >= 0 {
+		heap.Fix(&c.heap, m.idx)
+	}
 }
 
 // noteFetched records the units a cache merge just (re-)installed: fresh
 // fetch and access stamps, so newly arrived data is the warmest and is
-// evicted last.
-func (c *cacheManager) noteFetched(frag *xmldb.Node, now float64) {
+// evicted last. With hold, the units also stay unevictable until release:
+// the budget eviction running inside a merge transaction must not cancel
+// the fetch it is committing. A status of complete covers only the node's
+// own local information, so holding exactly the fetched units — not the
+// fetch targets' whole prefixes — keeps the rest of the cache evictable,
+// and a published version can exceed the budget only by the one answer
+// being installed.
+func (c *cacheManager) noteFetched(frags []*xmldb.Node, now float64, hold bool) {
+	c.walkLocked(frags, func(key []byte) {
+		m := c.stampLocked(key, now, now)
+		if hold && !m.held {
+			m.held = true
+			c.held = append(c.held, m)
+		}
+	})
+}
+
+// release makes the units held by the finished merge transaction evictable
+// again.
+func (c *cacheManager) release() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	walkCompleteUnits(frag, func(key string) {
-		m := c.units[key]
-		if m == nil {
-			m = &unitMeta{}
-			c.units[key] = m
-		}
-		m.fetchedAt = now
-		m.lastAccess = now
-	})
+	for i, m := range c.held {
+		m.held = false
+		c.held[i] = nil
+	}
+	c.held = c.held[:0]
 }
 
 // touchAnswer refreshes the access time of every tracked unit that appears
 // in a query's answer fragment. Units the policy does not know about (owned
 // data serialized into the answer) are left alone — they are not evictable.
 func (c *cacheManager) touchAnswer(root *xmldb.Node, now float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	walkCompleteUnits(root, func(key string) {
-		if m, ok := c.units[key]; ok {
+	c.walkLocked([]*xmldb.Node{root}, func(key []byte) {
+		if m := c.units[string(key)]; m != nil && m.lastAccess != now {
 			m.lastAccess = now
+			c.fixLocked(m)
 		}
 	})
 }
@@ -147,55 +203,63 @@ func (c *cacheManager) touchAnswer(root *xmldb.Node, now float64) {
 // cached before a restart of the policy) as maximally cold entries. It
 // reports whether anything was added.
 func (c *cacheManager) seedFrom(root *xmldb.Node) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	added := false
-	walkCompleteUnits(root, func(key string) {
-		if _, ok := c.units[key]; !ok {
-			c.units[key] = &unitMeta{}
+	c.walkLocked([]*xmldb.Node{root}, func(key []byte) {
+		if c.units[string(key)] == nil {
+			c.stampLocked(key, 0, 0)
 			added = true
 		}
 	})
 	return added
 }
 
-// forget drops a unit's metadata (evicted, or discovered to be un-evictable).
+// forget drops a unit's metadata (its eviction was replayed from the log).
 func (c *cacheManager) forget(key string) {
 	c.mu.Lock()
-	delete(c.units, key)
-	c.mu.Unlock()
-}
-
-// candidates returns the tracked, unpinned unit keys sorted coldest first:
-// by last access, then by fetch time, then by key for determinism.
-func (c *cacheManager) candidates() []string {
-	c.mu.Lock()
 	defer c.mu.Unlock()
-	keys := make([]string, 0, len(c.units))
-	for k := range c.units {
-		if !c.pinnedLocked(k) {
-			keys = append(keys, k)
+	if m := c.units[key]; m != nil {
+		delete(c.units, key)
+		if m.idx >= 0 {
+			heap.Remove(&c.heap, m.idx)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := c.units[keys[i]], c.units[keys[j]]
-		if a.lastAccess != b.lastAccess {
-			return a.lastAccess < b.lastAccess
+}
+
+// popColdest removes the coldest evictable unit from the policy and returns
+// its key; false when every tracked unit is held or none is left. Held
+// units met on the way leave the heap but stay tracked: they are appended
+// to aside, and the caller hands them back with pushBack when its eviction
+// pass ends. Passes run under the site's writer mutex, one at a time.
+func (c *cacheManager) popColdest(aside *[]*unitMeta) (string, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.heap.Len() > 0 {
+		m := heap.Pop(&c.heap).(*unitMeta)
+		if m.held {
+			*aside = append(*aside, m)
+			continue
 		}
-		if a.fetchedAt != b.fetchedAt {
-			return a.fetchedAt < b.fetchedAt
-		}
-		return keys[i] < keys[j]
-	})
-	return keys
+		delete(c.units, m.key)
+		return m.key, true
+	}
+	return "", false
+}
+
+// pushBack returns the units an eviction pass set aside to the heap.
+func (c *cacheManager) pushBack(aside []*unitMeta) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, m := range aside {
+		heap.Push(&c.heap, m)
+	}
 }
 
 // evictToBudgetLocked trims the in-progress version down to the byte budget
 // by evicting cold units, coldest first. The caller holds wmu and commits /
 // publishes w afterwards, so merge and eviction land atomically in one
-// version. Pinned units (in-flight coalesced fetches mid-merge) are
+// version. Held units (the answer the transaction is installing) are
 // skipped; the published total can therefore exceed the budget only by
-// data a flight is actively installing, and by at most one unit when a
+// data a merge is actively installing, and by at most one unit when a
 // single unit alone is larger than the whole budget. Returns the keys of
 // the evicted units (callers on durable sites log them with the commit).
 func (s *Site) evictToBudgetLocked(w *fragment.COW) []string {
@@ -204,39 +268,37 @@ func (s *Site) evictToBudgetLocked(w *fragment.COW) []string {
 		return nil
 	}
 	var evicted []string
-	for pass := 0; pass < 2; pass++ {
-		if int64(w.CachedBytes()) <= budget {
-			break
-		}
-		for _, key := range s.cache.candidates() {
-			if int64(w.CachedBytes()) <= budget {
+	var aside []*unitMeta
+	seeded := false
+	for int64(w.CachedBytes()) > budget {
+		key, ok := s.cache.popColdest(&aside)
+		if !ok {
+			// Still over budget with nothing left to evict: the version
+			// holds cached units the policy never saw through a merge (e.g.
+			// complete copies created by delegating ownership away). Adopt
+			// them, once, from the version being trimmed — not the published
+			// one, which still shows the units this pass just evicted — as
+			// cold entries and carry on.
+			if seeded || !s.cache.seedFrom(w.Root()) {
 				break
 			}
-			p, err := xmldb.ParseIDPath(key)
-			if err != nil {
-				s.cache.forget(key)
-				continue
-			}
-			// EvictLocalInfo refuses owned and already-downgraded nodes;
-			// either way the metadata entry is stale, so drop it.
-			if err := w.EvictLocalInfo(p); err != nil {
-				s.cache.forget(key)
-				continue
-			}
-			s.cache.forget(key)
-			s.Metrics.Evictions.Inc()
-			evicted = append(evicted, key)
+			seeded = true
+			continue
 		}
-		// Still over budget after draining the candidate list: the store
-		// holds cached units the policy never saw through a merge (e.g.
-		// complete copies created by delegating ownership away). Adopt them
-		// as cold entries and run one more pass.
-		if pass == 0 && int64(w.CachedBytes()) > budget {
-			if !s.cache.seedFrom(s.state.Load().store.Root) {
-				break
-			}
+		// A popped unit is forgotten whether or not it can be evicted:
+		// EvictLocalInfo refuses owned and already-downgraded nodes, and for
+		// those the metadata entry was stale.
+		p, err := xmldb.ParseIDPath(key)
+		if err == nil {
+			err = w.EvictLocalInfo(p)
 		}
+		if err != nil {
+			continue
+		}
+		s.Metrics.Evictions.Inc()
+		evicted = append(evicted, key)
 	}
+	s.cache.pushBack(aside)
 	return evicted
 }
 

@@ -82,29 +82,36 @@ type pendingSub struct {
 	sq  qeg.Subquery
 }
 
-// cacheFetched folds a freshly fetched fragment into the site cache before
-// its flight retires, so a query arriving after the flight finishes finds
-// the data cached — there is no window where a subquery neither joins the
-// flight nor hits the cache. On a merge failure (a "cannot happen" path:
-// the same validation accepted the fragment into the answer) the fetch is
-// reported failed, marking just this subtree unreachable. No-op when err is
-// already set or caching is off.
-func (s *Site) cacheFetched(frag *xmldb.Node, err *error) *xmldb.Node {
-	if *err != nil || !s.cfg.Caching || frag == nil {
-		return frag
+// cacheFetched folds the fragments of one upstream answer — every healthy
+// entry of a batch answer, or the single fragment of a plain subquery — into
+// the site cache as one merge transaction (mergeCache) before any of their
+// flights retire, so a query arriving after a flight finishes finds the data
+// cached — there is no window where a subquery neither joins the flight nor
+// hits the cache. A result whose fragment fails to merge (a "cannot happen"
+// path: the same validation accepts the fragment into the answer) is
+// reported failed, marking just that subtree unreachable. Results that
+// already carry an error are left alone; no-op when caching is off.
+func (s *Site) cacheFetched(rs ...*subResult) {
+	if !s.cfg.Caching {
+		return
 	}
-	if s.cache != nil {
-		// Pin the fragment's units across the merge: the budget eviction
-		// inside the transaction must not cancel the fetch it is committing
-		// (see cacheManager.pinFragment).
-		s.cache.pinFragment(frag)
-		defer s.cache.unpinFragment(frag)
+	fetched := make([]*subResult, 0, len(rs))
+	frags := make([]*xmldb.Node, 0, len(rs))
+	for _, r := range rs {
+		if r.err == nil && r.frag != nil {
+			fetched = append(fetched, r)
+			frags = append(frags, r.frag)
+		}
 	}
-	if cerr := s.mergeCache(frag); cerr != nil {
-		*err = fmt.Errorf("site %s: caching subanswer: %w", s.cfg.Name, cerr)
-		return nil
+	if len(frags) == 0 {
+		return
 	}
-	return frag
+	for i, err := range s.mergeCache(frags) {
+		if err != nil {
+			fetched[i].frag = nil
+			fetched[i].err = fmt.Errorf("site %s: caching subanswer: %w", s.cfg.Name, err)
+		}
+	}
 }
 
 // errSpan builds the synthetic span recorded when a fetch fails before a
@@ -185,8 +192,8 @@ func (s *Site) dispatchSubqueries(ctx context.Context, fresh []qeg.Subquery, tra
 	var wg sync.WaitGroup
 	single := func(p pendingSub) {
 		frag, downs, nbytes, span, err := s.fetchSubquery(ctx, p.sq, traceID)
-		frag = s.cacheFetched(frag, &err)
 		results[p.idx] = subResult{frag: frag, downs: downs, bytes: nbytes, span: span, err: err}
+		s.cacheFetched(&results[p.idx])
 		finishLeader(p.idx)
 	}
 
@@ -257,8 +264,8 @@ func (s *Site) dispatchSubqueries(ctx context.Context, fresh []qeg.Subquery, tra
 					// not ours. Fall back to a private fetch rather than
 					// inheriting the leader's failure.
 					frag, downs, nbytes, span, err := s.fetchSubquery(ctx, w.sq, traceID)
-					frag = s.cacheFetched(frag, &err)
 					results[w.idx] = subResult{frag: frag, downs: downs, bytes: nbytes, span: span, err: err}
+					s.cacheFetched(&results[w.idx])
 					return
 				}
 				s.Metrics.Coalesced.Inc()
@@ -308,8 +315,9 @@ func splitByByteCap(group []pendingSub, capBytes int) [][]pendingSub {
 }
 
 // sendBatch ships one KindBatch message carrying piece's subqueries to
-// owner, decodes the per-entry answers into results, and completes any
-// flights those entries lead. It returns the remote hop's batch span (nil
+// owner, decodes the per-entry answers into results, caches the healthy ones
+// in one merge transaction, and then completes any flights those entries
+// lead. It returns the remote hop's batch span (nil
 // without tracing); per-entry spans ride as its children, so entry results
 // carry no span of their own.
 func (s *Site) sendBatch(ctx context.Context, owner string, piece []pendingSub, traceID string, results []subResult, finishLeader func(int)) *trace.Span {
@@ -360,25 +368,30 @@ func (s *Site) sendBatch(ctx context.Context, owner string, piece []pendingSub, 
 		return fail(fmt.Errorf("site %s: batch answer from %s: %w", s.cfg.Name, owner, derr))
 	}
 
+	fetched := make([]*subResult, len(piece))
 	for i, p := range piece {
 		e := resp.Entries[i]
+		r := &results[p.idx]
+		fetched[i] = r
 		if e.Status != BatchEntryOK {
-			err := fmt.Errorf("site %s: batch entry from %s: %s", s.cfg.Name, owner, e.Error)
-			results[p.idx] = subResult{err: err}
-		} else {
-			var frag *xmldb.Node
-			var perr error
-			s.cpu.Do(func() {
-				frag, perr = xmldb.ParseString(e.Fragment)
-			})
-			if perr != nil {
-				perr = fmt.Errorf("site %s: batch entry from %s: %w", s.cfg.Name, owner, perr)
-				results[p.idx] = subResult{err: perr}
-			} else {
-				frag = s.cacheFetched(frag, &perr)
-				results[p.idx] = subResult{frag: frag, downs: e.Unreachable, bytes: len(e.Fragment), err: perr}
-			}
+			r.err = fmt.Errorf("site %s: batch entry from %s: %s", s.cfg.Name, owner, e.Error)
+			continue
 		}
+		var frag *xmldb.Node
+		var perr error
+		s.cpu.Do(func() {
+			frag, perr = xmldb.ParseString(e.Fragment)
+		})
+		if perr != nil {
+			r.err = fmt.Errorf("site %s: batch entry from %s: %w", s.cfg.Name, owner, perr)
+			continue
+		}
+		*r = subResult{frag: frag, downs: e.Unreachable, bytes: len(e.Fragment)}
+	}
+	// One cache commit for the whole answer, and only then do the entries'
+	// flights retire.
+	s.cacheFetched(fetched...)
+	for _, p := range piece {
 		finishLeader(p.idx)
 	}
 	return resp.Span

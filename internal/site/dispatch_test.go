@@ -3,6 +3,7 @@ package site
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -64,7 +65,10 @@ func deployShared(t *testing.T, caching bool, sim transport.SimConfig, mut func(
 			mut(&sc)
 		}
 		s := New(sc, workload.RootName, workload.RootID)
-		s.Load(stores[name], owned[name])
+		// Recover is Load unless mut gave the site a DataDir.
+		if _, err := s.Recover(stores[name], owned[name]); err != nil {
+			t.Fatal(err)
+		}
 		if err := s.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -328,6 +332,128 @@ func TestBatchPartialEntryFailure(t *testing.T) {
 	want := centralAnswer(t, d, single)
 	if strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Fatalf("healthy entry not spliced:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestBatchAnswerIsOneCommit checks the cost of a cache miss: a three-entry
+// batch answer reaches the cache as one merge transaction — one published
+// version, counted with its fragments by the merge counters — and, the site
+// being durable, as one WAL record.
+func TestBatchAnswerIsOneCommit(t *testing.T) {
+	cityName := "city-" + workload.CityName(0)
+	dir := t.TempDir()
+	d := deployShared(t, true, transport.SimConfig{}, func(c *Config) {
+		if c.Name == cityName {
+			c.DataDir = filepath.Join(dir, "city")
+			c.CacheBudgetBytes = 1 << 20
+		}
+	})
+	city := d.sites[cityName]
+	before := city.state.Load()
+	appends := city.Metrics.WALAppends.Value()
+
+	q := d.db.NeighborhoodPath(0, 0).String() + "/block/parkingSpace[available='yes']"
+	d.queryRaw(t, cityName, q)
+
+	m := &city.Metrics
+	if m.Batches.Value() != 1 || m.Subqueries.Value() != 3 {
+		t.Fatalf("test premise broken: batches=%d subqueries=%d, want one batch of 3",
+			m.Batches.Value(), m.Subqueries.Value())
+	}
+	if commits, frags := m.CacheMergeCommits.Value(), m.CacheMergedFragments.Value(); commits != 1 || frags != 3 {
+		t.Fatalf("merge commits=%d merged fragments=%d, want 1 commit installing 3 fragments", commits, frags)
+	}
+	if got := m.WALAppends.Value() - appends; got != 1 {
+		t.Fatalf("batch answer appended %d WAL records, want 1", got)
+	}
+	after := city.state.Load()
+	if after == before {
+		t.Fatal("no new version published")
+	}
+	for b := 0; b < 3; b++ {
+		if n := after.store.NodeAt(d.db.BlockPath(0, 0, b)); n == nil || fragment.StatusOf(n) != fragment.StatusComplete {
+			t.Fatalf("block %d of the batch answer not cached in the published version", b)
+		}
+	}
+	// The next query is a hit on that one version: nothing more is merged.
+	d.queryRaw(t, cityName, q)
+	if m.CacheMergeCommits.Value() != 1 || m.Subqueries.Value() != 3 {
+		t.Fatal("repeat query went upstream again")
+	}
+}
+
+// TestBatchMiddleEntryFailsToMerge hands the sender a batch answer whose
+// middle entry parses but cannot be merged (wrong document root). The
+// all-in-one transaction is abandoned and the entries commit one by one: the
+// two healthy entries are cached and spliced, and only the middle entry's
+// target is marked unreachable.
+func TestBatchMiddleEntryFailsToMerge(t *testing.T) {
+	d := deployShared(t, true, transport.SimConfig{}, nil)
+	cityName := "city-" + workload.CityName(0)
+	blocksName := "blocks-" + workload.CityName(0)
+	real := d.sites[blocksName]
+
+	var middleQuery string
+	d.net.Unregister(blocksName)
+	if err := d.net.Register(blocksName, func(ctx context.Context, payload []byte) ([]byte, error) {
+		respB, err := real.Handle(ctx, payload)
+		if err != nil {
+			return respB, err
+		}
+		req, rerr := DecodeMessage(payload)
+		resp, derr := DecodeMessage(respB)
+		if rerr == nil && derr == nil && req.Kind == KindBatch && len(resp.Entries) == 3 {
+			middleQuery = req.Entries[1].Query
+			resp.Entries[1].Fragment = `<elsewhere id="x" status="complete"/>`
+			respB = resp.Encode()
+		}
+		return respB, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	q := d.db.NeighborhoodPath(0, 0).String() + "/block/parkingSpace[available='yes']"
+	resp := d.queryRaw(t, cityName, q)
+	if middleQuery == "" {
+		t.Fatal("test premise broken: no three-entry batch was sent")
+	}
+	failed := -1
+	for b := 0; b < 3; b++ {
+		if strings.Contains(middleQuery, fmt.Sprintf("block[@id='%d']", b+1)) {
+			failed = b
+		}
+	}
+	if failed < 0 {
+		t.Fatalf("cannot tell the middle entry's block from %q", middleQuery)
+	}
+	if len(resp.Unreachable) != 1 || resp.Unreachable[0] != d.db.BlockPath(0, 0, failed).Key() {
+		t.Fatalf("unreachable = %v, want exactly %s", resp.Unreachable, d.db.BlockPath(0, 0, failed))
+	}
+
+	city := d.sites[cityName]
+	if commits, frags := city.Metrics.CacheMergeCommits.Value(), city.Metrics.CacheMergedFragments.Value(); commits != 2 || frags != 2 {
+		t.Fatalf("merge commits=%d merged fragments=%d, want the two healthy entries committed one by one", commits, frags)
+	}
+	frag, err := xmldb.ParseString(resp.Fragment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := city.StoreSnapshot()
+	for b := 0; b < 3; b++ {
+		n := snap.NodeAt(d.db.BlockPath(0, 0, b))
+		cached := n != nil && fragment.StatusOf(n) == fragment.StatusComplete
+		if cached != (b != failed) {
+			t.Fatalf("block %d cached = %v, failed entry is block %d", b, cached, failed)
+		}
+		if b == failed {
+			continue
+		}
+		single := d.db.BlockQuery(0, 0, b)
+		got := extracted(t, frag, single, d.clock)
+		want := centralAnswer(t, d, single)
+		if strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Fatalf("healthy entry for block %d not spliced:\n got %v\nwant %v", b, got, want)
+		}
 	}
 }
 

@@ -244,7 +244,6 @@ func (s *Site) Recover(store *fragment.Store, owned []xmldb.IDPath) (bool, error
 	s.subs = rec.subs
 	s.subMu.Unlock()
 	if s.cache != nil {
-		s.cache.restore(rec.units)
 		// Warm-trim the rehydrated cache to budget, coldest first, before
 		// durability turns on: the trim itself is not logged — the fresh
 		// checkpoint below captures the trimmed state instead.
@@ -286,6 +285,8 @@ func (s *Site) reRegisterOwned() {
 }
 
 // recoveryState accumulates the store and tables while replaying the log.
+// Cache residency is rebuilt directly in the site's (still private) cache
+// policy, when it has one.
 type recoveryState struct {
 	s        *Site
 	from     uint64
@@ -293,7 +294,6 @@ type recoveryState struct {
 	owned    map[string]bool
 	migrated map[string]string
 	subs     map[string]*replicaSub
-	units    map[string]*unitMeta
 }
 
 func newRecoveryState(s *Site, cf *checkpointFile, store *fragment.Store, owned []xmldb.IDPath) *recoveryState {
@@ -302,7 +302,6 @@ func newRecoveryState(s *Site, cf *checkpointFile, store *fragment.Store, owned 
 		owned:    map[string]bool{},
 		migrated: map[string]string{},
 		subs:     map[string]*replicaSub{},
-		units:    map[string]*unitMeta{},
 	}
 	if cf == nil {
 		// No checkpoint survived (e.g. the first one was torn): start from
@@ -343,8 +342,8 @@ func newRecoveryState(s *Site, cf *checkpointFile, store *fragment.Store, owned 
 		}
 		rec.subs[rp.Key()] = sub
 	}
-	for k, u := range cf.Cache {
-		rec.units[k] = &unitMeta{lastAccess: u.Last, fetchedAt: u.Fetched}
+	if s.cache != nil {
+		s.cache.restore(cf.Cache)
 	}
 	return rec
 }
@@ -380,17 +379,8 @@ func (rec *recoveryState) applyOp(w *fragment.COW, op walOp) error {
 		if err := w.MergeFragment(frag); err != nil {
 			return err
 		}
-		if op.Cached {
-			now := op.Clock
-			walkCompleteUnits(frag, func(key string) {
-				m := rec.units[key]
-				if m == nil {
-					m = &unitMeta{}
-					rec.units[key] = m
-				}
-				m.fetchedAt = now
-				m.lastAccess = now
-			})
+		if op.Cached && rec.s.cache != nil {
+			rec.s.cache.noteFetched([]*xmldb.Node{frag}, op.Clock, false)
 		}
 		return nil
 	case opEvict:
@@ -400,7 +390,9 @@ func (rec *recoveryState) applyOp(w *fragment.COW, op walOp) error {
 				continue
 			}
 			_ = w.EvictLocalInfo(p)
-			delete(rec.units, k)
+			if rec.s.cache != nil {
+				rec.s.cache.forget(k)
+			}
 		}
 		return nil
 	case opSync:
@@ -512,13 +504,13 @@ func (rec *recoveryState) applyOp(w *fragment.COW, op walOp) error {
 	}
 }
 
-// restore installs the persisted residency metadata. Called under wmu
-// during recovery, before any query can touch the policy.
-func (c *cacheManager) restore(units map[string]*unitMeta) {
+// restore installs a checkpoint's residency metadata. Called during
+// recovery, before any query can touch the policy.
+func (c *cacheManager) restore(units map[string]ckptUnit) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k, m := range units {
-		c.units[k] = m
+	for k, u := range units {
+		c.stampLocked([]byte(k), u.Last, u.Fetched)
 	}
 }
 

@@ -26,6 +26,7 @@ type durHarness struct {
 	net      *transport.SimNet
 	registry *naming.Registry
 	db       *workload.DB
+	assign   *fragment.Assignment
 	stores   map[string]*fragment.Store
 	owned    map[string][]xmldb.IDPath
 	clock    func() float64
@@ -33,9 +34,18 @@ type durHarness struct {
 
 // newDurHarness builds the harness with every node assigned to one site.
 func newDurHarness(t *testing.T, owner string) *durHarness {
+	return newSplitDurHarness(t, owner, nil)
+}
+
+// newSplitDurHarness is newDurHarness with some subtrees assigned to other
+// sites by split, so the main site has something to fetch and cache.
+func newSplitDurHarness(t *testing.T, owner string, split func(*workload.DB, *fragment.Assignment)) *durHarness {
 	t.Helper()
 	db := workload.Build(workload.DBConfig{Cities: 1, Neighborhoods: 2, Blocks: 2, Spaces: 3, Seed: 7})
 	assign := fragment.NewAssignment(owner)
+	if split != nil {
+		split(db, assign)
+	}
 	stores, owned, err := fragment.Partition(db.Doc, assign)
 	if err != nil {
 		t.Fatal(err)
@@ -44,6 +54,7 @@ func newDurHarness(t *testing.T, owner string) *durHarness {
 		net:      transport.NewSimNet(transport.SimConfig{}),
 		registry: naming.NewRegistry(),
 		db:       db,
+		assign:   assign,
 		stores:   stores,
 		owned:    owned,
 		clock:    func() float64 { return 1000 },
@@ -99,11 +110,10 @@ func sortedOwned(s *Site) []string {
 	return keys
 }
 
-// update applies one sensor update through the wire path and fails the test
-// on any error.
-func (h *durHarness) update(t *testing.T, to string, p xmldb.IDPath, fields, attrs map[string]string) {
+// send delivers one message through the wire path and fails the test on any
+// error, the receiver's included.
+func (h *durHarness) send(t *testing.T, to string, msg *Message) {
 	t.Helper()
-	msg := &Message{Kind: KindUpdate, Path: p.String(), Fields: fields, Attrs: attrs}
 	respB, err := h.net.Call(to, msg.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -113,18 +123,50 @@ func (h *durHarness) update(t *testing.T, to string, p xmldb.IDPath, fields, att
 		t.Fatal(err)
 	}
 	if e := resp.AsError(); e != nil {
-		t.Fatalf("update %s: %v", p, e)
+		t.Fatalf("%s %s%s at %s: %v", msg.Kind, msg.Path, msg.Query, to, e)
 	}
 }
 
+// update applies one sensor update.
+func (h *durHarness) update(t *testing.T, to string, p xmldb.IDPath, fields, attrs map[string]string) {
+	t.Helper()
+	h.send(t, to, &Message{Kind: KindUpdate, Path: p.String(), Fields: fields, Attrs: attrs})
+}
+
+// query runs one query at a site and discards the (error-free) answer.
+func (h *durHarness) query(t *testing.T, to, q string) {
+	t.Helper()
+	h.send(t, to, &Message{Kind: KindQuery, Query: q})
+}
+
 // TestDurableRecoveryMatchesLive is the recovery property test: after N
-// random committed transactions — field/attr updates and every schema op —
-// a crash-recovered site is byte-identical to the live store it replaced,
-// with the same ownership table.
+// random committed transactions — field/attr updates, every schema op, and
+// cache misses whose batch answers commit as multi-merge records with the
+// evictions they force — a crash-recovered site is byte-identical to the
+// live store it replaced, with the same ownership table.
 func TestDurableRecoveryMatchesLive(t *testing.T) {
-	h := newDurHarness(t, "solo")
+	// Neighborhood 1's blocks live on a second site, so a query over that
+	// neighborhood at solo is a cache miss answered by one two-entry batch.
+	h := newSplitDurHarness(t, "solo", func(db *workload.DB, a *fragment.Assignment) {
+		for b := 0; b < 2; b++ {
+			a.Assign(db.BlockPath(0, 1, b), "blocks")
+		}
+	})
+	h.start(t, "blocks", "", nil)
+	// Room for one block's units (the block and its spaces) but not for two:
+	// every miss evicts.
+	block := xmldb.FindByIDPath(h.db.Doc, h.db.BlockPath(0, 1, 0))
+	budget := int64(fragment.LocalInfoBytes(block))
+	for _, sp := range block.IDableChildren() {
+		budget += int64(fragment.LocalInfoBytes(sp))
+	}
+	budget = budget * 3 / 2
 	dir := filepath.Join(t.TempDir(), "solo")
-	s, recovered := h.start(t, "solo", dir, nil)
+	caching := func(c *Config) {
+		c.Caching = true
+		c.CacheBudgetBytes = budget
+	}
+	s, recovered := h.start(t, "solo", dir, caching)
 	if recovered {
 		t.Fatal("first start should be cold")
 	}
@@ -133,7 +175,7 @@ func TestDurableRecoveryMatchesLive(t *testing.T) {
 	blocks := h.db.BlockPath(0, 0, 0)
 	added := []string{}
 	for i := 0; i < 200; i++ {
-		switch k := rng.Intn(10); {
+		switch k := rng.Intn(12); {
 		case k < 6: // plain sensor update
 			p := h.db.SpacePaths[rng.Intn(len(h.db.SpacePaths))]
 			fields := map[string]string{"available": fmt.Sprintf("v%d", i)}
@@ -141,7 +183,7 @@ func TestDurableRecoveryMatchesLive(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				attrs = map[string]string{"quality": fmt.Sprintf("q%d", i), "src": "sensor"}
 			}
-			h.update(t, "solo", p, fields, attrs)
+			h.update(t, h.assign.OwnerOf(p), p, fields, attrs)
 		case k < 7: // schema: set attributes on an owned node
 			err := s.SchemaChange(OpSetAttrs, blocks, map[string]string{
 				"zone": fmt.Sprintf("z%d", i), "rev": fmt.Sprintf("%d", i)})
@@ -160,7 +202,7 @@ func TestDurableRecoveryMatchesLive(t *testing.T) {
 				t.Fatal(err)
 			}
 			added = append(added, id)
-		default: // schema: delete one previously added IDable child
+		case k < 10: // schema: delete one previously added IDable child
 			if len(added) == 0 {
 				continue
 			}
@@ -170,14 +212,26 @@ func TestDurableRecoveryMatchesLive(t *testing.T) {
 				"name": "parkingSpace", "id": id}); err != nil {
 				t.Fatal(err)
 			}
+		case k < 11: // cache miss: one batch answer, one multi-merge record
+			h.query(t, "solo", h.db.NeighborhoodPath(0, 1).String()+"/block/parkingSpace")
+		default: // a pass of the pressure loop (which also runs on its own timer)
+			s.relieveCachePressure()
 		}
 	}
-
+	m := &s.Metrics
+	if m.CacheMergedFragments.Value() <= m.CacheMergeCommits.Value() || m.Evictions.Value() == 0 {
+		t.Fatalf("test premise broken: %d fragments in %d merge commits, %d evictions — no multi-merge record with evictions was logged",
+			m.CacheMergedFragments.Value(), m.CacheMergeCommits.Value(), m.Evictions.Value())
+	}
+	// Leave nothing for the background pressure loop to publish between the
+	// capture below and the crash.
+	s.relieveCachePressure()
 	wantStore := storeBytes(s)
 	wantOwned := sortedOwned(s)
+	wantUnits := s.cache.snapshot()
 	s.Crash()
 
-	s2, recovered := h.start(t, "solo", dir, nil)
+	s2, recovered := h.start(t, "solo", dir, caching)
 	if !recovered {
 		t.Fatal("restart should recover from disk")
 	}
@@ -186,6 +240,17 @@ func TestDurableRecoveryMatchesLive(t *testing.T) {
 	}
 	if got := sortedOwned(s2); strings.Join(got, "|") != strings.Join(wantOwned, "|") {
 		t.Fatalf("recovered owned set differs:\n got %v\nwant %v", got, wantOwned)
+	}
+	// The residency policy replayed the same fetches and evictions. (Only
+	// the tracked set is compared: a query's touch is not a logged event.)
+	gotUnits := s2.cache.snapshot()
+	if len(gotUnits) != len(wantUnits) || len(gotUnits) == 0 {
+		t.Fatalf("recovered policy tracks %d units, live tracked %d", len(gotUnits), len(wantUnits))
+	}
+	for k := range wantUnits {
+		if _, ok := gotUnits[k]; !ok {
+			t.Fatalf("recovered policy lost unit %s", k)
+		}
 	}
 	// Recovered ownership is re-registered with naming.
 	if owner, ok := h.registry.Lookup(naming.DNSName(h.db.SpacePaths[0], workload.Service)); !ok || owner != "solo" {
@@ -198,7 +263,7 @@ func TestDurableRecoveryMatchesLive(t *testing.T) {
 	// Recover twice: a clean stop followed by another recovery must land on
 	// the same bytes again (recovery is deterministic and lossless).
 	s2.Stop()
-	s3, recovered := h.start(t, "solo", dir, nil)
+	s3, recovered := h.start(t, "solo", dir, caching)
 	if !recovered {
 		t.Fatal("second restart should recover from disk")
 	}

@@ -173,6 +173,11 @@ type Metrics struct {
 	// Evictions counts local-information units evicted by the cache budget
 	// policy (sites with CacheBudgetBytes set only).
 	Evictions metrics.Counter
+	// CacheMergeCommits counts published cache-merge transactions and
+	// CacheMergedFragments the sub-answer fragments they installed; the
+	// ratio is fragments per commit (a batch answer is one commit).
+	CacheMergeCommits    metrics.Counter
+	CacheMergedFragments metrics.Counter
 	// AggregatePushdowns counts aggregate queries answered in decomposed
 	// mode: local partial plus per-site aggregate subrequests.
 	AggregatePushdowns metrics.Counter
@@ -241,6 +246,8 @@ func (s *Site) Register(r *metrics.Registry) {
 	r.RegisterCounter("irisnet_batches_total", "Batched subquery messages sent.", l, &m.Batches)
 	r.RegisterCounter("irisnet_coalesced_subqueries_total", "Subqueries answered by joining an in-flight fetch.", l, &m.Coalesced)
 	r.RegisterCounter("irisnet_cache_evictions_total", "Cached local-information units evicted by the budget policy.", l, &m.Evictions)
+	r.RegisterCounter("irisnet_cache_merge_commits_total", "Cache-merge transactions published (one per upstream answer, batch or single).", l, &m.CacheMergeCommits)
+	r.RegisterCounter("irisnet_cache_merged_fragments_total", "Sub-answer fragments installed by cache-merge transactions.", l, &m.CacheMergedFragments)
 	r.RegisterCounter("irisnet_aggregate_pushdowns_total", "Aggregate queries answered with decomposed partial aggregation.", l, &m.AggregatePushdowns)
 	r.RegisterCounter("irisnet_aggregate_fallbacks_total", "Aggregate queries answered via raw gather plus local aggregation.", l, &m.AggregateFallbacks)
 	r.RegisterCounter("irisnet_gather_bytes_saved_total", "Fragment bytes kept off the wire by partial aggregation.", l, &m.GatherBytesSaved)
@@ -1006,14 +1013,39 @@ func freshnessReport(p *qeg.Provenance, fetchedBytes int64) *trace.FreshnessRepo
 	return fr
 }
 
-// mergeCache folds a sub-answer into the site database through the
-// copy-on-write write path: take the writer mutex, build the next version
-// from the latest published one, publish. Queries in flight keep reading
-// the version they pinned; the next snapshot load sees the cached data.
-// On budgeted sites the merge and any evictions it forces commit as one
-// transaction, so no published version exceeds the budget by more than the
-// units in-flight fetches are actively installing (cache.go).
-func (s *Site) mergeCache(frag *xmldb.Node) error {
+// mergeCache folds the fragments of one upstream answer into the site
+// database as a single copy-on-write transaction (commitMerge): a cache miss
+// costs one commit however many entries its batch answer carries. The
+// returned errors are index-aligned with frags, nil when every fragment
+// merged. When a fragment is rejected the whole transaction is abandoned
+// unpublished and the fragments commit one by one instead, so exactly the
+// rejected ones report an error and the rest are still cached.
+func (s *Site) mergeCache(frags []*xmldb.Node) []error {
+	err := s.commitMerge(frags)
+	if err == nil {
+		return nil
+	}
+	errs := make([]error, len(frags))
+	if len(frags) == 1 {
+		errs[0] = err
+		return errs
+	}
+	for i := range frags {
+		errs[i] = s.commitMerge(frags[i : i+1])
+	}
+	return errs
+}
+
+// commitMerge is one merge transaction through the copy-on-write write
+// path: take the writer mutex, build the next version from the latest
+// published one by merging every fragment, publish. Queries in flight keep
+// reading the version they pinned; the next snapshot load sees the cached
+// data. On budgeted sites the fragments' units are held for the
+// transaction and the evictions the merge forces commit with it, so no
+// published version exceeds the budget by more than the answer being
+// installed (cache.go). A rejected fragment returns its error with nothing
+// published and no residency recorded.
+func (s *Site) commitMerge(frags []*xmldb.Node) error {
 	if s.cfg.CoarseLocking {
 		s.coarse.Lock()
 		defer s.coarse.Unlock()
@@ -1022,19 +1054,27 @@ func (s *Site) mergeCache(frag *xmldb.Node) error {
 	defer s.wmu.Unlock()
 	st := s.state.Load()
 	w := st.store.Begin()
-	if err := w.MergeFragment(frag); err != nil {
-		return err
+	for _, frag := range frags {
+		if err := w.MergeFragment(frag); err != nil {
+			return err
+		}
 	}
 	var evicted []string
 	clock := s.cfg.Clock()
 	if s.cache != nil {
-		s.cache.noteFetched(frag, clock)
+		// The budget eviction inside the transaction must not cancel the
+		// fetch it is committing: its units are held until the pass is over.
+		s.cache.noteFetched(frags, clock, true)
 		evicted = s.evictToBudgetLocked(w)
+		s.cache.release()
 	}
 	if s.dur != nil {
-		// Merge and forced evictions are one record: replaying half of the
-		// pair would leave a store no live execution could have published.
-		ops := []walOp{{Op: opMerge, Frag: frag.String(), Clock: clock, Cached: s.cache != nil}}
+		// Merges and forced evictions are one record: replaying part of it
+		// would leave a store no live execution could have published.
+		ops := make([]walOp, 0, len(frags)+1)
+		for _, frag := range frags {
+			ops = append(ops, walOp{Op: opMerge, Frag: frag.String(), Clock: clock, Cached: s.cache != nil})
+		}
 		if len(evicted) > 0 {
 			ops = append(ops, walOp{Op: opEvict, Paths: evicted})
 		}
@@ -1042,6 +1082,8 @@ func (s *Site) mergeCache(frag *xmldb.Node) error {
 		s.walAppend(ops...)
 	}
 	s.publishLocked(&siteState{store: w.Commit(), owned: st.owned, migrated: st.migrated})
+	s.Metrics.CacheMergeCommits.Inc()
+	s.Metrics.CacheMergedFragments.Add(int64(len(frags)))
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package xmldb
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -339,6 +340,34 @@ func TestIDPathOps(t *testing.T) {
 	cl[0].ID = "zzz"
 	if p[0].ID == "zzz" {
 		t.Fatal("Clone aliases underlying array")
+	}
+}
+
+// TestStepKeyFormat pins the key format — it is persisted in WAL records and
+// checkpoints — to the %q form it has always had, for ids that need quoting
+// and escaping, and checks that appending steps one by one builds exactly
+// IDPath.Key().
+func TestStepKeyFormat(t *testing.T) {
+	ids := []string{"", "1", " sp ace~", `a"b`, `back\slash`, "new\nline", "tab\t", "é/ü]", "[@id='x']", "\x00\x7f", "\u2028"}
+	var path IDPath
+	var buf []byte
+	for i, id := range ids {
+		st := Step{Name: fmt.Sprintf("n%d", i), ID: id}
+		want := st.Name
+		if id != "" {
+			want = fmt.Sprintf("%s[@id=%q]", st.Name, id)
+		}
+		if got := st.String(); got != want {
+			t.Fatalf("Step%+v.String() = %s, want %s", st, got, want)
+		}
+		path = append(path, st)
+		buf = st.AppendKey(buf)
+		if string(buf) != path.Key() {
+			t.Fatalf("appended key %s != IDPath.Key() %s", buf, path.Key())
+		}
+	}
+	if (IDPath{}).String() != "/" {
+		t.Fatal("empty path must render as /")
 	}
 }
 

@@ -2,6 +2,7 @@ package xmldb
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -17,7 +18,22 @@ func (s Step) String() string {
 	if s.ID == "" {
 		return s.Name
 	}
-	return fmt.Sprintf("%s[@id=%q]", s.Name, s.ID)
+	return string(s.AppendKey(nil)[1:])
+}
+
+// AppendKey appends "/" and the step's String form to buf. Appending the
+// steps of a path in order yields exactly IDPath.Key(), so a tree descent can
+// carry every node's key in one reused buffer instead of walking parent
+// pointers and formatting per node.
+func (s Step) AppendKey(buf []byte) []byte {
+	buf = append(buf, '/')
+	buf = append(buf, s.Name...)
+	if s.ID == "" {
+		return buf
+	}
+	buf = append(buf, "[@id="...)
+	buf = strconv.AppendQuote(buf, s.ID) // the %q form keys have always used
+	return append(buf, ']')
 }
 
 // IDPath is the sequence of IDs on the path from the document root to an
@@ -31,12 +47,11 @@ func (p IDPath) String() string {
 	if len(p) == 0 {
 		return "/"
 	}
-	var sb strings.Builder
+	var buf []byte
 	for _, s := range p {
-		sb.WriteByte('/')
-		sb.WriteString(s.String())
+		buf = s.AppendKey(buf)
 	}
-	return sb.String()
+	return string(buf)
 }
 
 // Key returns a canonical map key for the path.
