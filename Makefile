@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci build fmt vet lint test race-stress bench-smoke metrics-smoke cache-smoke localeval-smoke aggregate-smoke replication-smoke durability-smoke perf-gate bench-e2e bench-compare
+.PHONY: ci build fmt vet lint test race-stress fuzz bench-smoke metrics-smoke cache-smoke localeval-smoke aggregate-smoke replication-smoke durability-smoke perf-gate bench-e2e bench-compare
 
-ci: build fmt lint test race-stress bench-smoke metrics-smoke cache-smoke localeval-smoke aggregate-smoke replication-smoke durability-smoke perf-gate
+ci: build fmt lint test race-stress fuzz bench-smoke metrics-smoke cache-smoke localeval-smoke aggregate-smoke replication-smoke durability-smoke perf-gate
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,11 @@ test:
 # the lock-free query path (snapshots, plan cache, migration handoffs).
 race-stress:
 	$(GO) test -race -count=3 -run 'Concurrent|Snapshot|COW' ./internal/site ./internal/qeg ./internal/fragment
+
+# Differential fuzz of the XML scanner against encoding/xml (the oracle the
+# tests keep): same accept-or-reject decision, same tree, on every input.
+fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=30s ./internal/xmldb
 
 # Micro-benchmarks one iteration each, plus the batching experiment in
 # smoke mode: short arms, but the acceptance comparisons (RPC reduction,
@@ -88,8 +93,9 @@ durability-smoke:
 
 # Benchmarks HEAD against its merge base and fails on a >15% median ns/op
 # regression in the tier-1 benchmarks (BenchmarkSnapshotQuery,
-# BenchmarkSerialize; BenchmarkAggregateCompute, BenchmarkCacheMissMerge and
-# BenchmarkTouchAnswer are watched once both sides have them). benchstat
+# BenchmarkSerialize; BenchmarkParse, BenchmarkAggregateCompute,
+# BenchmarkCacheMissMerge and BenchmarkTouchAnswer are watched once both sides
+# have them). benchstat
 # renders the comparison when installed; cmd/benchgate decides the verdict
 # either way.
 perf-gate:

@@ -405,6 +405,7 @@ func StartSite(t *Topology, name string, opts SiteOptions) (*Node, error) {
 
 	node.Metrics = metrics.NewRegistry()
 	s.Register(node.Metrics)
+	node.Metrics.RegisterProcess()
 	if opts.AdminAddr != "" {
 		admin := service.NewAdmin(node.Metrics)
 		admin.AddSite(s)

@@ -44,8 +44,10 @@ func CheckInvariants(s *Store, ref *xmldb.Node, owned []xmldb.IDPath, checkValue
 		}
 	}
 
-	var walk func(n *xmldb.Node, p xmldb.IDPath)
-	walk = func(n *xmldb.Node, p xmldb.IDPath) {
+	// The walk hands each node its parent: nodes of a copy-on-write version
+	// have no Parent pointer to read (snapshot.go).
+	var walk func(n, parent *xmldb.Node, p xmldb.IDPath)
+	walk = func(n, parent *xmldb.Node, p xmldb.IDPath) {
 		st := StatusOf(n)
 		refNode := xmldb.FindByIDPath(ref, p)
 		if refNode == nil {
@@ -58,9 +60,9 @@ func CheckInvariants(s *Store, ref *xmldb.Node, owned []xmldb.IDPath, checkValue
 
 		// I2: if this node stores anything at all, its parent must hold
 		// full local ID information (all IDable children of the parent).
-		if n.Parent != nil {
-			ps := StatusOf(n.Parent)
-			if !ps.HasLocalIDInfo() && n.Parent.Parent != nil {
+		// (The root's children are exempt: len(p) == 2.)
+		if len(p) > 2 {
+			if ps := StatusOf(parent); !ps.HasLocalIDInfo() {
 				fail("I2: node %s present but parent lacks local ID info (status %v)", p, ps)
 			}
 		}
@@ -110,9 +112,9 @@ func CheckInvariants(s *Store, ref *xmldb.Node, owned []xmldb.IDPath, checkValue
 			if c.ID() == "" {
 				continue // inside the local info unit; covered by the Equal check
 			}
-			walk(c, p.Child(c.Name, c.ID()))
+			walk(c, n, p.Child(c.Name, c.ID()))
 		}
 	}
-	walk(s.Root, xmldb.IDPath{{Name: s.Root.Name, ID: s.Root.ID()}})
+	walk(s.Root, nil, xmldb.IDPath{{Name: s.Root.Name, ID: s.Root.ID()}})
 	return errs
 }

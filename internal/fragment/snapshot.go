@@ -30,14 +30,24 @@ func sortedKeys(m map[string]string) []string {
 // Commit seals the new version; the site publishes it with one atomic
 // pointer store.
 //
-// Shared nodes keep their Parent pointers into the version they were
-// created in. That is deliberate: old versions are immutable, and the
-// element names and ids along any spine never change across versions, so
-// upward navigation from a shared node still describes the correct ID
-// path. The query engine itself never navigates upward on a snapshot —
-// plans whose predicates use parent/ancestor axes are classified nested
-// (Plan.NestedIdx >= 0) and evaluated on a deep Clone with consistent
-// parent pointers.
+// Nodes made by a transaction carry no Parent pointer: a spine copy leaves
+// it nil and every node a transaction attaches has it cleared (attach). A
+// pointer from a shared node up into the version it was made in would reach
+// that version's root, and through the root's child list the whole version,
+// so nothing a site ever committed could be collected while any node of it
+// was still shared. Pointing shared children at the fresh copy instead is no
+// better: superseded spine nodes would then point forward, whoever still
+// held an old version (a long reader, the process that loaded the base
+// store) would pin every later one, and the write would land on nodes that
+// readers share. Only the nodes of a store that was built mutable and then
+// sealed (a partition, a recovered checkpoint) still have the pointers they
+// were built with, into that store alone.
+//
+// So code that reads a version never navigates upward: walks carry the
+// parent or the ID path down with them (CheckInvariants, the schema
+// ownership check), and the query engine evaluates plans whose predicates
+// use parent or ancestor axes (Plan.NestedIdx >= 0) on a deep Clone, whose
+// pointers are whole.
 //
 // A COW transaction is single-goroutine; the site serializes writers with
 // a mutex so concurrent writers cannot lose each other's changes (each
@@ -47,10 +57,9 @@ func sortedKeys(m map[string]string) []string {
 // version of a sealed store.
 type COW struct {
 	out *Store
-	// fresh marks nodes owned by this transaction: safe to mutate, their
-	// Parent pointers are consistent within out. Everything else reachable
-	// from out.Root is shared with previous versions and must not be
-	// written.
+	// fresh marks nodes owned by this transaction: safe to mutate.
+	// Everything else reachable from out.Root is shared with previous
+	// versions and must not be written.
 	fresh map[*xmldb.Node]bool
 	// base is the version the transaction started from; used by Commit to
 	// carry the base's cache-conscious index forward cheaply.
@@ -68,7 +77,7 @@ type COW struct {
 // Commit. The receiver is typically sealed; beginning from an unsealed
 // store is allowed (the caller then must not mutate it concurrently).
 func (s *Store) Begin() *COW {
-	root := cowCopy(s.Root, nil)
+	root := cowCopy(s.Root)
 	out := &Store{Root: root}
 	if n := s.nodes.Load(); n > 0 {
 		out.nodes.Store(n)
@@ -103,9 +112,9 @@ func (w *COW) Commit() *Store {
 
 // cowCopy makes a writable copy of n that shares n's children. The copy's
 // attribute and child slices are private so appends and in-place edits
-// cannot be observed through older versions.
-func cowCopy(n *xmldb.Node, parent *xmldb.Node) *xmldb.Node {
-	c := &xmldb.Node{Name: n.Name, Text: n.Text, Parent: parent}
+// cannot be observed through older versions; it has no Parent pointer.
+func cowCopy(n *xmldb.Node) *xmldb.Node {
+	c := &xmldb.Node{Name: n.Name, Text: n.Text}
 	if len(n.Attrs) > 0 {
 		c.Attrs = append(make([]xmldb.Attr, 0, len(n.Attrs)), n.Attrs...)
 	}
@@ -122,7 +131,7 @@ func (w *COW) freshChild(parent, child *xmldb.Node) *xmldb.Node {
 	if w.fresh[child] {
 		return child
 	}
-	c := cowCopy(child, parent)
+	c := cowCopy(child)
 	w.fresh[c] = true
 	for i, ch := range parent.Children {
 		if ch == child {
@@ -133,13 +142,21 @@ func (w *COW) freshChild(parent, child *xmldb.Node) *xmldb.Node {
 	return c
 }
 
-// adopt marks a node created by this transaction (not copied from the base
-// version) as fresh and returns it. A brand-new node always changes the
-// tree shape, so the transaction is structurally dirty from here on.
-func (w *COW) adopt(n *xmldb.Node) *xmldb.Node {
-	w.fresh[n] = true
+// attach appends c, a node this transaction created (not a copy of one in
+// the base version), to the fresh parent's children and returns it. It is
+// the only way a node enters a version: c's subtree loses whatever Parent
+// pointers it was built with and parent's is not set, c becomes fresh, and
+// since a new node always changes the tree shape the transaction is
+// structurally dirty from here on.
+func (w *COW) attach(parent, c *xmldb.Node) *xmldb.Node {
+	c.Walk(func(x *xmldb.Node) bool {
+		x.Parent = nil
+		return true
+	})
+	w.fresh[c] = true
 	w.dirty = true
-	return n
+	parent.Children = append(parent.Children, c)
+	return c
 }
 
 // Touch path-copies the spine down to p and returns the writable node, or
@@ -179,7 +196,7 @@ func (w *COW) ensurePath(p xmldb.IDPath) (*xmldb.Node, error) {
 	for _, st := range p[1:] {
 		next := cur.Child(st.Name, st.ID)
 		if next == nil {
-			next = cur.AddChild(w.adopt(xmldb.NewElem(st.Name, st.ID)))
+			next = w.attach(cur, xmldb.NewElem(st.Name, st.ID))
 			SetStatus(next, StatusIncomplete)
 			w.out.addNodes(1)
 		} else {
@@ -206,7 +223,7 @@ func (w *COW) AddChild(parent, c *xmldb.Node) *xmldb.Node {
 	if !w.fresh[parent] {
 		panic("fragment: COW.AddChild on a node not owned by the transaction")
 	}
-	parent.AddChild(w.adopt(c))
+	w.attach(parent, c)
 	if w.out.countKnown() {
 		w.out.addNodes(c.CountNodes())
 	}
@@ -216,9 +233,9 @@ func (w *COW) AddChild(parent, c *xmldb.Node) *xmldb.Node {
 	return c
 }
 
-// RemoveChild unlinks child from the fresh parent without clearing the
-// child's Parent pointer (the subtree may still be live in older
-// versions). It reports whether the child was present.
+// RemoveChild unlinks child from the fresh parent; the child itself, which
+// may still be live in older versions, is not written. It reports whether
+// the child was present.
 func (w *COW) RemoveChild(parent, child *xmldb.Node) bool {
 	if !w.fresh[parent] {
 		panic("fragment: COW.RemoveChild on a node not owned by the transaction")
@@ -259,7 +276,7 @@ func (w *COW) ApplyUpdate(p xmldb.IDPath, fields, attrs map[string]string, ts fl
 	for _, name := range sortedKeys(fields) {
 		c := n.ChildNamed(name)
 		if c == nil {
-			c = n.AddChild(w.adopt(xmldb.NewNode(name)))
+			c = w.attach(n, xmldb.NewNode(name))
 			w.out.addNodes(1)
 		} else {
 			c = w.freshChild(n, c)
@@ -366,7 +383,7 @@ func (w *COW) mergeNode(dst, src *xmldb.Node) {
 		}
 		dc := dst.Child(sc.Name, sc.ID())
 		if dc == nil {
-			dc = dst.AddChild(w.adopt(xmldb.NewElem(sc.Name, sc.ID())))
+			dc = w.attach(dst, xmldb.NewElem(sc.Name, sc.ID()))
 			SetStatus(dc, StatusIncomplete)
 			w.out.addNodes(1)
 		} else {
@@ -377,9 +394,7 @@ func (w *COW) mergeNode(dst, src *xmldb.Node) {
 }
 
 // applyLocalInfo mirrors Store.applyLocalInfo on a fresh node. Kept IDable
-// children remain shared with the previous version and are NOT re-parented
-// — their Parent pointers stay in the version they were created in, which
-// is safe because old versions are immutable (see the package comment).
+// children remain shared with the previous version and are not written.
 func (w *COW) applyLocalInfo(n *xmldb.Node, info *xmldb.Node, st Status) {
 	// Rebuilds n's attribute and child lists wholesale (and may change its
 	// status), so the shape the index recorded no longer holds.
@@ -412,8 +427,7 @@ func (w *COW) applyLocalInfo(n *xmldb.Node, info *xmldb.Node, st Status) {
 		if c.ID() == "" {
 			cl := c.Clone()
 			stripStatusDeep(cl)
-			cl.Parent = n
-			n.Children = append(n.Children, w.adopt(cl))
+			w.attach(n, cl)
 			if track {
 				w.out.addNodes(cl.CountNodes())
 			}
@@ -421,16 +435,10 @@ func (w *COW) applyLocalInfo(n *xmldb.Node, info *xmldb.Node, st Status) {
 		}
 		key := c.Name + "\x00" + c.ID()
 		if old, ok := keep[key]; ok {
-			if w.fresh[old] {
-				old.Parent = n
-			}
 			n.Children = append(n.Children, old)
 			delete(keep, key)
 		} else {
-			stub := xmldb.NewElem(c.Name, c.ID())
-			SetStatus(stub, StatusIncomplete)
-			stub.Parent = n
-			n.Children = append(n.Children, w.adopt(stub))
+			SetStatus(w.attach(n, xmldb.NewElem(c.Name, c.ID())), StatusIncomplete)
 			w.out.addNodes(1)
 		}
 	}
@@ -453,7 +461,7 @@ func (w *COW) unionChildStubs(dst, src *xmldb.Node) {
 			continue
 		}
 		if dst.Child(sc.Name, sc.ID()) == nil {
-			stub := dst.AddChild(w.adopt(xmldb.NewElem(sc.Name, sc.ID())))
+			stub := w.attach(dst, xmldb.NewElem(sc.Name, sc.ID()))
 			SetStatus(stub, StatusIncomplete)
 			w.out.addNodes(1)
 		}

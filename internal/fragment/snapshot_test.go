@@ -2,8 +2,12 @@ package fragment
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
+	"irisnet/internal/workload"
 	"irisnet/internal/xmldb"
 )
 
@@ -342,5 +346,127 @@ func TestCOWStressManyVersions(t *testing.T) {
 	}
 	if errs := CheckInvariants(v, buildDoc(), vOwned, false); len(errs) > 0 {
 		t.Fatalf("invariants after 200 versions: %v", errs)
+	}
+}
+
+// heapAfterGC returns the live heap once everything unreachable is gone.
+func heapAfterGC() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestVersionsDoNotPinPredecessors commits tens of thousands of versions on
+// top of a base version that stays referenced, and requires the live heap
+// to end where it started: a superseded version must be collectable as soon
+// as nobody holds it, even while its successors still share most of its
+// nodes. With parent pointers in shared nodes every version reached every
+// earlier one, and 20,000 updates of this document left 28 MiB behind.
+func TestVersionsDoNotPinPredecessors(t *testing.T) {
+	db := workload.Build(workload.PaperSmall())
+	stores, _, err := Partition(db.Doc, NewAssignment("solo"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slack = 2 << 20
+	r := rand.New(rand.NewSource(1))
+
+	t.Run("updates", func(t *testing.T) {
+		base := stores["solo"].Clone().Seal()
+		cur := base
+		before := heapAfterGC()
+		for i := 0; i < 20000; i++ {
+			w := cur.Begin()
+			p := db.SpacePaths[r.Intn(len(db.SpacePaths))]
+			avail := []string{"yes", "no"}[r.Intn(2)]
+			if err := w.ApplyUpdate(p, map[string]string{"available": avail}, nil, float64(i)); err != nil {
+				t.Fatal(err)
+			}
+			cur = w.Commit()
+		}
+		if grew := heapAfterGC() - before; grew > slack {
+			t.Fatalf("live heap grew by %d bytes over 20000 update commits", grew)
+		}
+		runtime.KeepAlive(base)
+		runtime.KeepAlive(cur)
+	})
+
+	t.Run("merge and evict", func(t *testing.T) {
+		// A site that caches the whole document, then evicts and re-fetches
+		// one parking space per cycle.
+		cached := stores["solo"].Root.Clone()
+		normalizeOwnedToComplete(cached)
+		base := RestoreStore(cached).Seal()
+		cur := base
+		before := heapAfterGC()
+		for i := 0; i < 5000; i++ {
+			p := db.SpacePaths[r.Intn(len(db.SpacePaths))]
+			w := cur.Begin()
+			if err := w.EvictLocalInfo(p); err != nil {
+				t.Fatal(err)
+			}
+			cur = w.Commit()
+			w = cur.Begin()
+			if err := w.MergeFragment(answerFor(db.Doc, p)); err != nil {
+				t.Fatal(err)
+			}
+			cur = w.Commit()
+		}
+		if errs := CheckInvariants(cur, db.Doc, nil, true); len(errs) > 0 {
+			t.Fatalf("after the cycles: %v", errs[0])
+		}
+		if grew := heapAfterGC() - before; grew > slack {
+			t.Fatalf("live heap grew by %d bytes over 10000 merge and evict commits", grew)
+		}
+		runtime.KeepAlive(base)
+		runtime.KeepAlive(cur)
+	})
+}
+
+// answerFor builds the fragment an owner would answer with for the node at
+// p: id-complete ancestors down to a complete copy of the node.
+func answerFor(doc *xmldb.Node, p xmldb.IDPath) *xmldb.Node {
+	root := xmldb.NewElem(p[0].Name, p[0].ID)
+	cur := root
+	for _, st := range p[1 : len(p)-1] {
+		SetStatus(cur, StatusIDComplete)
+		cur = cur.AddChild(xmldb.NewElem(st.Name, st.ID))
+	}
+	SetStatus(cur, StatusIDComplete)
+	leaf := cur.AddChild(xmldb.FindByIDPath(doc, p).Clone())
+	SetStatus(leaf, StatusComplete)
+	return root
+}
+
+// TestCheckInvariantsReadsTheVersionItIsGiven plants an I2 violation below a
+// copied spine node: block 1 of city a is downgraded to a bare stub while
+// its parking spaces, shared with the previous version, stay under it. The
+// check must report it on the sealed version itself. When it took a node's
+// parent from the node, the shared spaces answered with the previous
+// version's block, which still had its ID information, and only a Clone of
+// the version showed the violation.
+func TestCheckInvariantsReadsTheVersionItIsGiven(t *testing.T) {
+	base, owned := buildStore(t)
+	base.Seal()
+	if errs := CheckInvariants(base, buildDoc(), owned, true); len(errs) > 0 {
+		t.Fatalf("base: %v", errs)
+	}
+	w := base.Begin()
+	if err := w.SetStatusAt(spath("city", "a", "block", "1"), StatusIncomplete); err != nil {
+		t.Fatal(err)
+	}
+	next := w.Commit()
+	for name, s := range map[string]*Store{"sealed version": next, "its clone": next.Clone()} {
+		found := false
+		for _, err := range CheckInvariants(s, buildDoc(), nil, false) {
+			if strings.HasPrefix(err.Error(), "I2: node /usRegion[@id=\"NE\"]/city[@id=\"a\"]/block[@id=\"1\"]/parkingSpace") {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("%s: the I2 violation under block 1 was not reported", name)
+		}
 	}
 }

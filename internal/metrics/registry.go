@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"regexp"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,6 +90,26 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 	if s.gaugeFn == nil && s.gauge == nil {
 		s.gaugeFn = fn
 	}
+}
+
+// RegisterProcess adds the process-wide memory gauges, read from
+// runtime/metrics at scrape time: the heap that survived the last garbage
+// collection, which is what grows when the program leaks, and the number of
+// collections so far, which says how old that reading can be.
+func (r *Registry) RegisterProcess() {
+	r.GaugeFunc("irisnet_process_heap_live_bytes", "Heap bytes live after the last garbage collection.", nil,
+		func() float64 { return readRuntime("/gc/heap/live:bytes") })
+	r.GaugeFunc("irisnet_process_gc_cycles_total", "Garbage collections completed.", nil,
+		func() float64 { return readRuntime("/gc/cycles/total:gc-cycles") })
+}
+
+func readRuntime(name string) float64 {
+	sample := []rtmetrics.Sample{{Name: name}}
+	rtmetrics.Read(sample)
+	if sample[0].Value.Kind() != rtmetrics.KindUint64 {
+		return 0 // a runtime without this metric
+	}
+	return float64(sample[0].Value.Uint64())
 }
 
 // RegisterHistogram attaches an existing histogram, exposed in summary form

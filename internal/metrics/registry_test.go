@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -100,6 +102,42 @@ func TestWritePrometheusFormat(t *testing.T) {
 		if line == "" {
 			t.Error("exposition contains a blank line")
 		}
+	}
+}
+
+// TestRegisterProcess checks that the process gauges read the runtime at
+// scrape time: after garbage is made and collected, the cycle count has
+// moved and the live heap is a real number.
+func TestRegisterProcess(t *testing.T) {
+	r := NewRegistry()
+	r.RegisterProcess()
+	scrape := func() map[string]float64 {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]float64{}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if name, val, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+				f, err := strconv.ParseFloat(val, 64)
+				if err != nil {
+					t.Fatalf("line %q: %v", line, err)
+				}
+				got[name] = f
+			}
+		}
+		return got
+	}
+	runtime.GC()
+	first := scrape()
+	if first["irisnet_process_heap_live_bytes"] <= 0 {
+		t.Fatalf("live heap reads %v", first["irisnet_process_heap_live_bytes"])
+	}
+	runtime.GC()
+	second := scrape()
+	if second["irisnet_process_gc_cycles_total"] <= first["irisnet_process_gc_cycles_total"] {
+		t.Fatalf("gc cycles did not advance: %v then %v",
+			first["irisnet_process_gc_cycles_total"], second["irisnet_process_gc_cycles_total"])
 	}
 }
 

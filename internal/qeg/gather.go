@@ -155,6 +155,12 @@ func LCAPath(query string) (xmldb.IDPath, error) {
 	if err != nil {
 		return nil, err
 	}
+	return LCAPathOf(expr, query)
+}
+
+// LCAPathOf is LCAPath for a caller that has already parsed the query text
+// into expr.
+func LCAPathOf(expr xpath.Expr, query string) (xmldb.IDPath, error) {
 	paths, err := unionBranches(expr)
 	if err != nil {
 		return nil, fmt.Errorf("qeg: %q: %w", query, err)
@@ -219,6 +225,12 @@ func ExtractAnswerFull(fragRoot *xmldb.Node, query string, now func() float64, o
 	if err != nil {
 		return nil, nil, err
 	}
+	return ExtractParsed(fragRoot, expr, now, opts)
+}
+
+// ExtractParsed is ExtractAnswerFull for a caller that has already parsed
+// the query text into expr, which it leaves unchanged.
+func ExtractParsed(fragRoot *xmldb.Node, expr xpath.Expr, now func() float64, opts ExtractOptions) ([]*xmldb.Node, []string, error) {
 	expr = xpath.StripConsistency(expr)
 	ctx := &xpatheval.Context{Root: fragRoot, Now: now}
 	ns, err := xpatheval.Select(expr, ctx, fragRoot)

@@ -115,15 +115,24 @@ func (f *Frontend) RouteOf(query string) (string, xmldb.IDPath, error) {
 	if f.ForceEntry != "" {
 		return f.ForceEntry, nil, nil
 	}
-	lca, err := LCAPath(query)
+	expr, err := xpath.Parse(query)
 	if err != nil {
 		return "", nil, err
 	}
-	tol := 0.0
-	if e, perr := xpath.Parse(query); perr == nil {
-		tol = xpath.FreshnessTolerance(e)
+	return f.routeParsed(query, expr)
+}
+
+// routeParsed is RouteOf for a caller that has already parsed the query
+// text into expr.
+func (f *Frontend) routeParsed(query string, expr xpath.Expr) (string, xmldb.IDPath, error) {
+	if f.ForceEntry != "" {
+		return f.ForceEntry, nil, nil
 	}
-	entry, _, err := f.DNS.ResolveRead(lca, tol, query, "")
+	lca, err := qeg.LCAPathOf(expr, query)
+	if err != nil {
+		return "", nil, err
+	}
+	entry, _, err := f.DNS.ResolveRead(lca, xpath.FreshnessTolerance(expr), query, "")
 	if err != nil {
 		return "", nil, err
 	}
@@ -163,10 +172,16 @@ func (f *Frontend) QueryTrace(ctx context.Context, query string) (*Answer, *trac
 }
 
 func (f *Frontend) queryTraced(ctx context.Context, query string, traced bool) (*Answer, *trace.Span, error) {
+	// The query text is parsed once, here; routing, aggregate detection and
+	// extraction all work from the expression.
+	expr, err := xpath.Parse(query)
+	if err != nil {
+		return nil, nil, err
+	}
 	// Aggregate queries take the partial-aggregation path transparently: the
 	// caller sees the value as one synthetic node in the ordinary Answer
 	// shape. An aggregate-shaped query with an unsupported form errors here.
-	if _, isAgg, aggErr := xpath.ParseAggregate(query); isAgg || aggErr != nil {
+	if _, isAgg, aggErr := xpath.AggregateOf(expr, query); isAgg || aggErr != nil {
 		if aggErr != nil {
 			return nil, nil, aggErr
 		}
@@ -176,11 +191,11 @@ func (f *Frontend) queryTraced(ctx context.Context, query string, traced bool) (
 		}
 		return aggregateAsAnswer(agg), span, nil
 	}
-	frag, reported, truncated, span, err := f.queryFragment(ctx, query, traced)
+	frag, reported, truncated, span, err := f.queryFragment(ctx, query, expr, traced)
 	if err != nil {
 		return nil, nil, err
 	}
-	nodes, marked, err := qeg.ExtractAnswerFull(frag, query, f.Clock, qeg.ExtractOptions{})
+	nodes, marked, err := qeg.ExtractParsed(frag, expr, f.Clock, qeg.ExtractOptions{})
 	if err != nil {
 		return nil, span, err
 	}
@@ -195,12 +210,16 @@ func (f *Frontend) QueryFragment(query string) (*xmldb.Node, error) {
 
 // QueryFragmentContext is QueryFragment with a caller-supplied context.
 func (f *Frontend) QueryFragmentContext(ctx context.Context, query string) (*xmldb.Node, error) {
-	frag, _, _, _, err := f.queryFragment(ctx, query, f.Trace)
+	expr, err := xpath.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	frag, _, _, _, err := f.queryFragment(ctx, query, expr, f.Trace)
 	return frag, err
 }
 
-func (f *Frontend) queryFragment(ctx context.Context, query string, traced bool) (*xmldb.Node, []string, bool, *trace.Span, error) {
-	entry, _, err := f.RouteOf(query)
+func (f *Frontend) queryFragment(ctx context.Context, query string, expr xpath.Expr, traced bool) (*xmldb.Node, []string, bool, *trace.Span, error) {
+	entry, _, err := f.routeParsed(query, expr)
 	if err != nil {
 		return nil, nil, false, nil, err
 	}

@@ -107,21 +107,22 @@ func schemaApply(w *fragment.COW, siteName string, op SchemaOp, p xmldb.IDPath, 
 			return "", "", fmt.Errorf("site %s: no child <%s id=%q> under %s", siteName, name, id, p)
 		}
 		cp := p.Child(name, id)
-		// Every node in the deleted subtree must be owned here. The walk
-		// only reads; IDPathOf climbs parent pointers that, on shared
-		// nodes, lead through the previous version — the names and ids
-		// along a spine never change between versions, so the keys are
-		// still correct.
-		var unowned bool
-		child.Walk(func(x *xmldb.Node) bool {
-			if x.ID() != "" || x == child {
-				if xp, ok := xmldb.IDPathOf(x); ok && !ownedCheck(xp.Key()) {
-					unowned = true
+		// Every IDable node in the deleted subtree must be owned here. The
+		// walk carries each node's ID path down with it: nodes of a
+		// published version have no parent pointers to climb.
+		var ownedBelow func(x *xmldb.Node, xp xmldb.IDPath) bool
+		ownedBelow = func(x *xmldb.Node, xp xmldb.IDPath) bool {
+			if !ownedCheck(xp.Key()) {
+				return false
+			}
+			for _, c := range x.Children {
+				if c.ID() != "" && !ownedBelow(c, xp.Child(c.Name, c.ID())) {
 					return false
 				}
 			}
 			return true
-		})
+		}
+		unowned := id != "" && !ownedBelow(child, cp)
 		if unowned {
 			return "", "", fmt.Errorf("site %s: subtree %s has nodes owned elsewhere; migrate first", siteName, cp)
 		}

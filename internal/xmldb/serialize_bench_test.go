@@ -57,6 +57,19 @@ func BenchmarkSerialize(b *testing.B) {
 	})
 }
 
+// BenchmarkParse reads back what BenchmarkSerialize writes, so the two
+// directions of the wire format are gated on the same document.
+func BenchmarkParse(b *testing.B) {
+	text := benchDoc(4, 8).String()
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseString(text); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSerializeEscaping(b *testing.B) {
 	// Text that needs escaping exercises the slow path of the single-scan
 	// escaper; mostly-clean text exercises the bulk-copy fast path.

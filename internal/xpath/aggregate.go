@@ -62,6 +62,12 @@ func ParseAggregate(query string) (*AggregateQuery, bool, error) {
 	if err != nil {
 		return nil, false, nil
 	}
+	return AggregateOf(expr, query)
+}
+
+// AggregateOf is ParseAggregate for a caller that has already parsed the
+// query text into expr.
+func AggregateOf(expr Expr, query string) (*AggregateQuery, bool, error) {
 	call, isCall := expr.(*Call)
 	if !isCall {
 		return nil, false, nil
