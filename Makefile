@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci build fmt vet lint test race-stress fuzz bench-smoke metrics-smoke cache-smoke localeval-smoke aggregate-smoke replication-smoke durability-smoke perf-gate bench-e2e bench-compare
+.PHONY: ci build fmt vet lint test race-stress fuzz bench-smoke metrics-smoke cache-smoke aggregate-smoke replication-smoke durability-smoke perf-gate bench-e2e bench-compare
 
-ci: build fmt lint test race-stress fuzz bench-smoke metrics-smoke cache-smoke localeval-smoke aggregate-smoke replication-smoke durability-smoke perf-gate
+ci: build fmt lint test race-stress fuzz bench-smoke metrics-smoke cache-smoke aggregate-smoke replication-smoke durability-smoke perf-gate
 
 build:
 	$(GO) build ./...
@@ -46,12 +46,9 @@ race-stress:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=30s ./internal/xmldb
 
-# Micro-benchmarks one iteration each, plus the batching experiment in
-# smoke mode: short arms, but the acceptance comparisons (RPC reduction,
-# coalescing, single-subquery parity) are still computed and printed.
+# Every micro-benchmark, one iteration each: they must still build and run.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-	$(GO) run ./cmd/irisbench -exp batching -short
 
 # Boots a real irisnetd on the demo topology and curls its observability
 # endpoint: /healthz must answer ok, /metrics must expose the query series.
@@ -63,12 +60,6 @@ metrics-smoke:
 # gracefully as the budget shrinks) are still computed and enforced.
 cache-smoke:
 	./scripts/cache_smoke.sh
-
-# Cache-conscious index experiment in smoke mode: enforces >=5x speedup
-# over the tree walker on the gated descendant arms, an allocation-free
-# selection core, and byte-identical answers from both evaluation paths.
-localeval-smoke:
-	./scripts/localeval_smoke.sh
 
 # Aggregate-pushdown experiment in smoke mode: short arms, but the
 # acceptance comparisons (>=10x fewer bytes per query and >=2x better p50

@@ -1,14 +1,17 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"irisnet/internal/cluster"
 	"irisnet/internal/fragment"
+	"irisnet/internal/metrics"
 	"irisnet/internal/workload"
 	"irisnet/internal/xmldb"
 )
@@ -240,4 +243,33 @@ func runCacheArm(dur time.Duration, cl int, budget int64) cacheArmStats {
 		st.Arm, st.BudgetBytes, st.Queries, st.P50Ms, st.HitRatePct,
 		st.Evictions, st.MaxCacheBytes, st.FinalCacheBytes)
 	return st
+}
+
+// closedLoop drives clients each issuing next(client, seq) for dur.
+func closedLoop(c *cluster.Cluster, clientN int, dur time.Duration, next func(client, seq int) string) (int64, int64, *metrics.Histogram) {
+	lat := metrics.NewHistogram(0)
+	var queries, errs atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for i := 0; i < clientN; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			fe := c.NewFrontend()
+			for seq := 0; !stop.Load(); seq++ {
+				q := next(id, seq)
+				t0 := time.Now()
+				if _, err := fe.QueryFull(context.Background(), q); err != nil {
+					errs.Add(1)
+					continue
+				}
+				lat.Observe(time.Since(t0))
+				queries.Add(1)
+			}
+		}(i)
+	}
+	time.Sleep(dur)
+	stop.Store(true)
+	wg.Wait()
+	return queries.Load(), errs.Load(), lat
 }

@@ -9,8 +9,7 @@
 //	irisbench -exp fig7 -dur 5s   # one experiment, longer measurement
 //
 // Experiments: updates, fig7, fig8, fig9, fig10, fig11, latency, faults,
-// trace-overhead, read-write-mix, batching, cache-pressure, local-eval,
-// obs-overhead, aggregates, replication, all.
+// trace-overhead, cache-pressure, aggregates, replication, durability, all.
 package main
 
 import (
@@ -29,7 +28,7 @@ import (
 )
 
 var (
-	expFlag   = flag.String("exp", "all", "experiment: updates|fig7|fig8|fig9|fig10|fig11|latency|faults|trace-overhead|read-write-mix|batching|cache-pressure|local-eval|obs-overhead|aggregates|replication|durability|all")
+	expFlag   = flag.String("exp", "all", "experiment: updates|fig7|fig8|fig9|fig10|fig11|latency|faults|trace-overhead|cache-pressure|aggregates|replication|durability|all")
 	durFlag   = flag.Duration("dur", 3*time.Second, "measurement duration per cell")
 	clients   = flag.Int("clients", 24, "closed-loop query clients")
 	largeFlag = flag.Bool("large", false, "use the x8 database where applicable")
@@ -50,16 +49,12 @@ func main() {
 		"latency":        runLatency,
 		"faults":         runFaults,
 		"trace-overhead": runTraceOverhead,
-		"read-write-mix": runReadWriteMix,
-		"batching":       runBatching,
 		"cache-pressure": runCachePressure,
-		"local-eval":     runLocalEval,
-		"obs-overhead":   runObsOverhead,
 		"aggregates":     runAggregates,
 		"replication":    runReplication,
 		"durability":     runDurability,
 	}
-	order := []string{"updates", "fig7", "fig8", "fig9", "fig10", "fig11", "latency", "faults", "trace-overhead", "read-write-mix", "batching", "cache-pressure", "local-eval", "obs-overhead", "aggregates", "replication", "durability"}
+	order := []string{"updates", "fig7", "fig8", "fig9", "fig10", "fig11", "latency", "faults", "trace-overhead", "cache-pressure", "aggregates", "replication", "durability"}
 	if *expFlag == "all" {
 		for _, name := range order {
 			exps[name]()

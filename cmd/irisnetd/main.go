@@ -51,7 +51,6 @@ func main() {
 		cacheCap  = flag.Int64("cache-budget", 0, "cache memory budget in bytes (0 = unbounded); cold cached units are evicted when accounted bytes exceed it")
 		adminAddr = flag.String("admin", "", "serve /metrics, /healthz, /debug/fragment, /debug/cluster and /debug/pprof on this host:port (\":0\" picks a port)")
 		verbose   = flag.Bool("v", false, "log per-query debug detail (trace IDs, cache hits, fan-out)")
-		noLedger  = flag.Bool("no-freshness-ledger", false, "disable per-answer provenance/staleness accounting")
 		slowQuery = flag.Duration("slow-query", 0, "log a warning for queries slower than this (0 = off)")
 		staleAns  = flag.Duration("stale-answer", 0, "log a warning for answers using cached data older than this (0 = off)")
 		profEvery = flag.Duration("profile-interval", 0, "take a 1s continuous CPU-profile sample this often, served at /debug/profile/latest (0 = off; needs -admin)")
@@ -81,13 +80,12 @@ func main() {
 		AdminAddr:        *adminAddr,
 		Logger:           logger,
 
-		DisableFreshnessLedger: *noLedger,
-		SlowQueryThreshold:     *slowQuery,
-		StaleAnswerThreshold:   *staleAns,
-		ProfileInterval:        *profEvery,
-		DataDir:                *dataDir,
-		FsyncInterval:          *fsyncIvl,
-		CheckpointInterval:     *ckptIvl,
+		SlowQueryThreshold:   *slowQuery,
+		StaleAnswerThreshold: *staleAns,
+		ProfileInterval:      *profEvery,
+		DataDir:              *dataDir,
+		FsyncInterval:        *fsyncIvl,
+		CheckpointInterval:   *ckptIvl,
 	})
 	if err != nil {
 		fail(logger, err)

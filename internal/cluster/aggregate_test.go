@@ -121,13 +121,20 @@ func TestAggregateFallbackEquivalence(t *testing.T) {
 	// back to raw gather plus local aggregation, with identical answers.
 	inner := c.DB.CityPath(0).String() + "/*/block/parkingSpace/price"
 	want := rawAggregate(t, fe, inner)
+	// The city site serves the fallback: one aggregate is one query there,
+	// counted once however the site gathers for it.
+	m := &c.Sites[CitySiteName(0)].Metrics
 	for _, fn := range aggFns {
+		queries, answered, fell := m.Queries.Value(), m.CacheHits.Value()+m.CacheMisses.Value(), m.AggregateFallbacks.Value()
 		got, err := fe.QueryAggregate(fn.String() + "(" + inner + ")")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.State != want {
 			t.Fatalf("fallback %v state = %+v, want %+v", fn, got.State, want)
+		}
+		if dq, da, df := m.Queries.Value()-queries, m.CacheHits.Value()+m.CacheMisses.Value()-answered, m.AggregateFallbacks.Value()-fell; dq != 1 || da != 1 || df != 1 {
+			t.Fatalf("fallback %v moved the serving site by queries=%+d hits+misses=%+d fallbacks=%+d, want +1/+1/+1", fn, dq, da, df)
 		}
 	}
 	var fallbacks int64

@@ -82,14 +82,8 @@ type Config struct {
 	// NaivePlans selects naive per-query plan creation everywhere.
 	NaivePlans bool
 	// CPUSlots is the number of concurrent CPU-bound message-processing
-	// slots per site; zero means 1, the paper's single-CPU machines. The
-	// read-write-mix experiment raises it to expose lock contention rather
-	// than CPU-slot contention.
+	// slots per site; zero means 1, the paper's single-CPU machines.
 	CPUSlots int
-	// CoarseLocking reinstates the pre-snapshot reader-writer lock around
-	// query evaluation and store writes at every site — the "before" arm
-	// of the read-write-mix benchmark. See site.Config.CoarseLocking.
-	CoarseLocking bool
 	// QueryWork, PerNodeWork and UpdateWork are the synthetic service-time
 	// model of the paper's heavier XML backend: a query evaluation holds a
 	// site's CPU slot for QueryWork + PerNodeWork x (result nodes); an
@@ -116,25 +110,13 @@ type Config struct {
 	QueryTimeout time.Duration
 	// Retry shapes site and frontend retry loops (zero = defaults).
 	Retry transport.RetryPolicy
-	// DisableBatching ships every subquery as its own message instead of
-	// batching per destination site (the irisbench batching baseline). See
-	// site.Config.DisableBatching.
-	DisableBatching bool
 	// BatchByteCap caps one batch message's encoded payload; zero uses
 	// site.DefaultBatchByteCap.
 	BatchByteCap int
-	// DisableCoalescing turns off single-flight deduplication of identical
-	// in-flight subqueries at caching sites.
-	DisableCoalescing bool
 	// ForceEntry routes every frontend query through the named site
 	// regardless of architecture (e.g. the root site, to concentrate misses
-	// for the coalescing experiments). Empty keeps the per-architecture
-	// default.
+	// on one cache). Empty keeps the per-architecture default.
 	ForceEntry string
-	// DisableFreshnessLedger turns off per-answer provenance accounting at
-	// every site (the irisbench obs-overhead baseline arm). See
-	// site.Config.DisableFreshnessLedger.
-	DisableFreshnessLedger bool
 	// ReplicaFlushInterval sets how often owners push committed deltas to
 	// their read replicas; zero uses site.DefaultReplicaFlushInterval. See
 	// site.Config.ReplicaFlushInterval.
@@ -239,30 +221,25 @@ func New(arch Architecture, cfg Config) (*Cluster, error) {
 func (c *Cluster) siteConfig(name string) site.Config {
 	cfg := c.Cfg
 	sc := site.Config{
-		Name:              name,
-		Service:           workload.Service,
-		Net:               c.Net,
-		DNS:               c.NewResolver(),
-		Registry:          c.Registry,
-		Schema:            c.DB.Schema,
-		Caching:           cfg.Caching,
-		CacheBudgetBytes:  cfg.CacheBudgetBytes,
-		CacheBypass:       cfg.CacheBypass,
-		NaivePlans:        cfg.NaivePlans,
-		CPUSlots:          cfg.CPUSlots,
-		CoarseLocking:     cfg.CoarseLocking,
-		QueryWork:         cfg.QueryWork,
-		PerNodeWork:       cfg.PerNodeWork,
-		UpdateWork:        cfg.UpdateWork,
-		Clock:             cfg.Clock,
-		CallTimeout:       cfg.CallTimeout,
-		Retry:             cfg.Retry,
-		DisableBatching:   cfg.DisableBatching,
-		BatchByteCap:      cfg.BatchByteCap,
-		DisableCoalescing: cfg.DisableCoalescing,
-
-		DisableFreshnessLedger: cfg.DisableFreshnessLedger,
-		ReplicaFlushInterval:   cfg.ReplicaFlushInterval,
+		Name:                 name,
+		Service:              workload.Service,
+		Net:                  c.Net,
+		DNS:                  c.NewResolver(),
+		Registry:             c.Registry,
+		Schema:               c.DB.Schema,
+		Caching:              cfg.Caching,
+		CacheBudgetBytes:     cfg.CacheBudgetBytes,
+		CacheBypass:          cfg.CacheBypass,
+		NaivePlans:           cfg.NaivePlans,
+		CPUSlots:             cfg.CPUSlots,
+		QueryWork:            cfg.QueryWork,
+		PerNodeWork:          cfg.PerNodeWork,
+		UpdateWork:           cfg.UpdateWork,
+		Clock:                cfg.Clock,
+		CallTimeout:          cfg.CallTimeout,
+		Retry:                cfg.Retry,
+		BatchByteCap:         cfg.BatchByteCap,
+		ReplicaFlushInterval: cfg.ReplicaFlushInterval,
 	}
 	if cfg.DataDir != "" {
 		sc.DataDir = filepath.Join(cfg.DataDir, name)

@@ -10,7 +10,7 @@ import (
 // TestQueryFreshnessEndToEnd: a cold query through the hierarchy ledgers
 // owned and fetched provenance; repeating it against the warmed entry
 // cache ledgers cached units; and the per-site freshness instruments
-// advance. With the ledger disabled no span carries a report.
+// advance.
 func TestQueryFreshnessEndToEnd(t *testing.T) {
 	c, err := New(Hierarchical, Config{Caching: true})
 	if err != nil {
@@ -60,25 +60,5 @@ func TestQueryFreshnessEndToEnd(t *testing.T) {
 	}
 	if root.Metrics.AnswerFetchedBytes.Value() <= 0 {
 		t.Fatal("answer fetched-bytes counter did not advance on the cold query")
-	}
-
-	off, err := New(Hierarchical, Config{Caching: true, DisableFreshnessLedger: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off.Close()
-	feOff := off.NewFrontend()
-	feOff.ForceEntry = RootSiteName
-	_, spanOff, err := feOff.QueryTrace(context.Background(), off.DB.BlockQuery(0, 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spanOff.Walk(func(sp *trace.Span) {
-		if sp.Freshness != nil {
-			t.Errorf("ledger disabled but span at %s carries a report", sp.Site)
-		}
-	})
-	if fr := trace.AggregateFreshness(spanOff); fr != nil {
-		t.Fatalf("ledger disabled but aggregate is %+v", fr)
 	}
 }

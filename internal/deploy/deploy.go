@@ -274,8 +274,6 @@ type SiteOptions struct {
 	AdminAddr string
 	// Logger receives the site's structured logs; nil disables them.
 	Logger *slog.Logger
-	// DisableFreshnessLedger turns off per-answer provenance accounting.
-	DisableFreshnessLedger bool
 	// SlowQueryThreshold, when positive, logs a warning for queries whose
 	// handling time reaches it. StaleAnswerThreshold does the same for
 	// answers whose oldest cached unit reaches the given age.
@@ -381,9 +379,8 @@ func StartSite(t *Topology, name string, opts SiteOptions) (*Node, error) {
 		CPUSlots:         4,
 		Logger:           opts.Logger,
 
-		DisableFreshnessLedger: opts.DisableFreshnessLedger,
-		SlowQueryThreshold:     opts.SlowQueryThreshold,
-		StaleAnswerThreshold:   opts.StaleAnswerThreshold,
+		SlowQueryThreshold:   opts.SlowQueryThreshold,
+		StaleAnswerThreshold: opts.StaleAnswerThreshold,
 	}
 	if opts.DataDir != "" {
 		sc.DataDir = filepath.Join(opts.DataDir, name)

@@ -20,19 +20,11 @@ type Options struct {
 	// bypass Section 5.5 calls for under heavy load imbalance, and the
 	// "caching with no hits" condition of Figure 10.
 	IgnoreCached bool
-	// NoIndex disables the cache-conscious indexed fast path (indexed.go)
-	// and forces the tree walker, for measurement and as an escape hatch.
-	NoIndex bool
 	// Prov, when non-nil, receives the staleness ledger of the evaluation:
 	// per-unit cache/owned provenance, cached ages, and consistency-
 	// predicate margins. Both evaluation paths feed it.
 	Prov *Provenance
 }
-
-// debugShadow, when enabled by tests, runs the walker after every indexed
-// evaluation and panics unless the two answers are byte-identical — the
-// executable form of the fast path's correctness contract.
-var debugShadow = false
 
 // Result is the outcome of evaluating a plan against a site fragment: the
 // part of the (generalized) answer present locally, as a C1/C2 fragment
@@ -55,27 +47,24 @@ func Evaluate(store *fragment.Store, plan *Plan, opts Options) (*Result, error) 
 	// cannot prove locally (ok=false) falls through to the walker, which is
 	// always correct. Cache bypass changes effective statuses, which the
 	// index does not model, so it also disables the fast path.
-	if plan.Indexable && !opts.NoIndex && !opts.IgnoreCached {
+	if plan.Indexable && !opts.IgnoreCached {
 		if ix := store.Index(); ix != nil {
 			res, ok, err := evaluateIndexed(store, ix, plan, opts)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				if debugShadow {
-					o2 := opts
-					o2.NoIndex = true
-					o2.Prov = nil // the shadow rerun must not double-count the ledger
-					wres, werr := Evaluate(store, plan, o2)
-					if werr != nil || wres.Fragment.String() != res.Fragment.String() || len(wres.Subqueries) != 0 || wres.Nodes != res.Nodes {
-						panic(fmt.Sprintf("indexed mismatch for %s:\nindexed: %s\nwalker:  %s\nsubs: %v err: %v",
-							plan.Source, res.Fragment.String(), wres.Fragment.String(), wres.Subqueries, werr))
-					}
-				}
 				return res, nil
 			}
 		}
 	}
+	return evaluateWalker(store, plan, opts)
+}
+
+// evaluateWalker is the tree-walking evaluator: the engine for everything
+// the index declines (non-indexable plans, unsealed stores, cache bypass)
+// and the reference the differential tests hold the indexed path to.
+func evaluateWalker(store *fragment.Store, plan *Plan, opts Options) (*Result, error) {
 	w := &walker{
 		store: store,
 		plan:  plan,

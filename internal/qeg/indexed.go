@@ -81,7 +81,7 @@ func evaluateIndexed(store *fragment.Store, ix *fragment.Index, plan *Plan, opts
 // measure the hot path without paying for answer construction; ok=false
 // means the plan or store cannot take the fast path.
 func IndexedMatchCount(store *fragment.Store, plan *Plan, opts Options) (int, bool, error) {
-	if !plan.Indexable || opts.NoIndex || opts.IgnoreCached {
+	if !plan.Indexable || opts.IgnoreCached {
 		return 0, false, nil
 	}
 	ix := store.Index()

@@ -63,7 +63,7 @@ func BenchmarkWalkerEvaluate(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Evaluate(store, plan, Options{NoIndex: true}); err != nil {
+				if _, err := evaluateWalker(store, plan, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

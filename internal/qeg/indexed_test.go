@@ -8,16 +8,6 @@ import (
 	"irisnet/internal/fragment"
 )
 
-// withShadow runs fn with the indexed fast path shadow-checked: every
-// indexed evaluation re-runs the walker and panics unless the two answers
-// are byte-identical.
-func withShadow(t *testing.T, fn func()) {
-	t.Helper()
-	debugShadow = true
-	defer func() { debugShadow = false }()
-	fn()
-}
-
 // indexedCorpus is the fixed differential corpus: every indexable shape
 // the planner produces — pure-id spines, spine+predicate, child chains
 // without ids, deep descendant steps, predicate conjunctions (fast and
@@ -50,7 +40,7 @@ func diffOne(t *testing.T, store *fragment.Store, plan *Plan, label string) {
 	if err != nil {
 		t.Fatalf("%s: indexed evaluate: %v", label, err)
 	}
-	slow, err := Evaluate(store, plan, Options{NoIndex: true})
+	slow, err := evaluateWalker(store, plan, Options{})
 	if err != nil {
 		t.Fatalf("%s: walker evaluate: %v", label, err)
 	}
@@ -70,104 +60,99 @@ func diffOne(t *testing.T, store *fragment.Store, plan *Plan, label string) {
 // TestIndexedSnapshotMatchesWalker runs the corpus against a fully local
 // store, every partial store of a hierarchical partitioning, a cache
 // warmed by merging a gathered answer, and COW successors on both the
-// derive (clean commit) and rebuild (structural commit) paths. The
-// debugShadow hook byte-checks every evaluation that takes the fast path.
+// derive (clean commit) and rebuild (structural commit) paths.
 func TestIndexedSnapshotMatchesWalker(t *testing.T) {
-	withShadow(t, func() {
-		schema := parkingSchema()
-		// Partition leaves stores unsealed (the site layer seals at load
-		// time); seal here so the fast path is eligible.
-		stores := map[string]*fragment.Store{"solo": singleSiteStore(t).Seal()}
-		hier, a := hierarchicalStores(t)
-		for name, s := range hier {
-			stores[name] = s.Seal()
-		}
+	schema := parkingSchema()
+	// Partition leaves stores unsealed (the site layer seals at load
+	// time); seal here so the fast path is eligible.
+	stores := map[string]*fragment.Store{"solo": singleSiteStore(t).Seal()}
+	hier, a := hierarchicalStores(t)
+	for name, s := range hier {
+		stores[name] = s.Seal()
+	}
 
-		// Warm a cache: gather a cross-site answer at the root site and
-		// merge it, leaving a mix of complete, id-complete and incomplete
-		// regions for the index to classify.
-		plans, err := CompileQuery(figure2Query, schema)
+	// Warm a cache: gather a cross-site answer at the root site and
+	// merge it, leaving a mix of complete, id-complete and incomplete
+	// regions for the index to classify.
+	plans, err := CompileQuery(figure2Query, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frag, err := Gather(context.Background(), hier["root-site"], plans,
+		resolver(t, hier, a, schema, nil), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmed := hier["root-site"].Clone()
+	if err := warmed.MergeFragment(frag); err != nil {
+		t.Fatal(err)
+	}
+	stores["warmed"] = warmed.Seal()
+
+	// COW successors of the solo store: a text-only update commit
+	// derives the base index; a status flip forces a rebuild.
+	spacePath := idpath(t, pittsburghPath+"/neighborhood[@id='Oakland']/block[@id='1']/parkingSpace[@id='1']")
+	w := stores["solo"].Begin()
+	if err := w.ApplyUpdate(spacePath, map[string]string{"available": "no"}, nil, 5); err != nil {
+		t.Fatal(err)
+	}
+	stores["cow-derived"] = w.Commit()
+	w = stores["cow-derived"].Begin()
+	if err := w.SetStatusAt(spacePath, fragment.StatusComplete); err != nil {
+		t.Fatal(err)
+	}
+	stores["cow-rebuilt"] = w.Commit()
+
+	fastPaths := 0
+	for _, q := range indexedCorpus {
+		plans, err := CompileQuery(q, schema)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("compile %q: %v", q, err)
 		}
-		frag, err := Gather(context.Background(), hier["root-site"], plans,
-			resolver(t, hier, a, schema, nil), Options{})
+		for name, store := range stores {
+			for _, plan := range plans {
+				if n, ok, err := IndexedMatchCount(store, plan, Options{}); err == nil && ok {
+					fastPaths++
+					_ = n
+				}
+				diffOne(t, store, plan, name+" "+q)
+			}
+		}
+	}
+	if fastPaths < len(indexedCorpus) {
+		t.Fatalf("fast path taken only %d times across the corpus — test is not exercising the index", fastPaths)
+	}
+}
+
+// TestIndexedSnapshotRandomDifferential repeats the package's random
+// document / random partition / random query generator, evaluating at
+// every site both ways.
+func TestIndexedSnapshotRandomDifferential(t *testing.T) {
+	schema := randSchema()
+	for seed := int64(0); seed < 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		d := randDoc(r)
+		a := randAssign(r, d, 3)
+		stores, _, err := fragment.Partition(d, a)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("seed %d: partition: %v", seed, err)
 		}
-		warmed := hier["root-site"].Clone()
-		if err := warmed.MergeFragment(frag); err != nil {
-			t.Fatal(err)
+		for _, s := range stores {
+			s.Seal()
 		}
-		stores["warmed"] = warmed.Seal()
-
-		// COW successors of the solo store: a text-only update commit
-		// derives the base index; a status flip forces a rebuild.
-		spacePath := idpath(t, pittsburghPath+"/neighborhood[@id='Oakland']/block[@id='1']/parkingSpace[@id='1']")
-		w := stores["solo"].Begin()
-		if err := w.ApplyUpdate(spacePath, map[string]string{"available": "no"}, nil, 5); err != nil {
-			t.Fatal(err)
-		}
-		stores["cow-derived"] = w.Commit()
-		w = stores["cow-derived"].Begin()
-		if err := w.SetStatusAt(spacePath, fragment.StatusComplete); err != nil {
-			t.Fatal(err)
-		}
-		stores["cow-rebuilt"] = w.Commit()
-
-		fastPaths := 0
-		for _, q := range indexedCorpus {
+		for trial := 0; trial < 4; trial++ {
+			q := randQuery(r)
 			plans, err := CompileQuery(q, schema)
 			if err != nil {
-				t.Fatalf("compile %q: %v", q, err)
+				t.Fatalf("seed %d compile %q: %v", seed, q, err)
 			}
 			for name, store := range stores {
 				for _, plan := range plans {
-					if n, ok, err := IndexedMatchCount(store, plan, Options{}); err == nil && ok {
-						fastPaths++
-						_ = n
-					}
 					diffOne(t, store, plan, name+" "+q)
 				}
 			}
 		}
-		if fastPaths < len(indexedCorpus) {
-			t.Fatalf("fast path taken only %d times across the corpus — test is not exercising the index", fastPaths)
-		}
-	})
-}
-
-// TestIndexedSnapshotRandomDifferential repeats the package's random
-// document / random partition / random query generator with the shadow
-// check armed, evaluating at every site both ways.
-func TestIndexedSnapshotRandomDifferential(t *testing.T) {
-	withShadow(t, func() {
-		schema := randSchema()
-		for seed := int64(0); seed < 40; seed++ {
-			r := rand.New(rand.NewSource(seed))
-			d := randDoc(r)
-			a := randAssign(r, d, 3)
-			stores, _, err := fragment.Partition(d, a)
-			if err != nil {
-				t.Fatalf("seed %d: partition: %v", seed, err)
-			}
-			for _, s := range stores {
-				s.Seal()
-			}
-			for trial := 0; trial < 4; trial++ {
-				q := randQuery(r)
-				plans, err := CompileQuery(q, schema)
-				if err != nil {
-					t.Fatalf("seed %d compile %q: %v", seed, q, err)
-				}
-				for name, store := range stores {
-					for _, plan := range plans {
-						diffOne(t, store, plan, name+" "+q)
-					}
-				}
-			}
-		}
-	})
+	}
 }
 
 // TestIndexedSpineAbsenceIsAuthoritative pins the subtle half of the
@@ -187,8 +172,8 @@ func TestIndexedSpineAbsenceIsAuthoritative(t *testing.T) {
 }
 
 // TestIndexedDeclinesOffIndexCases pins when the fast path must NOT run:
-// unsealed stores have no index, and NoIndex/IgnoreCached force the
-// walker semantics the index does not model.
+// unsealed stores have no index, and IgnoreCached forces the walker
+// semantics the index does not model.
 func TestIndexedDeclinesOffIndexCases(t *testing.T) {
 	sealed := singleSiteStore(t).Seal()
 	unsealed := singleSiteStore(t)
@@ -198,9 +183,6 @@ func TestIndexedDeclinesOffIndexCases(t *testing.T) {
 	}
 	if _, ok, _ := IndexedMatchCount(unsealed, plans[0], Options{}); ok {
 		t.Fatal("fast path ran on an unsealed store")
-	}
-	if _, ok, _ := IndexedMatchCount(sealed, plans[0], Options{NoIndex: true}); ok {
-		t.Fatal("fast path ignored NoIndex")
 	}
 	if _, ok, _ := IndexedMatchCount(sealed, plans[0], Options{IgnoreCached: true}); ok {
 		t.Fatal("fast path ignored IgnoreCached")

@@ -112,7 +112,7 @@ func TestProvenanceIndexedMatchesWalker(t *testing.T) {
 				t.Fatalf("%s: indexed: %v", q, err)
 			}
 			slow := NewProvenance(50)
-			if _, err := Evaluate(store, plan, Options{NoIndex: true, Prov: slow}); err != nil {
+			if _, err := evaluateWalker(store, plan, Options{Prov: slow}); err != nil {
 				t.Fatalf("%s: walker: %v", q, err)
 			}
 			if fast.OwnedUnits != slow.OwnedUnits || fast.OwnedBytes != slow.OwnedBytes ||

@@ -3,16 +3,10 @@ package site
 import (
 	"context"
 	"fmt"
-	"log/slog"
-	"sort"
-	"sync"
 	"time"
 
 	"irisnet/internal/fragment"
 	"irisnet/internal/qeg"
-	"irisnet/internal/trace"
-	"irisnet/internal/transport"
-	"irisnet/internal/xmldb"
 	"irisnet/internal/xpath"
 )
 
@@ -29,7 +23,7 @@ import (
 //     each link carries one AggPayload of a few dozen bytes.
 //
 //   - Fallback: anything outside the class runs the ordinary raw gather
-//     (handleQuery on the inner query) and aggregates the assembled
+//     (hop.gather on the inner query) and aggregates the assembled
 //     fragment locally — the definitional semantics, byte-identical to
 //     computing over a raw answer at the client. The reply upstream is
 //     still a compact partial, so even a fallback hop saves the upstream
@@ -40,15 +34,20 @@ import (
 // unreachable-subtree list and the truncation marker, and caching sites
 // remember complete answers in the summary cache (summary.go).
 
-// aggResult is the outcome of one dispatched aggregate subrequest,
-// index-aligned with the fresh slice handed to dispatchAggregates.
-type aggResult struct {
+// aggAnswer is what an aggregate subrequest fetches: the answering site's
+// combined partial state and the roll-ups that travel with it.
+type aggAnswer struct {
 	partial   qeg.AggPartial
 	ageMax    float64
-	downs     []string
 	truncated bool
-	span      *trace.Span
-	err       error
+}
+
+// decodeAgg is the aggregate family's payload decoder (dispatch.go).
+func decodeAgg(_ string, agg *AggPayload, truncated bool) (aggAnswer, error) {
+	if agg == nil {
+		return aggAnswer{}, fmt.Errorf("aggregate answer carries no partial state")
+	}
+	return aggAnswer{partial: agg.Partial, ageMax: agg.AgeMaxSec, truncated: truncated}, nil
 }
 
 // handleAggregate answers a KindAggregate message. pinned has the same
@@ -64,41 +63,12 @@ func (s *Site) handleAggregate(ctx context.Context, msg *Message, reqBytes int, 
 	}
 	inner := aggQ.InnerSource()
 
-	var span *trace.Span
-	var stats *transport.CallStats
-	if msg.TraceID != "" {
-		span = &trace.Span{TraceID: msg.TraceID, Site: s.cfg.Name, Query: msg.Query, Op: "aggregate", BytesIn: reqBytes}
-		ctx, stats = transport.WithCallStats(ctx)
+	// The aggregate follows its inner path's subtree to a new owner, exactly
+	// as a raw query would.
+	ctx, h, forwarded := s.beginHop(ctx, msg, "aggregate", inner, reqBytes)
+	if forwarded != nil {
+		return forwarded
 	}
-
-	// Stale-DNS forwarding, exactly as for raw queries: the aggregate
-	// follows the subtree to its new owner.
-	if to, ok := s.forwardTarget(inner); ok {
-		s.Metrics.Forwards.Inc()
-		t0 := time.Now()
-		msg.StampDeadline(ctx)
-		respB, err := s.call.Call(ctx, to, msg.Encode())
-		if err != nil {
-			return errorMessage(fmt.Errorf("site %s: forwarding aggregate to %s: %w", s.cfg.Name, to, err))
-		}
-		resp, err := DecodeMessage(respB)
-		if err != nil {
-			return errorMessage(err)
-		}
-		if span != nil {
-			span.Op = "forward"
-			span.DurationUS = time.Since(t0).Microseconds()
-			finishSpan(span, stats)
-			if resp.Span != nil {
-				span.Children = append(span.Children, resp.Span)
-			}
-			resp.Span = span
-		}
-		return resp
-	}
-
-	s.Metrics.Queries.Inc()
-	t0 := time.Now()
 	now := s.cfg.Clock()
 
 	// Summary cache: a fresh-enough cached combined partial answers the
@@ -111,83 +81,43 @@ func (s *Site) handleAggregate(ctx context.Context, msg *Message, reqBytes int, 
 			s.Metrics.AnswerStaleness.Observe(age)
 			res := &Message{Kind: KindAggregateResult,
 				Agg: &AggPayload{Fn: aggQ.Fn.String(), Partial: partial, AgeMaxSec: age}}
-			if span != nil {
-				span.DurationUS = time.Since(t0).Microseconds()
-				span.CacheHit = true
-				finishSpan(span, stats)
-				res.Span = span
+			if h.span != nil {
+				h.span.DurationUS = time.Since(h.t0).Microseconds()
+				h.span.CacheHit = true
+				finishSpan(h.span, h.stats)
+				res.Span = h.span
 			}
 			return res
 		}
 	}
 
-	var plans []*qeg.Plan
-	var planErr error
-	tp := time.Now()
-	s.cpu.Do(func() {
-		plans, planErr = s.compiler.Compile(inner)
-	})
-	planTime := time.Since(tp)
-	s.Metrics.Breakdown.Add("create-plan", planTime)
-	if planErr != nil {
-		return errorMessage(planErr)
+	plans, err := h.compile(inner)
+	if err != nil {
+		return errorMessage(err)
 	}
 
 	var partial qeg.AggPartial
 	var ageMax float64
-	var freshness *trace.FreshnessReport
-	unreachable := map[string]bool{}
-	truncated := false
-	fanout := 0
-	cacheHit := true
-	var execTime, commTime time.Duration
-
 	decomposed := qeg.DecomposableAggregate(plans)
 	if decomposed {
-		plan := plans[0]
 		snap := pinned
 		if snap == nil {
 			snap = s.state.Load().store
 		}
-		opts := qeg.Options{Now: s.cfg.Clock, IgnoreCached: s.cfg.CacheBypass, NoIndex: s.cfg.DisableIndex}
-		var prov *qeg.Provenance
-		if !s.cfg.DisableFreshnessLedger {
-			prov = qeg.NewProvenance(now)
-			opts.Prov = prov
-		}
-		var res *qeg.Result
-		var evalErr error
-		te := time.Now()
-		s.cpu.Do(func() {
-			if s.cfg.CoarseLocking {
-				s.coarse.RLock()
-				res, evalErr = qeg.Evaluate(snap, plan, opts)
-				s.coarse.RUnlock()
-			} else {
-				res, evalErr = qeg.Evaluate(snap, plan, opts)
-			}
-			if s.cfg.QueryWork > 0 || s.cfg.PerNodeWork > 0 {
-				cost := s.cfg.QueryWork
-				if s.cfg.PerNodeWork > 0 && res != nil {
-					cost += time.Duration(res.Nodes) * s.cfg.PerNodeWork
-				}
-				spin(cost)
-			}
-		})
-		execTime = time.Since(te)
-		if evalErr != nil {
-			return errorMessage(evalErr)
+		prov := qeg.NewProvenance(now)
+		res, err := h.evaluate(snap, plans[0], qeg.Options{Now: s.cfg.Clock, IgnoreCached: s.cfg.CacheBypass, Prov: prov})
+		if err != nil {
+			return errorMessage(err)
 		}
 		if !qeg.AggregateTargetsDisjoint(res.Fragment, res.Subqueries) {
 			// Overlapping targets would double-count; this query takes the
 			// raw path at this site (downstream sites decide for themselves).
 			decomposed = false
 		} else {
-			var local qeg.AggPartial
 			var localBytes int
 			s.cpu.Do(func() {
-				local, evalErr = qeg.ComputeAggregate(res.Fragment, inner, s.cfg.Clock)
-				if evalErr == nil {
+				partial, err = qeg.ComputeAggregate(res.Fragment, inner, s.cfg.Clock)
+				if err == nil {
 					// What the raw path would have shipped upstream from this
 					// site's own data — the per-hop wire saving (the links
 					// above save the downstream fragments too; each hop
@@ -195,48 +125,38 @@ func (s *Site) handleAggregate(ctx context.Context, msg *Message, reqBytes int, 
 					localBytes = len(res.Fragment.StringSized(res.Nodes))
 				}
 			})
-			if evalErr != nil {
-				return errorMessage(fmt.Errorf("site %s: aggregating local matches: %w", s.cfg.Name, evalErr))
+			if err != nil {
+				return errorMessage(fmt.Errorf("site %s: aggregating local matches: %w", s.cfg.Name, err))
 			}
-			partial = local
-			if prov != nil {
-				ageMax = prov.AgeMax
-			}
+			ageMax = prov.AgeMax
 			if len(res.Subqueries) > 0 {
-				cacheHit = false
-				fanout = len(res.Subqueries)
-				tc := time.Now()
-				results, batchSpans := s.dispatchAggregates(ctx, aggQ.Fn, res.Subqueries, msg.TraceID)
-				commTime = time.Since(tc)
-				if span != nil {
-					span.Children = append(span.Children, batchSpans...)
+				// Each addressed site gets the same pinned, self-routing
+				// subquery wrapped in the aggregate function.
+				reqs := make([]qeg.Subquery, len(res.Subqueries))
+				for i, sq := range res.Subqueries {
+					reqs[i] = qeg.Subquery{Target: sq.Target, Query: qeg.AggregateSubquery(aggQ.Fn, sq)}
 				}
-				for i, r := range results {
-					if span != nil && r.span != nil {
-						span.Children = append(span.Children, r.span)
-					}
+				for i, r := range dispatch(ctx, h, s.aggKind, reqs) {
 					if r.err != nil {
 						// Partial answer: mark just this subtree unreachable,
 						// as the raw path would.
-						unreachable[res.Subqueries[i].Target.Key()] = true
+						h.unreachable[res.Subqueries[i].Target.Key()] = true
 						continue
 					}
-					partial = partial.Combine(r.partial)
-					if r.ageMax > ageMax {
-						ageMax = r.ageMax
+					partial = partial.Combine(r.val.partial)
+					if r.val.ageMax > ageMax {
+						ageMax = r.val.ageMax
 					}
-					truncated = truncated || r.truncated
+					h.truncated = h.truncated || r.val.truncated
 					for _, d := range r.downs {
-						unreachable[d] = true
+						h.unreachable[d] = true
 					}
 				}
 			}
 			s.Metrics.AggregatePushdowns.Inc()
 			s.Metrics.AnswerStaleness.Observe(ageMax)
-			if prov != nil {
-				freshness = freshnessReport(prov, 0)
-				freshness.MaxAgeSec = ageMax // roll up the remote partials' staleness
-			}
+			h.freshness = freshnessReport(prov, 0)
+			h.freshness.MaxAgeSec = ageMax // roll up the remote partials' staleness
 			if localBytes > 0 {
 				s.Metrics.GatherBytesSaved.Add(int64(localBytes))
 			}
@@ -245,56 +165,30 @@ func (s *Site) handleAggregate(ctx context.Context, msg *Message, reqBytes int, 
 
 	if !decomposed {
 		// Fallback: raw gather over the inner query, aggregate the assembled
-		// fragment here. A trace ID is always set so the inner answer's
-		// freshness report (the combined staleness) comes back with the span.
-		em := &Message{Kind: KindQuery, Query: inner, TraceID: msg.TraceID, DeadlineMS: msg.DeadlineMS}
-		if em.TraceID == "" {
-			em.TraceID = trace.NewTraceID()
-		}
-		tg := time.Now()
-		resp := s.handleQuery(ctx, em, reqBytes, pinned)
-		commTime = time.Since(tg)
-		if err := resp.AsError(); err != nil {
+		// answer here.
+		ans, err := h.gather(ctx, inner, plans, pinned)
+		if err != nil {
 			return errorMessage(err)
 		}
-		var evalErr error
+		var rawBytes int
 		s.cpu.Do(func() {
-			var frag *xmldb.Node
-			frag, evalErr = xmldb.ParseString(resp.Fragment)
-			if evalErr != nil {
-				evalErr = fmt.Errorf("site %s: parsing gathered fragment: %w", s.cfg.Name, evalErr)
-				return
-			}
-			partial, evalErr = qeg.ComputeAggregate(frag, inner, s.cfg.Clock)
+			partial, err = qeg.ComputeAggregate(ans.Root, inner, s.cfg.Clock)
+			rawBytes = len(ans.Root.StringSized(ans.Size()))
 		})
-		if evalErr != nil {
-			return errorMessage(evalErr)
+		if err != nil {
+			return errorMessage(err)
 		}
-		truncated = resp.Truncated
-		for _, d := range resp.Unreachable {
-			unreachable[d] = true
-		}
-		if resp.Span != nil {
-			cacheHit = resp.Span.CacheHit
-			fanout = resp.Span.Subqueries
-			if resp.Span.Freshness != nil {
-				ageMax = resp.Span.Freshness.MaxAgeSec
-				freshness = resp.Span.Freshness
-			}
-			if span != nil {
-				span.Children = append(span.Children, resp.Span)
-			}
-		}
+		ageMax = h.freshness.MaxAgeSec
 		s.Metrics.AggregateFallbacks.Inc()
 		// Even a fallback hop ships a scalar upstream instead of the
 		// assembled fragment: the saving on the upstream link is exact.
-		s.Metrics.GatherBytesSaved.Add(int64(len(resp.Fragment)))
+		s.Metrics.GatherBytesSaved.Add(int64(rawBytes))
 	}
 
 	// Cache the combined answer — complete answers only, and only when every
 	// consistency predicate's freshness margin is measurable (otherwise a
 	// later hit could not be gated).
-	if s.summaries != nil && !truncated && len(unreachable) == 0 {
+	if s.summaries != nil && !h.truncated && len(h.unreachable) == 0 {
 		if forms, ok := consForms(plans); ok {
 			if scope, err := qeg.LCAPath(inner); err == nil {
 				s.summaries.put(msg.Query, scope, partial, ageMax, now, forms)
@@ -302,47 +196,8 @@ func (s *Site) handleAggregate(ctx context.Context, msg *Message, reqBytes int, 
 		}
 	}
 
-	if cacheHit {
-		s.Metrics.CacheHits.Inc()
-	} else {
-		s.Metrics.CacheMisses.Inc()
-	}
-	s.Metrics.Breakdown.Add("execute-qeg", execTime)
-	s.Metrics.Breakdown.Add("communication", commTime)
-
-	res := &Message{Kind: KindAggregateResult,
-		Agg:       &AggPayload{Fn: aggQ.Fn.String(), Partial: partial, AgeMaxSec: ageMax},
-		Truncated: truncated}
-	if len(unreachable) > 0 {
-		s.Metrics.PartialAnswers.Inc()
-		res.Unreachable = make([]string, 0, len(unreachable))
-		for k := range unreachable {
-			res.Unreachable = append(res.Unreachable, k)
-		}
-		sort.Strings(res.Unreachable)
-	}
-	total := time.Since(t0)
-	s.Metrics.Breakdown.Add("rest", total-execTime-commTime)
-	if span != nil {
-		span.DurationUS = total.Microseconds()
-		span.AddStage("create-plan", planTime)
-		span.AddStage("execute-qeg", execTime)
-		span.AddStage("communication", commTime)
-		span.AddStage("rest", total-execTime-commTime)
-		span.CacheHit = cacheHit
-		span.Subqueries = fanout
-		span.Partial = len(res.Unreachable) > 0
-		span.Unreachable = res.Unreachable
-		span.Truncated = truncated
-		span.Freshness = freshness
-		finishSpan(span, stats)
-		res.Span = span
-	}
-	s.log.LogAttrs(ctx, slog.LevelDebug, "aggregate served",
-		slog.String("trace_id", msg.TraceID), slog.Duration("dur", total),
-		slog.Bool("pushdown", decomposed), slog.Int("fanout", fanout),
-		slog.Int("unreachable", len(res.Unreachable)))
-	return res
+	return h.finish(ctx, &Message{Kind: KindAggregateResult,
+		Agg: &AggPayload{Fn: aggQ.Fn.String(), Partial: partial, AgeMaxSec: ageMax}}, 0)
 }
 
 // consForms collects the compiled freshness forms of every consistency
@@ -362,250 +217,4 @@ func consForms(plans []*qeg.Plan) ([]*xpath.FreshnessForm, bool) {
 		}
 	}
 	return forms, true
-}
-
-// dispatchAggregates sends one aggregate subrequest per fresh subquery —
-// the pinned self-routing query wrapped in the aggregate function — and
-// returns results index-aligned with fresh, plus batch-level spans. It
-// mirrors dispatchSubqueries' two optimizations: identical in-flight
-// aggregate subrequests coalesce through the site's aggregate flight group
-// (keyed by the full aggregate query text), and subrequests bound for one
-// owner ship as a single KindBatch message with Kind=KindAggregate entries.
-func (s *Site) dispatchAggregates(ctx context.Context, fn xpath.AggFunc, fresh []qeg.Subquery, traceID string) ([]aggResult, []*trace.Span) {
-	results := make([]aggResult, len(fresh))
-	texts := make([]string, len(fresh))
-	for i, sq := range fresh {
-		texts[i] = qeg.AggregateSubquery(fn, sq)
-	}
-
-	var toFetch []pendingSub
-	type waiter struct {
-		idx int
-		fl  *flight[aggResult]
-	}
-	var waiters []waiter
-	type ledFlight struct {
-		key string
-		fl  *flight[aggResult]
-	}
-	leaders := map[int]ledFlight{}
-	if s.cfg.Caching && !s.cfg.DisableCoalescing {
-		for i, sq := range fresh {
-			fl, leads := s.aggFlights.join(texts[i])
-			if leads {
-				leaders[i] = ledFlight{texts[i], fl}
-				toFetch = append(toFetch, pendingSub{i, sq})
-			} else {
-				waiters = append(waiters, waiter{i, fl})
-			}
-		}
-	} else {
-		for i, sq := range fresh {
-			toFetch = append(toFetch, pendingSub{i, sq})
-		}
-	}
-
-	finishLeader := func(idx int) {
-		if led, ok := leaders[idx]; ok {
-			s.aggFlights.finish(led.key, led.fl, results[idx])
-		}
-	}
-
-	var wg sync.WaitGroup
-	single := func(p pendingSub) {
-		results[p.idx] = s.fetchAggregate(ctx, p.sq, texts[p.idx], traceID)
-		finishLeader(p.idx)
-	}
-
-	var spanMu sync.Mutex
-	var batchSpans []*trace.Span
-	if s.cfg.DisableBatching {
-		for _, p := range toFetch {
-			wg.Add(1)
-			go func(p pendingSub) { defer wg.Done(); single(p) }(p)
-		}
-	} else {
-		groups := map[string][]pendingSub{}
-		var order []string
-		for _, p := range toFetch {
-			owner, err := s.cfg.DNS.Resolve(p.sq.Target)
-			if err != nil {
-				err = fmt.Errorf("site %s: resolving %s: %w", s.cfg.Name, p.sq.Target, err)
-				results[p.idx] = aggResult{err: err, span: errSpan(traceID, p.sq.Target.String(), texts[p.idx], err)}
-				finishLeader(p.idx)
-				continue
-			}
-			if _, ok := groups[owner]; !ok {
-				order = append(order, owner)
-			}
-			groups[owner] = append(groups[owner], p)
-		}
-		for _, owner := range order {
-			group := groups[owner]
-			if len(group) == 1 {
-				wg.Add(1)
-				go func(p pendingSub) { defer wg.Done(); single(p) }(group[0])
-				continue
-			}
-			for _, piece := range splitByByteCap(group, s.cfg.BatchByteCap) {
-				if len(piece) == 1 {
-					wg.Add(1)
-					go func(p pendingSub) { defer wg.Done(); single(p) }(piece[0])
-					continue
-				}
-				wg.Add(1)
-				go func(owner string, piece []pendingSub) {
-					defer wg.Done()
-					if sp := s.sendAggBatch(ctx, owner, piece, texts, traceID, results, finishLeader); sp != nil {
-						spanMu.Lock()
-						batchSpans = append(batchSpans, sp)
-						spanMu.Unlock()
-					}
-				}(owner, piece)
-			}
-		}
-	}
-
-	for _, w := range waiters {
-		wg.Add(1)
-		go func(w waiter) {
-			defer wg.Done()
-			select {
-			case <-w.fl.done:
-				if w.fl.res.err != nil {
-					// Fall back to a private fetch rather than inheriting the
-					// leader's failure (possibly just its tighter deadline).
-					results[w.idx] = s.fetchAggregate(ctx, fresh[w.idx], texts[w.idx], traceID)
-					return
-				}
-				s.Metrics.Coalesced.Inc()
-				r := w.fl.res
-				if traceID != "" {
-					r.span = &trace.Span{TraceID: traceID, Site: s.cfg.Name, Query: texts[w.idx], Op: "coalesced"}
-				} else {
-					r.span = nil
-				}
-				results[w.idx] = r
-			case <-ctx.Done():
-				err := fmt.Errorf("site %s: awaiting coalesced aggregate: %w", s.cfg.Name, ctx.Err())
-				results[w.idx] = aggResult{err: err, span: errSpan(traceID, s.cfg.Name, texts[w.idx], err)}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return results, batchSpans
-}
-
-// fetchAggregate routes one aggregate subrequest to the owner of its target
-// and decodes the partial-state answer.
-func (s *Site) fetchAggregate(ctx context.Context, sq qeg.Subquery, text, traceID string) aggResult {
-	s.Metrics.Subqueries.Inc()
-	s.Metrics.SubqueryRPCs.Inc()
-	owner, err := s.cfg.DNS.Resolve(sq.Target)
-	if err != nil {
-		err = fmt.Errorf("site %s: resolving %s: %w", s.cfg.Name, sq.Target, err)
-		return aggResult{err: err, span: errSpan(traceID, sq.Target.String(), text, err)}
-	}
-	var payload []byte
-	s.cpu.Do(func() {
-		m := &Message{Kind: KindAggregate, Query: text, TraceID: traceID}
-		m.StampDeadline(ctx)
-		payload = m.Encode()
-	})
-	respB, err := s.call.Call(ctx, owner, payload)
-	if err != nil {
-		err = fmt.Errorf("site %s: calling %s: %w", s.cfg.Name, owner, err)
-		return aggResult{err: err, span: errSpan(traceID, owner, text, err)}
-	}
-	var out aggResult
-	var derr error
-	s.cpu.Do(func() {
-		var resp *Message
-		resp, derr = DecodeMessage(respB)
-		if derr != nil {
-			return
-		}
-		if e := resp.AsError(); e != nil {
-			derr = e
-			return
-		}
-		if resp.Agg == nil {
-			derr = fmt.Errorf("aggregate answer carries no partial state")
-			return
-		}
-		out = aggResult{partial: resp.Agg.Partial, ageMax: resp.Agg.AgeMaxSec,
-			downs: resp.Unreachable, truncated: resp.Truncated, span: resp.Span}
-	})
-	if derr != nil {
-		derr = fmt.Errorf("site %s: aggregate answer from %s: %w", s.cfg.Name, owner, derr)
-		return aggResult{err: derr, span: errSpan(traceID, owner, text, derr)}
-	}
-	return out
-}
-
-// sendAggBatch ships one KindBatch message whose entries are aggregate
-// subrequests (Kind=KindAggregate) and decodes the per-entry partial
-// states. It mirrors sendBatch.
-func (s *Site) sendAggBatch(ctx context.Context, owner string, piece []pendingSub, texts []string, traceID string, results []aggResult, finishLeader func(int)) *trace.Span {
-	entries := make([]BatchEntry, len(piece))
-	for i, p := range piece {
-		entries[i] = BatchEntry{Kind: KindAggregate, Query: texts[p.idx]}
-	}
-	var payload []byte
-	s.cpu.Do(func() {
-		m := &Message{Kind: KindBatch, TraceID: traceID, Entries: entries}
-		m.StampDeadline(ctx)
-		payload = m.Encode()
-	})
-	s.Metrics.Subqueries.Add(int64(len(piece)))
-	s.Metrics.SubqueryRPCs.Inc()
-	s.Metrics.Batches.Inc()
-	s.Metrics.BatchSize.Observe(float64(len(piece)))
-
-	fail := func(err error) *trace.Span {
-		for _, p := range piece {
-			results[p.idx] = aggResult{err: err, span: errSpan(traceID, owner, texts[p.idx], err)}
-			finishLeader(p.idx)
-		}
-		if traceID == "" {
-			return nil
-		}
-		return &trace.Span{TraceID: traceID, Site: owner, Op: "batch", Error: err.Error()}
-	}
-
-	respB, err := s.call.Call(ctx, owner, payload)
-	if err != nil {
-		return fail(fmt.Errorf("site %s: aggregate batch to %s: %w", s.cfg.Name, owner, err))
-	}
-	var resp *Message
-	var derr error
-	s.cpu.Do(func() {
-		resp, derr = DecodeMessage(respB)
-	})
-	if derr == nil {
-		if e := resp.AsError(); e != nil {
-			derr = e
-		}
-	}
-	if derr == nil && len(resp.Entries) != len(piece) {
-		derr = fmt.Errorf("%d answer entries for %d subrequests", len(resp.Entries), len(piece))
-	}
-	if derr != nil {
-		return fail(fmt.Errorf("site %s: aggregate batch answer from %s: %w", s.cfg.Name, owner, derr))
-	}
-
-	for i, p := range piece {
-		e := resp.Entries[i]
-		switch {
-		case e.Status != BatchEntryOK:
-			results[p.idx] = aggResult{err: fmt.Errorf("site %s: aggregate batch entry from %s: %s", s.cfg.Name, owner, e.Error)}
-		case e.Agg == nil:
-			results[p.idx] = aggResult{err: fmt.Errorf("site %s: aggregate batch entry from %s carries no partial state", s.cfg.Name, owner)}
-		default:
-			results[p.idx] = aggResult{partial: e.Agg.Partial, ageMax: e.Agg.AgeMaxSec,
-				downs: e.Unreachable, truncated: e.Truncated}
-		}
-		finishLeader(p.idx)
-	}
-	return resp.Span
 }

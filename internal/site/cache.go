@@ -312,10 +312,6 @@ func (s *Site) relieveCachePressure() {
 	if int64(s.state.Load().store.CachedBytes()) <= s.cfg.CacheBudgetBytes {
 		return
 	}
-	if s.cfg.CoarseLocking {
-		s.coarse.Lock()
-		defer s.coarse.Unlock()
-	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	st := s.state.Load()

@@ -12,31 +12,54 @@ import (
 	"irisnet/internal/xmldb"
 )
 
-// subResult is the outcome of one dispatched subquery, index-aligned with
-// the fresh slice handed to dispatchSubqueries. span, when set, is a span to
-// hang under the querying hop (the remote hop's span on the single-message
-// path, a local marker on the coalesced path); batched entries leave it nil
-// because their spans travel as children of the batch span.
-type subResult struct {
-	frag  *xmldb.Node
+// fetched is the outcome of one dispatched subrequest, index-aligned with the
+// requests handed to dispatch. span, when set, is a span to hang under the
+// querying hop (the remote hop's span on the single-message path, a local
+// marker on the coalesced path); batched entries leave it nil because their
+// spans travel as children of the batch span.
+type fetched[T any] struct {
+	val   T
 	downs []string // remote site's unreachable paths (partial answers compose)
-	bytes int      // wire size of the fetched fragment (freshness ledger)
 	span  *trace.Span
 	err   error
+}
+
+// rawAnswer is what a raw subquery fetches.
+type rawAnswer struct {
+	frag  *xmldb.Node
+	bytes int // wire size of the fetched fragment (freshness ledger)
+}
+
+// subKind is all the dispatcher knows about a family of subrequests. Raw
+// subqueries (rawAnswer) and aggregate subrequests (aggAnswer) travel,
+// coalesce, batch and fail identically; they differ only in how a request is
+// tagged on the wire, what payload an answer carries, and what happens to a
+// payload once it has landed.
+type subKind[T any] struct {
+	// msgKind is the Kind of a subrequest sent alone; entryKind tags it
+	// inside a KindBatch message.
+	msgKind, entryKind string
+	flights            *flightGroup[fetched[T]]
+	// decode reads the payload out of an answer — a result message's fields
+	// or a batch entry's, which name them alike.
+	decode func(fragment string, agg *AggPayload, truncated bool) (T, error)
+	// landed, when set, is handed the outcomes of one upstream answer after
+	// decoding and before any of their flights retire.
+	landed func(rs ...*fetched[T])
 }
 
 // flight is one in-progress upstream fetch that concurrent queries for the
 // same generalized subquery share. The leader performs the fetch (possibly
 // inside a batch) and publishes the outcome; followers select on done
 // against their own context so a slow waiter cannot leak the flight. The
-// result type is generic because raw subqueries (subResult) and aggregate
-// subrequests (aggResult) share the mechanism but not the payload.
+// result type is generic because raw subqueries and aggregate subrequests
+// share the mechanism but not the payload.
 type flight[T any] struct {
 	done chan struct{}
 	res  T
 }
 
-// flightGroup dedups identical in-flight subqueries by qeg.Subquery.Key()
+// flightGroup dedups identical in-flight subrequests by qeg.Subquery.Key()
 // (singleflight). Keys carry the full generalized query text including its
 // consistency predicates, so joiners can never be handed a fragment staler
 // than their own freshness tolerance: a different tolerance is a different
@@ -75,11 +98,18 @@ func (g *flightGroup[T]) finish(key string, f *flight[T], r T) {
 	close(f.done)
 }
 
-// pendingSub is one subquery this dispatch call must actually send, with its
-// index into the fresh slice.
+// pendingSub is one subrequest this dispatch call must actually send: its
+// index into the request slice, its routing target and its wire form.
 type pendingSub struct {
-	idx int
-	sq  qeg.Subquery
+	idx    int
+	target xmldb.IDPath
+	entry  BatchEntry
+}
+
+// decodeRaw is the raw family's payload decoder: the answer fragment, parsed.
+func decodeRaw(fragment string, _ *AggPayload, _ bool) (rawAnswer, error) {
+	frag, err := xmldb.ParseString(fragment)
+	return rawAnswer{frag: frag, bytes: len(fragment)}, err
 }
 
 // cacheFetched folds the fragments of one upstream answer — every healthy
@@ -91,16 +121,16 @@ type pendingSub struct {
 // path: the same validation accepts the fragment into the answer) is
 // reported failed, marking just that subtree unreachable. Results that
 // already carry an error are left alone; no-op when caching is off.
-func (s *Site) cacheFetched(rs ...*subResult) {
+func (s *Site) cacheFetched(rs ...*fetched[rawAnswer]) {
 	if !s.cfg.Caching {
 		return
 	}
-	fetched := make([]*subResult, 0, len(rs))
+	healthy := make([]*fetched[rawAnswer], 0, len(rs))
 	frags := make([]*xmldb.Node, 0, len(rs))
 	for _, r := range rs {
-		if r.err == nil && r.frag != nil {
-			fetched = append(fetched, r)
-			frags = append(frags, r.frag)
+		if r.err == nil && r.val.frag != nil {
+			healthy = append(healthy, r)
+			frags = append(frags, r.val.frag)
 		}
 	}
 	if len(frags) == 0 {
@@ -108,8 +138,8 @@ func (s *Site) cacheFetched(rs ...*subResult) {
 	}
 	for i, err := range s.mergeCache(frags) {
 		if err != nil {
-			fetched[i].frag = nil
-			fetched[i].err = fmt.Errorf("site %s: caching subanswer: %w", s.cfg.Name, err)
+			healthy[i].val.frag = nil
+			healthy[i].err = fmt.Errorf("site %s: caching subanswer: %w", s.cfg.Name, err)
 		}
 	}
 }
@@ -124,60 +154,60 @@ func errSpan(traceID, site, query string, err error) *trace.Span {
 	return &trace.Span{TraceID: traceID, Site: site, Query: query, Op: "query", Error: err.Error()}
 }
 
-// dispatchSubqueries fetches every fresh subquery concurrently and returns
-// results index-aligned with fresh, plus the batch-level spans to attach to
-// the querying hop. Two optimizations apply on top of the plain
-// one-message-per-subquery path:
+// dispatch fetches every subrequest of one gather round concurrently and
+// returns results index-aligned with reqs, billing the wait to the hop's
+// communication stage and hanging the remote spans under the hop's. Two
+// optimizations apply on top of the plain one-message-per-subrequest path:
 //
-//   - Coalescing (caching sites): identical in-flight subqueries share one
-//     upstream fetch through the site's flightGroup. The first query to want
+//   - Coalescing (caching sites): identical in-flight subrequests share one
+//     upstream fetch through the kind's flightGroup. The first query to want
 //     a key leads the flight; concurrent queries join as followers and
-//     splice the same returned fragment. Followers keep their own context
+//     use the same returned payload. Followers keep their own context
 //     (a canceled waiter abandons the flight without killing it) and fall
 //     back to a private fetch when the flight itself fails, so a leader's
 //     tight deadline cannot poison its followers.
 //
-//   - Batching: subqueries bound for the same owner site ship as one
+//   - Batching: subrequests bound for the same owner site ship as one
 //     KindBatch message (split by cfg.BatchByteCap) instead of N separate
 //     round trips, sharing one deadline, one retry budget and one span.
 //
-// Metrics: Subqueries counts subqueries actually sent upstream, SubqueryRPCs
+// Metrics: Subqueries counts subrequests actually sent upstream, SubqueryRPCs
 // counts network sends (so Subqueries - SubqueryRPCs is the messaging saved
-// by batching), and Coalesced counts subqueries answered by joining a
+// by batching), and Coalesced counts subrequests answered by joining a
 // flight.
-func (s *Site) dispatchSubqueries(ctx context.Context, fresh []qeg.Subquery, traceID string) ([]subResult, []*trace.Span) {
-	results := make([]subResult, len(fresh))
+func dispatch[T any](ctx context.Context, h *hop, k *subKind[T], reqs []qeg.Subquery) []fetched[T] {
+	s, traceID := h.s, h.msg.TraceID
+	h.fanout += len(reqs)
+	tc := time.Now()
+	results := make([]fetched[T], len(reqs))
 
 	// Partition into flight leaders/singles (must fetch) and followers
 	// (wait on someone else's fetch). Keys within one dispatch call are
-	// distinct (handleQuery's seen-set), so a follower's leader is always
-	// another query's goroutine.
+	// distinct (the gather's seen-set, or disjoint aggregate targets), so a
+	// follower's leader is always another query's goroutine.
 	var toFetch []pendingSub
 	type waiter struct {
-		idx int
-		sq  qeg.Subquery
-		fl  *flight[subResult]
+		p  pendingSub
+		fl *flight[fetched[T]]
 	}
 	var waiters []waiter
 	type ledFlight struct {
 		key string
-		fl  *flight[subResult]
+		fl  *flight[fetched[T]]
 	}
 	leaders := map[int]ledFlight{}
-	if s.cfg.Caching && !s.cfg.DisableCoalescing {
-		for i, sq := range fresh {
-			key := sq.Key()
-			fl, leads := s.flights.join(key)
-			if leads {
-				leaders[i] = ledFlight{key, fl}
-				toFetch = append(toFetch, pendingSub{i, sq})
-			} else {
-				waiters = append(waiters, waiter{i, sq, fl})
-			}
+	for i, r := range reqs {
+		p := pendingSub{i, r.Target, BatchEntry{Kind: k.entryKind, Query: r.Query}}
+		if !s.cfg.Caching {
+			toFetch = append(toFetch, p)
+			continue
 		}
-	} else {
-		for i, sq := range fresh {
-			toFetch = append(toFetch, pendingSub{i, sq})
+		key := r.Key()
+		if fl, leads := k.flights.join(key); leads {
+			leaders[i] = ledFlight{key, fl}
+			toFetch = append(toFetch, p)
+		} else {
+			waiters = append(waiters, waiter{p, fl})
 		}
 	}
 
@@ -185,71 +215,63 @@ func (s *Site) dispatchSubqueries(ctx context.Context, fresh []qeg.Subquery, tra
 	// until their own contexts expire.
 	finishLeader := func(idx int) {
 		if led, ok := leaders[idx]; ok {
-			s.flights.finish(led.key, led.fl, results[idx])
+			k.flights.finish(led.key, led.fl, results[idx])
 		}
 	}
 
 	var wg sync.WaitGroup
 	single := func(p pendingSub) {
-		frag, downs, nbytes, span, err := s.fetchSubquery(ctx, p.sq, traceID)
-		results[p.idx] = subResult{frag: frag, downs: downs, bytes: nbytes, span: span, err: err}
-		s.cacheFetched(&results[p.idx])
+		defer wg.Done()
+		results[p.idx] = fetchOne(ctx, s, k, p, traceID)
 		finishLeader(p.idx)
 	}
 
+	// Group by resolved owner; singleton groups keep the plain single-message
+	// path (a batch of one would only add envelope overhead).
+	groups := map[string][]pendingSub{}
+	var order []string
+	for _, p := range toFetch {
+		owner, err := s.cfg.DNS.Resolve(p.target)
+		if err != nil {
+			err = fmt.Errorf("site %s: resolving %s: %w", s.cfg.Name, p.target, err)
+			results[p.idx] = fetched[T]{err: err, span: errSpan(traceID, p.target.String(), p.entry.Query, err)}
+			finishLeader(p.idx)
+			continue
+		}
+		if _, ok := groups[owner]; !ok {
+			order = append(order, owner)
+		}
+		groups[owner] = append(groups[owner], p)
+	}
 	var spanMu sync.Mutex
 	var batchSpans []*trace.Span
-	if s.cfg.DisableBatching {
-		for _, p := range toFetch {
+	for _, owner := range order {
+		group := groups[owner]
+		if len(group) == 1 {
 			wg.Add(1)
-			go func(p pendingSub) { defer wg.Done(); single(p) }(p)
+			go single(group[0])
+			continue
 		}
-	} else {
-		// Group by resolved owner; singleton groups keep the plain
-		// KindQuery path (a batch of one would only add envelope overhead).
-		groups := map[string][]pendingSub{}
-		var order []string
-		for _, p := range toFetch {
-			owner, err := s.cfg.DNS.Resolve(p.sq.Target)
-			if err != nil {
-				err = fmt.Errorf("site %s: resolving %s: %w", s.cfg.Name, p.sq.Target, err)
-				results[p.idx] = subResult{err: err, span: errSpan(traceID, p.sq.Target.String(), p.sq.Query, err)}
-				finishLeader(p.idx)
-				continue
-			}
-			if _, ok := groups[owner]; !ok {
-				order = append(order, owner)
-			}
-			groups[owner] = append(groups[owner], p)
-		}
-		for _, owner := range order {
-			group := groups[owner]
-			if len(group) == 1 {
+		for _, piece := range splitByByteCap(group, s.cfg.BatchByteCap) {
+			if len(piece) == 1 {
+				// A piece collapses to one entry when a single entry's
+				// encoded size exceeds the byte cap (or the cap leaves a
+				// remainder of one). A batch of one buys nothing, so fall
+				// back to a plain — possibly oversized — single message
+				// rather than a degenerate batch.
 				wg.Add(1)
-				go func(p pendingSub) { defer wg.Done(); single(p) }(group[0])
+				go single(piece[0])
 				continue
 			}
-			for _, piece := range splitByByteCap(group, s.cfg.BatchByteCap) {
-				if len(piece) == 1 {
-					// A piece collapses to one entry when a single entry's
-					// encoded size exceeds the byte cap (or the cap leaves a
-					// remainder of one). A batch of one buys nothing, so fall
-					// back to a plain — possibly oversized — KindQuery
-					// message rather than a degenerate batch.
-					wg.Add(1)
-					go func(p pendingSub) { defer wg.Done(); single(p) }(piece[0])
-					continue
+			wg.Add(1)
+			go func(owner string, piece []pendingSub) {
+				defer wg.Done()
+				if sp := sendBatch(ctx, s, k, owner, piece, traceID, results, finishLeader); sp != nil {
+					spanMu.Lock()
+					batchSpans = append(batchSpans, sp)
+					spanMu.Unlock()
 				}
-				wg.Add(1)
-				go func(owner string, piece []pendingSub) {
-					defer wg.Done()
-					if sp := s.sendBatch(ctx, owner, piece, traceID, results, finishLeader); sp != nil {
-						spanMu.Lock()
-						batchSpans = append(batchSpans, sp)
-						spanMu.Unlock()
-					}
-				}(owner, piece)
-			}
+			}(owner, piece)
 		}
 	}
 
@@ -263,39 +285,48 @@ func (s *Site) dispatchSubqueries(ctx context.Context, fresh []qeg.Subquery, tra
 					// The flight failed — possibly the leader's deadline,
 					// not ours. Fall back to a private fetch rather than
 					// inheriting the leader's failure.
-					frag, downs, nbytes, span, err := s.fetchSubquery(ctx, w.sq, traceID)
-					results[w.idx] = subResult{frag: frag, downs: downs, bytes: nbytes, span: span, err: err}
-					s.cacheFetched(&results[w.idx])
+					results[w.p.idx] = fetchOne(ctx, s, k, w.p, traceID)
 					return
 				}
 				s.Metrics.Coalesced.Inc()
-				var span *trace.Span
+				r := w.fl.res
+				r.span = nil
 				if traceID != "" {
 					// A marker span with this query's own trace ID; adopting
 					// the leader's subtree would mix trace IDs in one tree.
-					span = &trace.Span{TraceID: traceID, Site: s.cfg.Name, Query: w.sq.Query, Op: "coalesced"}
+					r.span = &trace.Span{TraceID: traceID, Site: s.cfg.Name, Query: w.p.entry.Query, Op: "coalesced"}
 				}
-				results[w.idx] = subResult{frag: w.fl.res.frag, downs: w.fl.res.downs, bytes: w.fl.res.bytes, span: span}
+				results[w.p.idx] = r
 			case <-ctx.Done():
-				err := fmt.Errorf("site %s: awaiting coalesced fetch: %w", s.cfg.Name, ctx.Err())
-				results[w.idx] = subResult{err: err, span: errSpan(traceID, s.cfg.Name, w.sq.Query, err)}
+				err := fmt.Errorf("site %s: awaiting coalesced %s: %w", s.cfg.Name, k.msgKind, ctx.Err())
+				results[w.p.idx] = fetched[T]{err: err, span: errSpan(traceID, s.cfg.Name, w.p.entry.Query, err)}
 			}
 		}(w)
 	}
 	wg.Wait()
-	return results, batchSpans
+
+	h.commTime += time.Since(tc)
+	if h.span != nil {
+		h.span.Children = append(h.span.Children, batchSpans...)
+		for _, r := range results {
+			if r.span != nil {
+				h.span.Children = append(h.span.Children, r.span)
+			}
+		}
+	}
+	return results
 }
 
 // splitByByteCap partitions one destination group into pieces whose encoded
 // entry payloads stay under capBytes, preserving order. Every piece holds at
-// least one entry, so a single oversized subquery still ships (the transport
-// frame limit, not this cap, is the hard bound).
+// least one entry, so a single oversized subrequest still ships (the
+// transport frame limit, not this cap, is the hard bound).
 func splitByByteCap(group []pendingSub, capBytes int) [][]pendingSub {
 	var pieces [][]pendingSub
 	var cur []pendingSub
 	size := 0
 	for _, p := range group {
-		b, err := json.Marshal(BatchEntry{Query: p.sq.Query})
+		b, err := json.Marshal(p.entry)
 		if err != nil {
 			// A BatchEntry is a plain string struct; marshaling cannot fail.
 			panic(fmt.Sprintf("site: encoding batch entry: %v", err))
@@ -314,16 +345,66 @@ func splitByByteCap(group []pendingSub, capBytes int) [][]pendingSub {
 	return pieces
 }
 
-// sendBatch ships one KindBatch message carrying piece's subqueries to
-// owner, decodes the per-entry answers into results, caches the healthy ones
-// in one merge transaction, and then completes any flights those entries
-// lead. It returns the remote hop's batch span (nil
-// without tracing); per-entry spans ride as its children, so entry results
-// carry no span of their own.
-func (s *Site) sendBatch(ctx context.Context, owner string, piece []pendingSub, traceID string, results []subResult, finishLeader func(int)) *trace.Span {
+// fetchOne routes one subrequest to the owner of its target node, retrying
+// transient failures within the context's deadline. The result carries the
+// decoded payload, the remote site's own unreachable-path list (partial
+// answers compose across hops), and — when traceID is set — the remote
+// hop's span (a synthetic error span when the fetch failed, so the trace
+// tree still shows where a partial answer lost its subtree). CPU is
+// consumed for encode/decode; the network wait itself is not billed to
+// this site's capacity.
+func fetchOne[T any](ctx context.Context, s *Site, k *subKind[T], p pendingSub, traceID string) fetched[T] {
+	s.Metrics.Subqueries.Inc()
+	s.Metrics.SubqueryRPCs.Inc()
+	fail := func(site string, err error) fetched[T] {
+		return fetched[T]{err: err, span: errSpan(traceID, site, p.entry.Query, err)}
+	}
+	owner, err := s.cfg.DNS.Resolve(p.target)
+	if err != nil {
+		return fail(p.target.String(), fmt.Errorf("site %s: resolving %s: %w", s.cfg.Name, p.target, err))
+	}
+	var payload []byte
+	s.cpu.Do(func() {
+		m := &Message{Kind: k.msgKind, Query: p.entry.Query, TraceID: traceID}
+		m.StampDeadline(ctx)
+		payload = m.Encode()
+	})
+	respB, err := s.call.Call(ctx, owner, payload)
+	if err != nil {
+		return fail(owner, fmt.Errorf("site %s: calling %s: %w", s.cfg.Name, owner, err))
+	}
+	var out fetched[T]
+	var derr error
+	s.cpu.Do(func() {
+		var resp *Message
+		if resp, derr = DecodeMessage(respB); derr != nil {
+			return
+		}
+		if derr = resp.AsError(); derr != nil {
+			return
+		}
+		out.downs, out.span = resp.Unreachable, resp.Span
+		out.val, derr = k.decode(resp.Fragment, resp.Agg, resp.Truncated)
+	})
+	if derr != nil {
+		return fail(owner, fmt.Errorf("site %s: %s answer from %s: %w", s.cfg.Name, k.msgKind, owner, derr))
+	}
+	if k.landed != nil {
+		k.landed(&out)
+	}
+	return out
+}
+
+// sendBatch ships one KindBatch message carrying piece's subrequests to
+// owner, decodes the per-entry answers into results, hands the healthy ones
+// to the kind's landed hook together (for raw fragments: one cache merge
+// transaction), and then completes any flights those entries lead. It
+// returns the remote hop's batch span (nil without tracing); per-entry spans
+// ride as its children, so entry results carry no span of their own.
+func sendBatch[T any](ctx context.Context, s *Site, k *subKind[T], owner string, piece []pendingSub, traceID string, results []fetched[T], finishLeader func(int)) *trace.Span {
 	entries := make([]BatchEntry, len(piece))
 	for i, p := range piece {
-		entries[i] = BatchEntry{Query: p.sq.Query}
+		entries[i] = p.entry
 	}
 	var payload []byte
 	s.cpu.Do(func() {
@@ -338,7 +419,7 @@ func (s *Site) sendBatch(ctx context.Context, owner string, piece []pendingSub, 
 
 	fail := func(err error) *trace.Span {
 		for _, p := range piece {
-			results[p.idx] = subResult{err: err, span: errSpan(traceID, owner, p.sq.Query, err)}
+			results[p.idx] = fetched[T]{err: err, span: errSpan(traceID, owner, p.entry.Query, err)}
 			finishLeader(p.idx)
 		}
 		if traceID == "" {
@@ -349,7 +430,7 @@ func (s *Site) sendBatch(ctx context.Context, owner string, piece []pendingSub, 
 
 	respB, err := s.call.Call(ctx, owner, payload)
 	if err != nil {
-		return fail(fmt.Errorf("site %s: batch to %s: %w", s.cfg.Name, owner, err))
+		return fail(fmt.Errorf("site %s: %s batch to %s: %w", s.cfg.Name, k.msgKind, owner, err))
 	}
 	var resp *Message
 	var derr error
@@ -357,40 +438,40 @@ func (s *Site) sendBatch(ctx context.Context, owner string, piece []pendingSub, 
 		resp, derr = DecodeMessage(respB)
 	})
 	if derr == nil {
-		if e := resp.AsError(); e != nil {
-			derr = e
-		}
+		derr = resp.AsError()
 	}
 	if derr == nil && len(resp.Entries) != len(piece) {
-		derr = fmt.Errorf("%d answer entries for %d subqueries", len(resp.Entries), len(piece))
+		derr = fmt.Errorf("%d answer entries for %d subrequests", len(resp.Entries), len(piece))
 	}
 	if derr != nil {
-		return fail(fmt.Errorf("site %s: batch answer from %s: %w", s.cfg.Name, owner, derr))
+		return fail(fmt.Errorf("site %s: %s batch answer from %s: %w", s.cfg.Name, k.msgKind, owner, derr))
 	}
 
-	fetched := make([]*subResult, len(piece))
+	landed := make([]*fetched[T], len(piece))
 	for i, p := range piece {
 		e := resp.Entries[i]
 		r := &results[p.idx]
-		fetched[i] = r
+		landed[i] = r
 		if e.Status != BatchEntryOK {
-			r.err = fmt.Errorf("site %s: batch entry from %s: %s", s.cfg.Name, owner, e.Error)
+			r.err = fmt.Errorf("site %s: %s batch entry from %s: %s", s.cfg.Name, k.msgKind, owner, e.Error)
 			continue
 		}
-		var frag *xmldb.Node
+		var val T
 		var perr error
 		s.cpu.Do(func() {
-			frag, perr = xmldb.ParseString(e.Fragment)
+			val, perr = k.decode(e.Fragment, e.Agg, e.Truncated)
 		})
 		if perr != nil {
-			r.err = fmt.Errorf("site %s: batch entry from %s: %w", s.cfg.Name, owner, perr)
+			r.err = fmt.Errorf("site %s: %s batch entry from %s: %w", s.cfg.Name, k.msgKind, owner, perr)
 			continue
 		}
-		*r = subResult{frag: frag, downs: e.Unreachable, bytes: len(e.Fragment)}
+		*r = fetched[T]{val: val, downs: e.Unreachable}
 	}
-	// One cache commit for the whole answer, and only then do the entries'
-	// flights retire.
-	s.cacheFetched(fetched...)
+	// The whole answer lands at once (for raw fragments, one cache commit),
+	// and only then do the entries' flights retire.
+	if k.landed != nil {
+		k.landed(landed...)
+	}
 	for _, p := range piece {
 		finishLeader(p.idx)
 	}

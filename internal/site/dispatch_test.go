@@ -83,74 +83,102 @@ func deployShared(t *testing.T, caching bool, sim transport.SimConfig, mut func(
 	return d
 }
 
-// queryRaw sends a query and returns the whole result message (the raw
-// fragment text matters for the byte-identical splitting test).
-func (d *testDeployment) queryRaw(t *testing.T, siteName, q string) *Message {
+// request sends one query-plane message (KindQuery or KindAggregate) and
+// returns the whole result message, failing the test on an error answer.
+func (d *testDeployment) request(t *testing.T, siteName, kind, q string) *Message {
 	t.Helper()
-	msg := &Message{Kind: KindQuery, Query: q}
+	msg := &Message{Kind: kind, Query: q}
 	respB, err := d.net.Call(siteName, msg.Encode())
 	if err != nil {
-		t.Fatalf("query to %s: %v", siteName, err)
+		t.Fatalf("%s to %s: %v", kind, siteName, err)
 	}
 	resp, err := DecodeMessage(respB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e := resp.AsError(); e != nil {
-		t.Fatalf("query %q at %s: %v", q, siteName, e)
+		t.Fatalf("%s %q at %s: %v", kind, q, siteName, e)
 	}
 	return resp
 }
 
+// queryRaw is request for a raw query (the raw fragment text matters for
+// the byte-identical splitting test).
+func (d *testDeployment) queryRaw(t *testing.T, siteName, q string) *Message {
+	t.Helper()
+	return d.request(t, siteName, KindQuery, q)
+}
+
+// subrequestKinds are the two families the one dispatcher serves. Each
+// dispatch test runs over both: wrap turns a raw path query into the
+// family's request, and body is the part of an answer that must not depend
+// on how the subrequests travelled.
+var subrequestKinds = []struct {
+	name, kind string
+	wrap       func(path string) string
+	body       func(*Message) string
+}{
+	{"raw", KindQuery,
+		func(path string) string { return path + "[available='yes']" },
+		func(m *Message) string { return m.Fragment }},
+	{"aggregate", KindAggregate,
+		func(path string) string { return "sum(" + path + "/price)" },
+		func(m *Message) string { return fmt.Sprintf("%+v", *m.Agg) }},
+}
+
 // TestSiteCoalescingConcurrentColdQueries extends the
 // TestSiteCachingReducesSubqueries guarantee to the concurrent case: N
-// identical cold queries racing into a caching site must issue exactly as
-// many upstream subqueries as one query alone — the first leads the flight,
-// the rest join it (or hit the cache it populates).
+// identical cold requests racing into a caching site must cost exactly as
+// many upstream fetches as one request alone — the first leads the flight,
+// the rest join it (or hit the cache it populates). Raw queries and
+// aggregates share the mechanism, so both are held to it.
 func TestSiteCoalescingConcurrentColdQueries(t *testing.T) {
 	sim := transport.SimConfig{Latency: 3 * time.Millisecond}
 	cityName := "city-" + workload.CityName(0)
+	for _, k := range subrequestKinds {
+		t.Run(k.name, func(t *testing.T) {
+			// Baseline: one cold request on its own deployment.
+			base := deployCfg(t, true, sim, nil)
+			q := k.wrap(base.db.BlockPath(0, 0, 0).String() + "/parkingSpace")
+			want := k.body(base.request(t, cityName, k.kind, q))
+			baseline := base.sites[cityName].Metrics.Subqueries.Value()
+			if baseline != 1 {
+				t.Fatalf("one cold request issued %d upstream subrequests, want 1", baseline)
+			}
 
-	// Baseline: one cold query on its own deployment.
-	base := deployCfg(t, true, sim, nil)
-	q := base.db.BlockQuery(0, 0, 0)
-	base.query(t, cityName, q)
-	baseline := base.sites[cityName].Metrics.Subqueries.Value()
-	if baseline == 0 {
-		t.Fatal("cold query should need subqueries")
-	}
+			// Same request, 8 ways concurrent, on a fresh deployment.
+			d := deployCfg(t, true, sim, nil)
+			city := d.sites[cityName]
+			const workers = 8
+			got := make([]string, workers)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					got[w] = k.body(d.request(t, cityName, k.kind, q))
+				}(w)
+			}
+			wg.Wait()
 
-	// Same query, 8 ways concurrent, on a fresh deployment.
-	d := deployCfg(t, true, sim, nil)
-	city := d.sites[cityName]
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d.query(t, cityName, q)
-		}()
-	}
-	wg.Wait()
-
-	if got := city.Metrics.Subqueries.Value(); got != baseline {
-		t.Fatalf("%d concurrent identical queries issued %d upstream subqueries, want %d",
-			workers, got, baseline)
-	}
-	// Every query after the leader either joined the flight or hit the
-	// cache the flight populated before retiring.
-	coal, hits := city.Metrics.Coalesced.Value(), city.Metrics.CacheHits.Value()
-	if baseline == 1 && coal+hits != workers-1 {
-		t.Fatalf("coalesced=%d cacheHits=%d, want them to cover the other %d queries",
-			coal, hits, workers-1)
-	}
-	// Correctness preserved under coalescing.
-	frag := d.query(t, cityName, q)
-	got := extracted(t, frag, q, d.clock)
-	want := centralAnswer(t, d, q)
-	if strings.Join(got, "|") != strings.Join(want, "|") {
-		t.Fatalf("coalesced answer wrong:\n got %v\nwant %v", got, want)
+			if n := city.Metrics.Subqueries.Value(); n != baseline {
+				t.Fatalf("%d concurrent identical requests issued %d upstream subrequests, want %d",
+					workers, n, baseline)
+			}
+			// Every request after the leader either joined the flight or hit
+			// the cache the leader populated.
+			coal, hits := city.Metrics.Coalesced.Value(), city.Metrics.CacheHits.Value()
+			if coal+hits != workers-1 {
+				t.Fatalf("coalesced=%d cacheHits=%d, want them to cover the other %d requests",
+					coal, hits, workers-1)
+			}
+			// Correctness preserved under coalescing.
+			for w := range got {
+				if got[w] != want {
+					t.Fatalf("coalesced answer %d differs from the lone one:\n got %s\nwant %s", w, got[w], want)
+				}
+			}
+		})
 	}
 }
 
@@ -244,44 +272,43 @@ func TestSiteConcurrentCoalescedFetchesWithEviction(t *testing.T) {
 	}
 }
 
-// TestBatchSplittingByteIdenticalAnswer checks that a destination group
-// split by the byte cap reassembles into exactly the answer an unsplit
-// batch — and the unbatched path — produce.
+// TestBatchSplittingByteIdenticalAnswer checks that three subrequests bound
+// for one owner ship as one batch message, that a destination group split by
+// the byte cap ships every entry as its own plain message (the unbatched
+// path), and that both reassemble into exactly the same answer.
 func TestBatchSplittingByteIdenticalAnswer(t *testing.T) {
 	cityName := "city-" + workload.CityName(0)
-	run := func(mut func(*Config)) (*testDeployment, string) {
-		d := deployShared(t, false, transport.SimConfig{}, mut)
-		// All three blocks of one neighborhood: three subqueries, one
-		// destination site.
-		q := d.db.NeighborhoodPath(0, 0).String() + "/block/parkingSpace[available='yes']"
-		return d, d.queryRaw(t, cityName, q).Fragment
-	}
+	for _, k := range subrequestKinds {
+		t.Run(k.name, func(t *testing.T) {
+			run := func(mut func(*Config)) (*Site, string) {
+				d := deployShared(t, false, transport.SimConfig{}, mut)
+				// All three blocks of one neighborhood: three subrequests,
+				// one destination site.
+				q := k.wrap(d.db.NeighborhoodPath(0, 0).String() + "/block/parkingSpace")
+				return d.sites[cityName], k.body(d.request(t, cityName, k.kind, q))
+			}
+			wc, whole := run(nil)
+			sc, split := run(func(c *Config) { c.BatchByteCap = 1 })
+			if whole != split {
+				t.Fatalf("split batch answer differs from unsplit:\n%s\nvs\n%s", split, whole)
+			}
 
-	whole, wholeFrag := run(nil)
-	split, splitFrag := run(func(c *Config) { c.BatchByteCap = 1 })
-	_, plainFrag := run(func(c *Config) { c.DisableBatching = true })
-
-	if wholeFrag != splitFrag {
-		t.Fatalf("split batch answer differs from unsplit:\n%s\nvs\n%s", splitFrag, wholeFrag)
-	}
-	if wholeFrag != plainFrag {
-		t.Fatalf("batched answer differs from unbatched:\n%s\nvs\n%s", plainFrag, wholeFrag)
-	}
-
-	// The uncapped run shipped all three subqueries as one batch message;
-	// the 1-byte cap collapses every piece to a single entry, which falls
-	// back to plain per-entry KindQuery messages (no degenerate batches).
-	wc, sc := whole.sites[cityName], split.sites[cityName]
-	if wc.Metrics.Subqueries.Value() != 3 || wc.Metrics.Batches.Value() != 1 || wc.Metrics.SubqueryRPCs.Value() != 1 {
-		t.Fatalf("uncapped: subqueries=%d batches=%d rpcs=%d, want 3/1/1",
-			wc.Metrics.Subqueries.Value(), wc.Metrics.Batches.Value(), wc.Metrics.SubqueryRPCs.Value())
-	}
-	if sc.Metrics.Batches.Value() != 0 || sc.Metrics.SubqueryRPCs.Value() != 3 || sc.Metrics.Subqueries.Value() != 3 {
-		t.Fatalf("capped: subqueries=%d batches=%d rpcs=%d, want 3/0/3",
-			sc.Metrics.Subqueries.Value(), sc.Metrics.Batches.Value(), sc.Metrics.SubqueryRPCs.Value())
-	}
-	if n := wc.Metrics.BatchSize.Count(); n != 1 || wc.Metrics.BatchSize.Mean() != 3 {
-		t.Fatalf("uncapped batch-size histogram: count=%d mean=%v", n, wc.Metrics.BatchSize.Mean())
+			// The uncapped run shipped all three subrequests as one batch
+			// message; the 1-byte cap collapses every piece to a single
+			// entry, which falls back to plain per-entry messages (no
+			// degenerate batches).
+			if wc.Metrics.Subqueries.Value() != 3 || wc.Metrics.Batches.Value() != 1 || wc.Metrics.SubqueryRPCs.Value() != 1 {
+				t.Fatalf("uncapped: subqueries=%d batches=%d rpcs=%d, want 3/1/1",
+					wc.Metrics.Subqueries.Value(), wc.Metrics.Batches.Value(), wc.Metrics.SubqueryRPCs.Value())
+			}
+			if sc.Metrics.Batches.Value() != 0 || sc.Metrics.SubqueryRPCs.Value() != 3 || sc.Metrics.Subqueries.Value() != 3 {
+				t.Fatalf("capped: subqueries=%d batches=%d rpcs=%d, want 3/0/3",
+					sc.Metrics.Subqueries.Value(), sc.Metrics.Batches.Value(), sc.Metrics.SubqueryRPCs.Value())
+			}
+			if n := wc.Metrics.BatchSize.Count(); n != 1 || wc.Metrics.BatchSize.Mean() != 3 {
+				t.Fatalf("uncapped batch-size histogram: count=%d mean=%v", n, wc.Metrics.BatchSize.Mean())
+			}
+		})
 	}
 }
 
@@ -495,7 +522,7 @@ func TestBatchReceiverPerEntryStatus(t *testing.T) {
 func TestSplitByByteCap(t *testing.T) {
 	var group []pendingSub
 	for i := 0; i < 7; i++ {
-		group = append(group, pendingSub{idx: i, sq: qeg.Subquery{Query: strings.Repeat("q", 40)}})
+		group = append(group, pendingSub{idx: i, entry: BatchEntry{Query: strings.Repeat("q", 40)}})
 	}
 	pieces := splitByByteCap(group, 120)
 	if len(pieces) < 2 {

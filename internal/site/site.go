@@ -42,22 +42,12 @@ type Config struct {
 	// Caching is set. It implements the Section 5.5 bypass suggestion and
 	// the "caching with no hits" condition of Figure 10.
 	CacheBypass bool
-	// DisableIndex turns off the cache-conscious fragment index fast path,
-	// forcing every local evaluation through the tree walker. It exists as
-	// the baseline arm of irisbench -exp local-eval and as an escape hatch.
-	DisableIndex bool
 	// NaivePlans selects the unoptimized per-query XSLT generation path
 	// (Figure 11's "naive XSLT creation").
 	NaivePlans bool
 	// CPUSlots is the number of concurrent CPU-bound message-processing
 	// slots (1 models the paper's single-CPU machines).
 	CPUSlots int
-	// CoarseLocking reinstates the pre-snapshot concurrency control for
-	// benchmarking: query evaluation holds a reader-writer lock that every
-	// update and cache merge takes exclusively, so reads and writes
-	// serialize exactly as they did before the copy-on-write design. It
-	// exists only as the "before" arm of irisbench -exp read-write-mix.
-	CoarseLocking bool
 	// QueryWork, PerNodeWork and UpdateWork model the paper's heavier XML
 	// backend (Xindice + Xalan cost milliseconds per operation where this
 	// native engine costs microseconds): each query evaluation holds the
@@ -85,31 +75,16 @@ type Config struct {
 	// Nil disables logging; the benchmark harness leaves it nil so the hot
 	// path pays only a disabled-handler check.
 	Logger *slog.Logger
-	// DisableBatching turns off per-destination subquery batching: every
-	// fresh subquery ships as its own KindQuery message, the pre-batching
-	// behavior. It exists for the irisbench batching comparison; leave it
-	// false in production, where a query fanning out to N subtrees owned by
-	// one site pays one round trip instead of N.
-	DisableBatching bool
 	// BatchByteCap caps the encoded payload size of one KindBatch message;
 	// destination groups whose entries exceed it are split into several
 	// batch messages. Zero uses DefaultBatchByteCap.
 	BatchByteCap int
-	// DisableCoalescing turns off single-flight deduplication of identical
-	// in-flight subqueries at caching sites (see dispatch.go). Only
-	// meaningful when Caching is set: coalescing never runs without it.
-	DisableCoalescing bool
 	// CacheBudgetBytes bounds the accounted in-memory size of cached
 	// (non-owned) data. When a cache merge pushes the store past the
 	// budget, the coldest local-information units are evicted in the same
 	// copy-on-write transaction (see cache.go); zero leaves the cache
 	// unbounded, the pre-budget behavior. Only meaningful with Caching.
 	CacheBudgetBytes int64
-	// DisableFreshnessLedger turns off per-answer provenance accounting
-	// (the qeg staleness ledger, FreshnessReport spans and the staleness/
-	// provenance metrics). The ledger is on by default; this exists as the
-	// baseline arm of irisbench -exp obs-overhead and as an escape hatch.
-	DisableFreshnessLedger bool
 	// ReplicaFlushInterval is the owner-side replication flush cadence:
 	// committed deltas batch for at most this long before shipping to read
 	// replicas, and idle streams heartbeat their watermark at this period
@@ -315,13 +290,18 @@ type siteState struct {
 // atomically; because each writer starts from the version the previous
 // writer published, no writer can lose another's changes.
 type Site struct {
-	cfg        Config
-	log        *slog.Logger
-	cpu        *transport.CPU
-	compiler   *qeg.Compiler
-	call       *transport.Caller
-	flights    *flightGroup[subResult]
-	aggFlights *flightGroup[aggResult]
+	cfg      Config
+	log      *slog.Logger
+	cpu      *transport.CPU
+	compiler *qeg.Compiler
+	call     *transport.Caller
+
+	// rawKind and aggKind are the two families of subrequest the one
+	// dispatcher serves (dispatch.go): raw subqueries, whose fetched
+	// fragments are cached before their flights retire, and aggregate
+	// subrequests, whose partial states are only combined.
+	rawKind *subKind[rawAnswer]
+	aggKind *subKind[aggAnswer]
 
 	// summaries is the aggregate summary cache: combined partial-aggregate
 	// answers kept by caching sites so repeated aggregate queries skip the
@@ -351,10 +331,6 @@ type Site struct {
 	wmu   sync.Mutex
 	state atomic.Pointer[siteState]
 
-	// coarse reinstates read/write serialization when cfg.CoarseLocking is
-	// set (benchmark baseline only); otherwise it is never touched.
-	coarse sync.RWMutex
-
 	Metrics Metrics
 }
 
@@ -375,11 +351,13 @@ func New(cfg Config, rootName, rootID string) *Site {
 		log:          cfg.Logger,
 		cpu:          transport.NewCPU(cfg.CPUSlots),
 		compiler:     qeg.NewCompiler(cfg.Schema, cfg.NaivePlans),
-		flights:      newFlightGroup[subResult](),
-		aggFlights:   newFlightGroup[aggResult](),
 		stopPressure: make(chan struct{}),
 		subs:         map[string]*replicaSub{},
 	}
+	s.rawKind = &subKind[rawAnswer]{msgKind: KindQuery, flights: newFlightGroup[fetched[rawAnswer]](),
+		decode: decodeRaw, landed: s.cacheFetched}
+	s.aggKind = &subKind[aggAnswer]{msgKind: KindAggregate, entryKind: KindAggregate,
+		flights: newFlightGroup[fetched[aggAnswer]](), decode: decodeAgg}
 	s.repl = newReplicator(s)
 	if cfg.Caching && cfg.CacheBudgetBytes > 0 {
 		s.cache = newCacheManager()
@@ -646,6 +624,171 @@ func (s *Site) Handle(ctx context.Context, payload []byte) ([]byte, error) {
 	return resp.Encode(), nil
 }
 
+// hop is the frame one query-plane request — a raw query or an aggregate,
+// arriving alone or as a batch entry — runs in at this site: its span, its
+// stage clocks, and what its gather asked for and could not reach.
+// handleQuery and handleAggregate differ in what they fold sub-answers into;
+// everything around the fold is here.
+type hop struct {
+	s     *Site
+	msg   *Message
+	span  *trace.Span // nil unless the request carries a TraceID
+	stats *transport.CallStats
+	t0    time.Time
+
+	planTime, execTime, commTime time.Duration
+	// fanout counts the subrequests issued; zero means the answer came
+	// entirely from local and cached data (a cache hit).
+	fanout int
+	// unreachable holds the ID-path keys of subtrees whose owners did not
+	// answer (partial answer); truncated marks a gather cut at its round bound.
+	unreachable map[string]bool
+	truncated   bool
+	freshness   *trace.FreshnessReport
+}
+
+// beginHop opens the frame for msg, or forwards msg and returns the answer
+// that came back (third result; no frame then). route is the query whose LCA
+// addresses the request: the query itself, or an aggregate's inner path.
+func (s *Site) beginHop(ctx context.Context, msg *Message, op, route string, reqBytes int) (context.Context, *hop, *Message) {
+	h := &hop{s: s, msg: msg, unreachable: map[string]bool{}}
+	// Tracing: a TraceID on the request makes this hop record a span. The
+	// per-hop retry/deadline tallies ride in the context so concurrent
+	// queries do not race on the site-wide counters.
+	if msg.TraceID != "" {
+		h.span = &trace.Span{TraceID: msg.TraceID, Site: s.cfg.Name, Query: msg.Query, Op: op, BytesIn: reqBytes}
+		ctx, h.stats = transport.WithCallStats(ctx)
+	}
+	// Stale-DNS forwarding (Section 4): if the request targets a subtree this
+	// site delegated away, pass it to the new owner rather than serving a
+	// stale copy — the old owner "has the correct DNS entry in its cache".
+	if to, ok := s.forwardTarget(route); ok {
+		return ctx, nil, h.forward(ctx, to)
+	}
+	s.Metrics.Queries.Inc()
+	h.t0 = time.Now()
+	return ctx, h, nil
+}
+
+// forward relays the request to the site that now owns its subtree and
+// returns that site's answer, with this hop's span wrapped around its span.
+func (h *hop) forward(ctx context.Context, to string) *Message {
+	s := h.s
+	s.Metrics.Forwards.Inc()
+	t0 := time.Now()
+	h.msg.StampDeadline(ctx)
+	respB, err := s.call.Call(ctx, to, h.msg.Encode())
+	if err != nil {
+		return errorMessage(fmt.Errorf("site %s: forwarding to %s: %w", s.cfg.Name, to, err))
+	}
+	resp, err := DecodeMessage(respB)
+	if err != nil {
+		return errorMessage(err)
+	}
+	s.log.LogAttrs(ctx, slog.LevelDebug, "query forwarded",
+		slog.String("trace_id", h.msg.TraceID), slog.String("to", to),
+		slog.Duration("dur", time.Since(t0)))
+	if h.span != nil {
+		h.span.Op = "forward"
+		h.span.DurationUS = time.Since(t0).Microseconds()
+		finishSpan(h.span, h.stats)
+		if resp.Span != nil {
+			h.span.Children = append(h.span.Children, resp.Span)
+		}
+		resp.Span = h.span
+	}
+	return resp
+}
+
+// compile is plan creation (Figure 11: "Creating the XSLT query").
+func (h *hop) compile(query string) ([]*qeg.Plan, error) {
+	var plans []*qeg.Plan
+	var err error
+	tp := time.Now()
+	h.s.cpu.Do(func() {
+		plans, err = h.s.compiler.Compile(query)
+	})
+	h.planTime = time.Since(tp)
+	h.s.Metrics.Breakdown.Add("create-plan", h.planTime)
+	return plans, err
+}
+
+// evaluate runs one plan against a store while holding a CPU slot, and holds
+// the slot on for the cost model's service time (Config.QueryWork).
+func (h *hop) evaluate(store *fragment.Store, plan *qeg.Plan, opts qeg.Options) (*qeg.Result, error) {
+	cfg := &h.s.cfg
+	var res *qeg.Result
+	var err error
+	te := time.Now()
+	h.s.cpu.Do(func() {
+		res, err = qeg.Evaluate(store, plan, opts)
+		if cfg.QueryWork > 0 || cfg.PerNodeWork > 0 {
+			cost := cfg.QueryWork
+			if cfg.PerNodeWork > 0 && res != nil {
+				cost += time.Duration(res.Nodes) * cfg.PerNodeWork
+			}
+			spin(cost)
+		}
+	})
+	h.execTime += time.Since(te)
+	return res, err
+}
+
+// finish closes the frame around the answer res: hit/miss and stage
+// accounting, the partial-answer markers, the span and the served log.
+// bytesOut is the size of the answer fragment, when there is one.
+func (h *hop) finish(ctx context.Context, res *Message, bytesOut int) *Message {
+	s := h.s
+	cacheHit := h.fanout == 0
+	if cacheHit {
+		s.Metrics.CacheHits.Inc()
+	} else {
+		s.Metrics.CacheMisses.Inc()
+	}
+	total := time.Since(h.t0)
+	rest := total - h.execTime - h.commTime
+	s.Metrics.Breakdown.Add("execute-qeg", h.execTime)
+	s.Metrics.Breakdown.Add("communication", h.commTime)
+	s.Metrics.Breakdown.Add("rest", rest)
+
+	res.Truncated = h.truncated
+	if len(h.unreachable) > 0 {
+		s.Metrics.PartialAnswers.Inc()
+		res.Unreachable = make([]string, 0, len(h.unreachable))
+		for k := range h.unreachable {
+			res.Unreachable = append(res.Unreachable, k)
+		}
+		sort.Strings(res.Unreachable)
+	}
+	if span := h.span; span != nil {
+		span.DurationUS = total.Microseconds()
+		span.AddStage("create-plan", h.planTime)
+		span.AddStage("execute-qeg", h.execTime)
+		span.AddStage("communication", h.commTime)
+		span.AddStage("rest", rest)
+		span.CacheHit = cacheHit
+		span.Subqueries = h.fanout
+		span.BytesOut = bytesOut
+		span.Partial = len(res.Unreachable) > 0
+		span.Unreachable = res.Unreachable
+		span.Truncated = h.truncated
+		span.Freshness = h.freshness
+		finishSpan(span, h.stats)
+		res.Span = span
+	}
+	s.log.LogAttrs(ctx, slog.LevelDebug, "query served",
+		slog.String("trace_id", h.msg.TraceID), slog.String("kind", h.msg.Kind), slog.Duration("dur", total),
+		slog.Bool("cache_hit", cacheHit), slog.Int("fanout", h.fanout),
+		slog.Int("unreachable", len(res.Unreachable)))
+	if s.cfg.SlowQueryThreshold > 0 && total >= s.cfg.SlowQueryThreshold {
+		s.log.LogAttrs(ctx, slog.LevelWarn, "slow query",
+			slog.String("trace_id", h.msg.TraceID), slog.String("query", clipQuery(h.msg.Query)),
+			slog.Duration("dur", total), slog.Duration("threshold", s.cfg.SlowQueryThreshold),
+			slog.Bool("cache_hit", cacheHit), slog.Int("fanout", h.fanout))
+	}
+	return res
+}
+
 // handleQuery runs the full query-evaluate-gather loop for a query or
 // subquery arriving at this site and returns the assembled answer fragment.
 // Subquery failures do not fail the query: the affected subtree is spliced
@@ -657,79 +800,64 @@ func (s *Site) Handle(ctx context.Context, payload []byte) ([]byte, error) {
 // a single consistent version. Nil loads the latest published snapshot per
 // plan, the behavior for individually arriving queries.
 func (s *Site) handleQuery(ctx context.Context, msg *Message, reqBytes int, pinned *fragment.Store) *Message {
-	// Tracing: a TraceID on the query makes this hop record a span. The
-	// per-hop retry/deadline tallies ride in the context so concurrent
-	// queries do not race on the site-wide counters.
-	var span *trace.Span
-	var stats *transport.CallStats
-	if msg.TraceID != "" {
-		span = &trace.Span{TraceID: msg.TraceID, Site: s.cfg.Name, Query: msg.Query, Op: "query", BytesIn: reqBytes}
-		ctx, stats = transport.WithCallStats(ctx)
+	ctx, h, forwarded := s.beginHop(ctx, msg, "query", msg.Query, reqBytes)
+	if forwarded != nil {
+		return forwarded
 	}
-
-	// Stale-DNS forwarding (Section 4): if the query targets a subtree this
-	// site delegated away, pass it to the new owner rather than serving a
-	// stale copy — the old owner "has the correct DNS entry in its cache".
-	if to, ok := s.forwardTarget(msg.Query); ok {
-		s.Metrics.Forwards.Inc()
-		t0 := time.Now()
-		msg.StampDeadline(ctx)
-		respB, err := s.call.Call(ctx, to, msg.Encode())
-		if err != nil {
-			return errorMessage(fmt.Errorf("site %s: forwarding to %s: %w", s.cfg.Name, to, err))
-		}
-		resp, err := DecodeMessage(respB)
-		if err != nil {
-			return errorMessage(err)
-		}
-		s.log.LogAttrs(ctx, slog.LevelDebug, "query forwarded",
-			slog.String("trace_id", msg.TraceID), slog.String("to", to),
-			slog.Duration("dur", time.Since(t0)))
-		if span != nil {
-			span.Op = "forward"
-			span.DurationUS = time.Since(t0).Microseconds()
-			finishSpan(span, stats)
-			if resp.Span != nil {
-				span.Children = append(span.Children, resp.Span)
-			}
-			resp.Span = span
-		}
-		return resp
+	plans, err := h.compile(msg.Query)
+	if err != nil {
+		return errorMessage(err)
 	}
-
-	s.Metrics.Queries.Inc()
-	t0 := time.Now()
-
-	// Plan creation (Figure 11: "Creating the XSLT query").
-	var plans []*qeg.Plan
-	var planErr error
+	ans, err := h.gather(ctx, msg.Query, plans, pinned)
+	if err != nil {
+		return errorMessage(err)
+	}
+	var out string
 	s.cpu.Do(func() {
-		plans, planErr = s.compiler.Compile(msg.Query)
+		out = ans.Root.StringSized(ans.Size())
 	})
-	planTime := time.Since(t0)
-	s.Metrics.Breakdown.Add("create-plan", planTime)
-	if planErr != nil {
-		return errorMessage(planErr)
-	}
+	return h.finish(ctx, &Message{Kind: KindResult, Fragment: out}, len(out))
+}
 
-	opts := qeg.Options{Now: s.cfg.Clock, IgnoreCached: s.cfg.CacheBypass, NoIndex: s.cfg.DisableIndex}
+// gather is the evaluate/fetch/splice loop over the plans of one query: it
+// assembles the answer store, leaving the subtrees it could not fetch as
+// unreachable placeholders, and records the answer's staleness ledger.
+func (h *hop) gather(ctx context.Context, query string, plans []*qeg.Plan, pinned *fragment.Store) (*fragment.Store, error) {
+	s := h.s
+	opts := qeg.Options{Now: s.cfg.Clock, IgnoreCached: s.cfg.CacheBypass}
 	ans := fragment.NewStore(s.rootName(), s.rootID())
 	seen := map[string]bool{}
-	unreachable := map[string]bool{}
-	askedAny := false
-	truncated := false
-	fanout := 0
 
 	// Staleness ledger: prov aggregates provenance across plans and gather
 	// rounds; only the rounds whose local result actually merges into the
 	// answer contribute (intermediate nested rounds re-read the same units).
-	var prov *qeg.Provenance
-	if !s.cfg.DisableFreshnessLedger {
-		prov = qeg.NewProvenance(s.cfg.Clock())
-	}
+	prov := qeg.NewProvenance(s.cfg.Clock())
 	var fetchedBytes int64
+	// mergeLocal splices a round's local result into the answer and its
+	// ledger into the answer's.
+	mergeLocal := func(res *qeg.Result, what string) error {
+		var err error
+		s.cpu.Do(func() {
+			err = ans.MergeFragment(res.Fragment)
+		})
+		if err != nil {
+			return fmt.Errorf("site %s: merging %s result: %w", s.cfg.Name, what, err)
+		}
+		prov.Merge(opts.Prov)
+		return nil
+	}
+	markUnreachable := func(p xmldb.IDPath) error {
+		var err error
+		s.cpu.Do(func() {
+			err = ans.MarkUnreachable(p)
+		})
+		if err != nil {
+			return fmt.Errorf("site %s: marking %s unreachable: %w", s.cfg.Name, p, err)
+		}
+		h.unreachable[p.Key()] = true
+		return nil
+	}
 
-	var execTime, commTime time.Duration
 	for _, plan := range plans {
 		// One atomic load pins this plan's snapshot; evaluation runs
 		// lock-free against the sealed version. Nested plans evaluate a
@@ -743,35 +871,13 @@ func (s *Site) handleQuery(ctx context.Context, msg *Message, reqBytes int, pinn
 		var work *fragment.Store // nil = evaluate the published snapshot
 		if plan.NestedIdx >= 0 {
 			work = snap.Clone()
+			snap = work
 		}
 		for round := 0; ; round++ {
-			var res *qeg.Result
-			var evalErr error
-			if prov != nil {
-				opts.Prov = qeg.NewProvenance(prov.Now())
-			}
-			te := time.Now()
-			s.cpu.Do(func() {
-				if work != nil {
-					res, evalErr = qeg.Evaluate(work, plan, opts)
-				} else if s.cfg.CoarseLocking {
-					s.coarse.RLock()
-					res, evalErr = qeg.Evaluate(snap, plan, opts)
-					s.coarse.RUnlock()
-				} else {
-					res, evalErr = qeg.Evaluate(snap, plan, opts)
-				}
-				if s.cfg.QueryWork > 0 || s.cfg.PerNodeWork > 0 {
-					cost := s.cfg.QueryWork
-					if s.cfg.PerNodeWork > 0 && res != nil {
-						cost += time.Duration(res.Nodes) * s.cfg.PerNodeWork
-					}
-					spin(cost)
-				}
-			})
-			execTime += time.Since(te)
-			if evalErr != nil {
-				return errorMessage(evalErr)
+			opts.Prov = qeg.NewProvenance(prov.Now())
+			res, err := h.evaluate(snap, plan, opts)
+			if err != nil {
+				return nil, err
 			}
 
 			var fresh []qeg.Subquery
@@ -782,14 +888,8 @@ func (s *Site) handleQuery(ctx context.Context, msg *Message, reqBytes int, pinn
 				}
 			}
 			if len(fresh) == 0 {
-				s.cpu.Do(func() {
-					evalErr = ans.MergeFragment(res.Fragment)
-				})
-				if evalErr != nil {
-					return errorMessage(fmt.Errorf("site %s: merging local result: %w", s.cfg.Name, evalErr))
-				}
-				if prov != nil {
-					prov.Merge(opts.Prov)
+				if err := mergeLocal(res, "local"); err != nil {
+					return nil, err
 				}
 				break
 			}
@@ -799,72 +899,50 @@ func (s *Site) handleQuery(ctx context.Context, msg *Message, reqBytes int, pinn
 				// truncation marker — everything gathered so far plus
 				// unreachable markers for the still-pending subtrees —
 				// instead of discarding the work (gather truncation).
-				s.cpu.Do(func() {
-					evalErr = ans.MergeFragment(res.Fragment)
-				})
-				if evalErr != nil {
-					return errorMessage(fmt.Errorf("site %s: merging truncated result: %w", s.cfg.Name, evalErr))
-				}
-				if prov != nil {
-					prov.Merge(opts.Prov)
+				if err := mergeLocal(res, "truncated"); err != nil {
+					return nil, err
 				}
 				for _, sq := range fresh {
-					if merr := s.markUnreachable(ans, unreachable, sq.Target); merr != nil {
-						return errorMessage(fmt.Errorf("site %s: marking %s unreachable: %w", s.cfg.Name, sq.Target, merr))
+					if err := markUnreachable(sq.Target); err != nil {
+						return nil, err
 					}
 				}
-				truncated = true
+				h.truncated = true
 				s.log.LogAttrs(ctx, slog.LevelWarn, "gather truncated",
-					slog.String("trace_id", msg.TraceID), slog.String("query", clipQuery(msg.Query)),
+					slog.String("trace_id", h.msg.TraceID), slog.String("query", clipQuery(query)),
 					slog.Int("rounds", round), slog.Int("pending", len(fresh)))
 				break
 			}
-			askedAny = true
-			fanout += len(fresh)
 			// Subqueries address disjoint parts of the hierarchy; the
 			// dispatcher fetches them concurrently, coalescing duplicate
 			// in-flight fetches and batching per destination site (the
 			// splice itself stays serialized).
-			tc := time.Now()
-			results, batchSpans := s.dispatchSubqueries(ctx, fresh, msg.TraceID)
-			commTime += time.Since(tc)
-			if span != nil {
-				span.Children = append(span.Children, batchSpans...)
-				for _, r := range results {
-					if r.span != nil {
-						span.Children = append(span.Children, r.span)
-					}
-				}
-			}
-			for i, r := range results {
-				sub := r.frag
-				if r.err == nil {
-					fetchedBytes += int64(r.bytes)
-				}
+			for i, r := range dispatch(ctx, h, s.rawKind, fresh) {
 				if r.err != nil {
 					// Partial answer: the target's owner did not respond
 					// within the remaining budget. Splice an unreachable
 					// placeholder instead of failing the whole query; the
 					// seen-set guarantees the subquery is not reissued.
-					if merr := s.markUnreachable(ans, unreachable, fresh[i].Target); merr != nil {
-						return errorMessage(fmt.Errorf("site %s: marking %s unreachable: %w", s.cfg.Name, fresh[i].Target, merr))
+					if err := markUnreachable(fresh[i].Target); err != nil {
+						return nil, err
 					}
 					continue
 				}
+				fetchedBytes += int64(r.val.bytes)
 				// The site-cache merge already happened in the dispatch
 				// layer, before the fetch's flight retired (dispatch.go);
 				// only the answer (and working copy) splices remain.
 				var mergeErr error
 				s.cpu.Do(func() {
 					if work != nil {
-						mergeErr = work.MergeFragment(sub)
+						mergeErr = work.MergeFragment(r.val.frag)
 					}
 					if mergeErr == nil {
-						mergeErr = ans.MergeFragment(sub)
+						mergeErr = ans.MergeFragment(r.val.frag)
 					}
 				})
 				if mergeErr != nil {
-					return errorMessage(fmt.Errorf("site %s: splicing subanswer: %w", s.cfg.Name, mergeErr))
+					return nil, fmt.Errorf("site %s: splicing subanswer: %w", s.cfg.Name, mergeErr)
 				}
 				// Unreachable markers carry no data, so merging drops them;
 				// re-apply the downstream site's partial-answer list here.
@@ -873,112 +951,54 @@ func (s *Site) handleQuery(ctx context.Context, msg *Message, reqBytes int, pinn
 					if perr != nil {
 						continue
 					}
-					if merr := s.markUnreachable(ans, unreachable, p); merr != nil {
-						return errorMessage(fmt.Errorf("site %s: marking %s unreachable: %w", s.cfg.Name, p, merr))
+					if err := markUnreachable(p); err != nil {
+						return nil, err
 					}
 				}
 			}
 			if work == nil {
 				// Depth-0 plans finish after one fetch round: every
 				// subanswer is complete for its scope by induction.
-				var mergeErr error
-				s.cpu.Do(func() {
-					mergeErr = ans.MergeFragment(res.Fragment)
-				})
-				if mergeErr != nil {
-					return errorMessage(fmt.Errorf("site %s: merging local result: %w", s.cfg.Name, mergeErr))
-				}
-				if prov != nil {
-					prov.Merge(opts.Prov)
+				if err := mergeLocal(res, "local"); err != nil {
+					return nil, err
 				}
 				break
 			}
 		}
-	}
-	if !askedAny {
-		s.Metrics.CacheHits.Inc()
-	} else {
-		s.Metrics.CacheMisses.Inc()
 	}
 	if s.cache != nil {
 		// Refresh the recency of every cached unit this answer used, so the
 		// budget policy evicts the units queries are not asking for.
 		s.cache.touchAnswer(ans.Root, s.cfg.Clock())
 	}
-	s.Metrics.Breakdown.Add("execute-qeg", execTime)
-	s.Metrics.Breakdown.Add("communication", commTime)
 
-	var freshness *trace.FreshnessReport
-	if prov != nil {
-		freshness = freshnessReport(prov, fetchedBytes)
-		if lag, ok := s.replicaLagForQuery(msg.Query); ok {
-			// The answer came (at least partly) from replicated data: record
-			// how far behind the owner this site was when it served.
-			freshness.ReplicaLagSec = lag
-		}
-		s.Metrics.AnswerStaleness.Observe(prov.AgeMax)
-		s.Metrics.CacheAge.Observe(prov.MeanAge())
-		if m, ok := prov.MinMargin(); ok {
-			s.Metrics.PredicateMargin.Observe(m)
-		}
-		s.Metrics.AnswerCacheBytes.Add(prov.CachedBytes)
-		s.Metrics.AnswerOwnedBytes.Add(prov.OwnedBytes)
-		s.Metrics.AnswerFetchedBytes.Add(fetchedBytes)
+	h.freshness = freshnessReport(prov, fetchedBytes)
+	if lag, ok := s.replicaLagForQuery(query); ok {
+		// The answer came (at least partly) from replicated data: record
+		// how far behind the owner this site was when it served.
+		h.freshness.ReplicaLagSec = lag
 	}
-
-	var out string
-	s.cpu.Do(func() {
-		out = ans.Root.StringSized(ans.Size())
-	})
-	total := time.Since(t0)
-	s.Metrics.Breakdown.Add("rest", total-execTime-commTime)
-	res := &Message{Kind: KindResult, Fragment: out, Truncated: truncated}
-	if len(unreachable) > 0 {
-		s.Metrics.PartialAnswers.Inc()
-		res.Unreachable = make([]string, 0, len(unreachable))
-		for k := range unreachable {
-			res.Unreachable = append(res.Unreachable, k)
-		}
-		sort.Strings(res.Unreachable)
+	s.Metrics.AnswerStaleness.Observe(prov.AgeMax)
+	s.Metrics.CacheAge.Observe(prov.MeanAge())
+	minMargin, hasMargin := prov.MinMargin()
+	if hasMargin {
+		s.Metrics.PredicateMargin.Observe(minMargin)
 	}
-	if span != nil {
-		span.DurationUS = total.Microseconds()
-		span.AddStage("create-plan", planTime)
-		span.AddStage("execute-qeg", execTime)
-		span.AddStage("communication", commTime)
-		span.AddStage("rest", total-execTime-commTime)
-		span.CacheHit = !askedAny
-		span.Subqueries = fanout
-		span.BytesOut = len(out)
-		span.Partial = len(res.Unreachable) > 0
-		span.Unreachable = res.Unreachable
-		span.Truncated = truncated
-		span.Freshness = freshness
-		finishSpan(span, stats)
-		res.Span = span
-	}
-	s.log.LogAttrs(ctx, slog.LevelDebug, "query served",
-		slog.String("trace_id", msg.TraceID), slog.Duration("dur", total),
-		slog.Bool("cache_hit", !askedAny), slog.Int("fanout", fanout),
-		slog.Int("unreachable", len(res.Unreachable)))
-	if s.cfg.SlowQueryThreshold > 0 && total >= s.cfg.SlowQueryThreshold {
-		s.log.LogAttrs(ctx, slog.LevelWarn, "slow query",
-			slog.String("trace_id", msg.TraceID), slog.String("query", clipQuery(msg.Query)),
-			slog.Duration("dur", total), slog.Duration("threshold", s.cfg.SlowQueryThreshold),
-			slog.Bool("cache_hit", !askedAny), slog.Int("fanout", fanout))
-	}
-	if prov != nil && s.cfg.StaleAnswerThreshold > 0 && prov.AgeMax >= s.cfg.StaleAnswerThreshold.Seconds() {
+	s.Metrics.AnswerCacheBytes.Add(prov.CachedBytes)
+	s.Metrics.AnswerOwnedBytes.Add(prov.OwnedBytes)
+	s.Metrics.AnswerFetchedBytes.Add(fetchedBytes)
+	if s.cfg.StaleAnswerThreshold > 0 && prov.AgeMax >= s.cfg.StaleAnswerThreshold.Seconds() {
 		attrs := []slog.Attr{
-			slog.String("trace_id", msg.TraceID), slog.String("query", clipQuery(msg.Query)),
+			slog.String("trace_id", h.msg.TraceID), slog.String("query", clipQuery(query)),
 			slog.Float64("max_age_sec", prov.AgeMax), slog.Float64("mean_age_sec", prov.MeanAge()),
 			slog.Int("cached_units", prov.CachedUnits),
 		}
-		if m, ok := prov.MinMargin(); ok {
-			attrs = append(attrs, slog.Float64("min_margin_sec", m))
+		if hasMargin {
+			attrs = append(attrs, slog.Float64("min_margin_sec", minMargin))
 		}
 		s.log.LogAttrs(ctx, slog.LevelWarn, "stale answer", attrs...)
 	}
-	return res
+	return ans, nil
 }
 
 // clipQuery bounds query text in log records.
@@ -1046,10 +1066,6 @@ func (s *Site) mergeCache(frags []*xmldb.Node) []error {
 // installed (cache.go). A rejected fragment returns its error with nothing
 // published and no residency recorded.
 func (s *Site) commitMerge(frags []*xmldb.Node) error {
-	if s.cfg.CoarseLocking {
-		s.coarse.Lock()
-		defer s.coarse.Unlock()
-	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	st := s.state.Load()
@@ -1093,80 +1109,6 @@ func finishSpan(span *trace.Span, stats *transport.CallStats) {
 		span.Retries = stats.Retries.Load()
 		span.DeadlineHits = stats.DeadlineHits.Load()
 	}
-}
-
-// markUnreachable splices an unreachable placeholder for the path into the
-// answer fragment and records it in the result's unreachable set.
-func (s *Site) markUnreachable(ans *fragment.Store, set map[string]bool, p xmldb.IDPath) error {
-	var err error
-	s.cpu.Do(func() {
-		err = ans.MarkUnreachable(p)
-	})
-	if err != nil {
-		return err
-	}
-	set[p.Key()] = true
-	return nil
-}
-
-// fetchSubquery routes one subquery to the owner of its target node,
-// retrying transient failures within the context's deadline. It returns the
-// answer fragment, the remote site's own unreachable-path list (partial
-// answers compose across hops), and — when traceID is set — the remote
-// hop's span (a synthetic error span when the fetch failed, so the trace
-// tree still shows where a partial answer lost its subtree). CPU is
-// consumed for encode/decode; the network wait itself is not billed to
-// this site's capacity.
-func (s *Site) fetchSubquery(ctx context.Context, sq qeg.Subquery, traceID string) (*xmldb.Node, []string, int, *trace.Span, error) {
-	s.Metrics.Subqueries.Inc()
-	s.Metrics.SubqueryRPCs.Inc()
-	errSpan := func(site string, err error) *trace.Span {
-		if traceID == "" {
-			return nil
-		}
-		return &trace.Span{TraceID: traceID, Site: site, Query: sq.Query, Op: "query", Error: err.Error()}
-	}
-	owner, err := s.cfg.DNS.Resolve(sq.Target)
-	if err != nil {
-		err = fmt.Errorf("site %s: resolving %s: %w", s.cfg.Name, sq.Target, err)
-		return nil, nil, 0, errSpan(sq.Target.String(), err), err
-	}
-	var payload []byte
-	s.cpu.Do(func() {
-		m := &Message{Kind: KindQuery, Query: sq.Query, TraceID: traceID}
-		m.StampDeadline(ctx)
-		payload = m.Encode()
-	})
-	respB, err := s.call.Call(ctx, owner, payload)
-	if err != nil {
-		err = fmt.Errorf("site %s: calling %s: %w", s.cfg.Name, owner, err)
-		return nil, nil, 0, errSpan(owner, err), err
-	}
-	var frag *xmldb.Node
-	var unreachable []string
-	var childSpan *trace.Span
-	var fragBytes int
-	var derr error
-	s.cpu.Do(func() {
-		var resp *Message
-		resp, derr = DecodeMessage(respB)
-		if derr != nil {
-			return
-		}
-		if e := resp.AsError(); e != nil {
-			derr = e
-			return
-		}
-		unreachable = resp.Unreachable
-		childSpan = resp.Span
-		fragBytes = len(resp.Fragment)
-		frag, derr = xmldb.ParseString(resp.Fragment)
-	})
-	if derr != nil {
-		derr = fmt.Errorf("site %s: subanswer from %s: %w", s.cfg.Name, owner, derr)
-		return nil, nil, 0, errSpan(owner, derr), derr
-	}
-	return frag, unreachable, fragBytes, childSpan, nil
 }
 
 // handleUpdate applies a sensor update to an owned node, stamping it with
@@ -1235,10 +1177,6 @@ func (s *Site) updateCost() {
 // update applied, returning the commit's WAL LSN (0 when not durable).
 // Callers hold wmu; st is the version they loaded under it.
 func (s *Site) applyUpdateLocked(st *siteState, p xmldb.IDPath, fields, attrs map[string]string) (uint64, error) {
-	if s.cfg.CoarseLocking {
-		s.coarse.Lock()
-		defer s.coarse.Unlock()
-	}
 	ts := s.cfg.Clock()
 	w := st.store.Begin()
 	if err := w.ApplyUpdate(p, fields, attrs, ts); err != nil {

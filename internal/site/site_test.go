@@ -90,19 +90,7 @@ func deployCfg(t *testing.T, caching bool, sim transport.SimConfig, mut func(*Co
 // query sends a query message straight to a site and returns the fragment.
 func (d *testDeployment) query(t *testing.T, siteName, q string) *xmldb.Node {
 	t.Helper()
-	msg := &Message{Kind: KindQuery, Query: q}
-	respB, err := d.net.Call(siteName, msg.Encode())
-	if err != nil {
-		t.Fatalf("query to %s: %v", siteName, err)
-	}
-	resp, err := DecodeMessage(respB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := resp.AsError(); e != nil {
-		t.Fatalf("query %q at %s: %v", q, siteName, e)
-	}
-	frag, err := xmldb.ParseString(resp.Fragment)
+	frag, err := xmldb.ParseString(d.queryRaw(t, siteName, q).Fragment)
 	if err != nil {
 		t.Fatal(err)
 	}
