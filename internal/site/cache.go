@@ -254,14 +254,15 @@ func (c *cacheManager) pushBack(aside []*unitMeta) {
 	}
 }
 
-// evictToBudgetLocked trims the in-progress version down to the byte budget
-// by evicting cold units, coldest first. The caller holds wmu and commits /
-// publishes w afterwards, so merge and eviction land atomically in one
+// evictToBudgetLocked is the eviction policy: it trims the in-progress
+// version down to the byte budget by evicting cold units, coldest first,
+// each through evictUnit. It runs inside a commit, as the applier of a new
+// evict command (commit.go), so merge and eviction land atomically in one
 // version. Held units (the answer the transaction is installing) are
 // skipped; the published total can therefore exceed the budget only by
 // data a merge is actively installing, and by at most one unit when a
 // single unit alone is larger than the whole budget. Returns the keys of
-// the evicted units (callers on durable sites log them with the commit).
+// the evicted units, which the evict command logs.
 func (s *Site) evictToBudgetLocked(w *fragment.COW) []string {
 	budget := s.cfg.CacheBudgetBytes
 	if budget <= 0 || s.cache == nil {
@@ -286,13 +287,9 @@ func (s *Site) evictToBudgetLocked(w *fragment.COW) []string {
 			continue
 		}
 		// A popped unit is forgotten whether or not it can be evicted:
-		// EvictLocalInfo refuses owned and already-downgraded nodes, and for
-		// those the metadata entry was stale.
-		p, err := xmldb.ParseIDPath(key)
-		if err == nil {
-			err = w.EvictLocalInfo(p)
-		}
-		if err != nil {
+		// evictUnit refuses owned and already-downgraded nodes, and for those
+		// the metadata entry was stale.
+		if evictUnit(w, key) != nil {
 			continue
 		}
 		s.Metrics.Evictions.Inc()
@@ -304,21 +301,10 @@ func (s *Site) evictToBudgetLocked(w *fragment.COW) []string {
 
 // relieveCachePressure is the background loop body: when the published
 // version is over budget — growth from a path without a merge-time eviction
-// hook — build, trim and publish a new version.
+// hook — commit an eviction pass of its own. Only budgeted sites have a policy.
 func (s *Site) relieveCachePressure() {
-	if s.cache == nil || s.cfg.CacheBudgetBytes <= 0 {
-		return
-	}
-	if int64(s.state.Load().store.CachedBytes()) <= s.cfg.CacheBudgetBytes {
-		return
-	}
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	st := s.state.Load()
-	w := st.store.Begin()
-	if evicted := s.evictToBudgetLocked(w); len(evicted) > 0 {
-		s.walAppend(walOp{Op: opEvict, Paths: evicted})
-		s.publishLocked(&siteState{store: w.Commit(), owned: st.owned, migrated: st.migrated})
+	if s.cache != nil && int64(s.state.Load().store.CachedBytes()) > s.cfg.CacheBudgetBytes {
+		_, _ = s.commit(walOp{Op: opEvict})
 	}
 }
 

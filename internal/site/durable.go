@@ -20,23 +20,22 @@ import (
 )
 
 // Per-site durability (DESIGN.md §16). When Config.DataDir is set, every
-// committed copy-on-write transaction appends one CRC-framed record to a
-// write-ahead log before (or as) it publishes, and a background loop
+// commit (commit.go) appends its commands as one CRC-framed record to a
+// write-ahead log in the wmu hold that publishes it, and a background loop
 // periodically checkpoints the current sealed snapshot — the store XML plus
 // the ownership/forwarding tables, replica subscriptions with their
 // watermarks, and the cache policy's residency metadata — then truncates
-// the log prefix the checkpoint covers. Restart recovers by loading the
-// newest parseable checkpoint and replaying the log tail as ordinary COW
-// transactions, so a recovered site is byte-identical to the state whose
-// acked commits reached the log, rejoins with a warm cache (trimmed to
-// CacheBudgetBytes, coldest first), and re-registers its recovered
-// ownership with naming.
+// the log prefix the checkpoint covers. Restart recovers by installing the
+// newest parseable checkpoint and running the log tail, record by record,
+// through the same commit point the live site uses, so a recovered site is
+// byte-identical to the state whose acked commits reached the log, rejoins
+// with a warm cache (trimmed to CacheBudgetBytes, coldest first), and
+// re-registers its recovered ownership with naming.
 //
-// Consistency invariant: a checkpoint captures its state under the writer
-// mutex immediately after rotating the log, so every record with LSN <= the
-// rotation boundary is reflected in the captured state (commit sites append
-// and publish under one wmu hold; watermark marks append under subMu after
-// the advance they record, and watermarks are monotone).
+// Consistency invariant: a checkpoint rotates the log and captures the state
+// and the subscription table in one wmu hold, and every commit appends and
+// publishes in one wmu hold, so the captured state reflects exactly the
+// records with LSN <= the rotation boundary.
 
 // DefaultCheckpointInterval is the checkpoint cadence when
 // Config.CheckpointInterval is zero and a DataDir is set.
@@ -50,9 +49,14 @@ const (
 	ckptKeep = 2
 )
 
-// walOp is one mutation of a committed transaction. A walRecord groups the
-// ops that committed together (e.g. a cache merge plus the evictions it
-// forced) so replay applies them as one COW transaction.
+// walOp is one command of a transaction (commit.go): the JSON fields are its
+// log form, the unexported ones the decoded form of Path, Paths and Frag that
+// the applier works on. A live writer fills in what it holds — decoded, and
+// as text when that is how it arrived — and encode and decode supply the other
+// side when the command is logged or read back, so the live path neither
+// re-parses nor re-serializes anything. A walRecord groups the commands that
+// committed together (a cache merge plus the evictions it forced, a
+// replicated batch plus its watermark) so replay commits them together too.
 type walOp struct {
 	Op       string            `json:"op"`
 	Path     string            `json:"path,omitempty"`
@@ -68,12 +72,16 @@ type walOp struct {
 	// Cached marks a merge that entered through the caching path, so replay
 	// re-registers its units with the residency policy at Clock.
 	Cached bool `json:"cached,omitempty"`
+
+	path  xmldb.IDPath
+	paths []xmldb.IDPath
+	frag  *xmldb.Node
 }
 
-// Op values. Each names the commit site that wrote it.
+// Op values. Each names the writer that builds it and the fields it carries.
 const (
-	opUpdate   = "update"   // applyUpdateLocked: Path, Fields, Attrs, TS
-	opMerge    = "merge"    // mergeCache / handleReplicate: Frag, Clock, Cached
+	opUpdate   = "update"   // handleUpdate: Path, Fields, Attrs, TS
+	opMerge    = "merge"    // commitMerge / handleReplicate: Frag, Clock, Cached
 	opEvict    = "evict"    // budget eviction: Paths (unit keys)
 	opSync     = "sync"     // handleSync: Path (root), Frag, Owner, Paths, Clock
 	opMark     = "mark"     // handleReplicate watermark: Path (root), Seq, Clock
@@ -138,15 +146,18 @@ type durability struct {
 	recoveryBits atomic.Uint64
 }
 
-// walAppend encodes one committed transaction and appends it to the WAL.
-// Nil-safe: returns 0 when durability is off or the append fails (the
-// failure is logged; the in-memory commit proceeds — availability over
-// durability for a sick disk).
-func (s *Site) walAppend(ops ...walOp) uint64 {
+// walAppend encodes one transaction's commands and appends them to the WAL
+// as one record. Nil-safe: returns 0 when durability is off or the append
+// fails (the failure is logged; the in-memory commit proceeds — availability
+// over durability for a sick disk).
+func (s *Site) walAppend(cmds []walOp) uint64 {
 	if s.dur == nil {
 		return 0
 	}
-	b, err := json.Marshal(walRecord{Ops: ops})
+	for i := range cmds {
+		cmds[i].encode()
+	}
+	b, err := json.Marshal(walRecord{Ops: cmds})
 	if err != nil {
 		s.log.Error("wal encode failed", slog.String("err", err.Error()))
 		return 0
@@ -209,7 +220,7 @@ func (s *Site) Recover(store *fragment.Store, owned []xmldb.IDPath) (bool, error
 	}
 	d := &durability{s: s, dir: s.cfg.DataDir, log: log, stop: make(chan struct{})}
 
-	cf := readNewestCheckpoint(s.cfg.DataDir, s.log)
+	cf, root := readNewestCheckpoint(s.cfg.DataDir, s.log)
 	if cf == nil && log.LastLSN() == 0 {
 		// Cold start: nothing on disk. Load the partition state and lay
 		// down the first checkpoint so the next restart is warm.
@@ -221,38 +232,40 @@ func (s *Site) Recover(store *fragment.Store, owned []xmldb.IDPath) (bool, error
 		return false, nil
 	}
 
-	rec := newRecoveryState(s, cf, store, owned)
+	// Replay: each record is one transaction through the site's commit point.
+	// s.dur is still nil, so nothing is appended, and the site is not on the
+	// network yet, so nobody reads the versions replay publishes.
+	var from uint64
+	if cf == nil {
+		// No checkpoint survived (e.g. the first one was torn): start from
+		// the partition base and replay the whole log.
+		s.Load(store, owned)
+	} else {
+		s.restore(cf, root)
+		from = cf.LSN
+	}
+	s.wmu.Lock()
 	replayed := 0
-	err = log.Replay(rec.from, func(lsn uint64, payload []byte) error {
+	err = log.Replay(from, func(lsn uint64, payload []byte) error {
 		var r walRecord
 		if uerr := json.Unmarshal(payload, &r); uerr != nil {
 			s.log.Warn("wal replay: undecodable record skipped",
 				slog.Uint64("lsn", lsn), slog.String("err", uerr.Error()))
 			return nil
 		}
-		rec.apply(lsn, r.Ops)
+		_, _ = s.commitLocked(r.Ops, lsn)
 		replayed++
 		return nil
 	})
 	if err != nil {
+		s.wmu.Unlock()
 		return false, fmt.Errorf("site %s: wal replay: %w", s.cfg.Name, err)
 	}
-
-	s.wmu.Lock()
-	s.state.Store(&siteState{store: rec.store, owned: rec.owned, migrated: rec.migrated})
-	s.subMu.Lock()
-	s.subs = rec.subs
-	s.subMu.Unlock()
 	if s.cache != nil {
 		// Warm-trim the rehydrated cache to budget, coldest first, before
-		// durability turns on: the trim itself is not logged — the fresh
-		// checkpoint below captures the trimmed state instead.
-		if int64(rec.store.CachedBytes()) > s.cfg.CacheBudgetBytes && s.cfg.CacheBudgetBytes > 0 {
-			w := rec.store.Begin()
-			if evicted := s.evictToBudgetLocked(w); len(evicted) > 0 {
-				s.publishLocked(&siteState{store: w.Commit(), owned: rec.owned, migrated: rec.migrated})
-			}
-		}
+		// durability turns on: the trim is an ordinary eviction commit that is
+		// not logged — the fresh checkpoint below captures the trimmed state.
+		_, _ = s.commitLocked([]walOp{{Op: opEvict}}, 0)
 	}
 	s.dur = d
 	s.wmu.Unlock()
@@ -263,9 +276,43 @@ func (s *Site) Recover(store *fragment.Store, owned []xmldb.IDPath) (bool, error
 	d.recoveryBits.Store(math.Float64bits(time.Since(t0).Seconds()))
 	s.reRegisterOwned()
 	s.log.Info("recovered from durable state",
-		slog.Uint64("checkpoint_lsn", rec.from), slog.Int("replayed", replayed),
+		slog.Uint64("checkpoint_lsn", from), slog.Int("replayed", replayed),
 		slog.Duration("took", time.Since(t0)))
 	return true, nil
+}
+
+// restore is Load from a checkpoint: it installs the store (doc is its parsed
+// XML), the ownership and forwarding tables, the subscriptions with their
+// watermarks, and the residency metadata.
+func (s *Site) restore(cf *checkpointFile, doc *xmldb.Node) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	st := &siteState{
+		store:    fragment.RestoreStore(doc).Seal(),
+		owned:    make(map[string]bool, len(cf.Owned)),
+		migrated: cf.Migrated,
+	}
+	for _, k := range cf.Owned {
+		st.owned[k] = true
+	}
+	if st.migrated == nil {
+		st.migrated = map[string]string{}
+	}
+	s.state.Store(st)
+	s.subMu.Lock()
+	for _, cs := range cf.Subs {
+		root, err := xmldb.ParseIDPath(cs.Root)
+		if err != nil {
+			continue
+		}
+		paths, _ := parsePaths(cs.OwnedPaths)
+		s.subs[root.Key()] = &replicaSub{root: root, owner: cs.Owner, ownedPaths: paths,
+			seq: cs.Seq, ownerClock: cs.OwnerClock}
+	}
+	s.subMu.Unlock()
+	if s.cache != nil {
+		s.cache.restore(cf.Cache)
+	}
 }
 
 // reRegisterOwned repoints naming at this site for every recovered owned
@@ -281,226 +328,6 @@ func (s *Site) reRegisterOwned() {
 			continue
 		}
 		s.cfg.Registry.Set(naming.DNSName(p, s.cfg.Service), s.cfg.Name)
-	}
-}
-
-// recoveryState accumulates the store and tables while replaying the log.
-// Cache residency is rebuilt directly in the site's (still private) cache
-// policy, when it has one.
-type recoveryState struct {
-	s        *Site
-	from     uint64
-	store    *fragment.Store
-	owned    map[string]bool
-	migrated map[string]string
-	subs     map[string]*replicaSub
-}
-
-func newRecoveryState(s *Site, cf *checkpointFile, store *fragment.Store, owned []xmldb.IDPath) *recoveryState {
-	rec := &recoveryState{
-		s:        s,
-		owned:    map[string]bool{},
-		migrated: map[string]string{},
-		subs:     map[string]*replicaSub{},
-	}
-	if cf == nil {
-		// No checkpoint survived (e.g. the first one was torn): start from
-		// the partition base and replay the whole log.
-		rec.store = store.Seal()
-		for _, p := range owned {
-			rec.owned[p.Key()] = true
-		}
-		return rec
-	}
-	root, err := xmldb.ParseString(cf.Store)
-	if err != nil {
-		// readNewestCheckpoint validated this; defensive fallback.
-		rec.store = store.Seal()
-		for _, p := range owned {
-			rec.owned[p.Key()] = true
-		}
-		return rec
-	}
-	rec.from = cf.LSN
-	rec.store = fragment.RestoreStore(root).Seal()
-	for _, k := range cf.Owned {
-		rec.owned[k] = true
-	}
-	for k, v := range cf.Migrated {
-		rec.migrated[k] = v
-	}
-	for _, cs := range cf.Subs {
-		rp, err := xmldb.ParseIDPath(cs.Root)
-		if err != nil {
-			continue
-		}
-		sub := &replicaSub{root: rp, owner: cs.Owner, seq: cs.Seq, ownerClock: cs.OwnerClock}
-		for _, pk := range cs.OwnedPaths {
-			if p, perr := xmldb.ParseIDPath(pk); perr == nil {
-				sub.ownedPaths = append(sub.ownedPaths, p)
-			}
-		}
-		rec.subs[rp.Key()] = sub
-	}
-	if s.cache != nil {
-		s.cache.restore(cf.Cache)
-	}
-	return rec
-}
-
-// apply replays one record as a single COW transaction. Individual op
-// failures are logged and skipped (a later checkpoint supersedes them);
-// the transaction's surviving ops still commit together.
-func (rec *recoveryState) apply(lsn uint64, ops []walOp) {
-	s := rec.s
-	w := rec.store.Begin()
-	for _, op := range ops {
-		if err := rec.applyOp(w, op); err != nil {
-			s.log.Warn("wal replay: op skipped",
-				slog.Uint64("lsn", lsn), slog.String("op", op.Op), slog.String("err", err.Error()))
-		}
-	}
-	rec.store = w.Commit()
-}
-
-func (rec *recoveryState) applyOp(w *fragment.COW, op walOp) error {
-	switch op.Op {
-	case opUpdate:
-		p, err := xmldb.ParseIDPath(op.Path)
-		if err != nil {
-			return err
-		}
-		return w.ApplyUpdate(p, op.Fields, op.Attrs, op.TS)
-	case opMerge:
-		frag, err := xmldb.ParseString(op.Frag)
-		if err != nil {
-			return err
-		}
-		if err := w.MergeFragment(frag); err != nil {
-			return err
-		}
-		if op.Cached && rec.s.cache != nil {
-			rec.s.cache.noteFetched([]*xmldb.Node{frag}, op.Clock, false)
-		}
-		return nil
-	case opEvict:
-		for _, k := range op.Paths {
-			p, err := xmldb.ParseIDPath(k)
-			if err != nil {
-				continue
-			}
-			_ = w.EvictLocalInfo(p)
-			if rec.s.cache != nil {
-				rec.s.cache.forget(k)
-			}
-		}
-		return nil
-	case opSync:
-		root, err := xmldb.ParseIDPath(op.Path)
-		if err != nil {
-			return err
-		}
-		frag, err := xmldb.ParseString(op.Frag)
-		if err != nil {
-			return err
-		}
-		if err := w.MergeFragment(frag); err != nil {
-			return err
-		}
-		sub := &replicaSub{root: root, owner: op.Owner, ownerClock: op.Clock}
-		for _, pk := range op.Paths {
-			if p, perr := xmldb.ParseIDPath(pk); perr == nil {
-				sub.ownedPaths = append(sub.ownedPaths, p)
-			}
-		}
-		rec.subs[root.Key()] = sub
-		return nil
-	case opMark:
-		root, err := xmldb.ParseIDPath(op.Path)
-		if err != nil {
-			return err
-		}
-		if sub := rec.subs[root.Key()]; sub != nil {
-			if op.Seq > sub.seq {
-				sub.seq = op.Seq
-			}
-			if op.Clock > sub.ownerClock {
-				sub.ownerClock = op.Clock
-			}
-		}
-		return nil
-	case opTake:
-		frag, err := xmldb.ParseString(op.Frag)
-		if err != nil {
-			return err
-		}
-		if err := w.MergeFragment(frag); err != nil {
-			return err
-		}
-		for _, pk := range op.Paths {
-			p, perr := xmldb.ParseIDPath(pk)
-			if perr != nil {
-				continue
-			}
-			if err := w.SetStatusAt(p, fragment.StatusOwned); err != nil {
-				return err
-			}
-			rec.owned[p.Key()] = true
-			delete(rec.migrated, p.Key())
-		}
-		return nil
-	case opDelegate:
-		for _, pk := range op.Paths {
-			p, perr := xmldb.ParseIDPath(pk)
-			if perr != nil {
-				continue
-			}
-			delete(rec.owned, p.Key())
-			rec.migrated[p.Key()] = op.Owner
-			_ = w.SetStatusAt(p, fragment.StatusComplete)
-		}
-		return nil
-	case opPromote:
-		root, err := xmldb.ParseIDPath(op.Path)
-		if err != nil {
-			return err
-		}
-		for _, pk := range op.Paths {
-			p, perr := xmldb.ParseIDPath(pk)
-			if perr != nil {
-				continue
-			}
-			if err := w.SetStatusAt(p, fragment.StatusOwned); err != nil {
-				return err
-			}
-			rec.owned[p.Key()] = true
-			delete(rec.migrated, p.Key())
-		}
-		delete(rec.subs, root.Key())
-		return nil
-	case opSchema:
-		p, err := xmldb.ParseIDPath(op.Path)
-		if err != nil {
-			return err
-		}
-		addKey, delPrefix, err := schemaApply(w, rec.s.cfg.Name, SchemaOp(op.SchemaOp), p, op.Fields, op.TS,
-			func(key string) bool { return rec.owned[key] })
-		if err != nil {
-			return err
-		}
-		if addKey != "" {
-			rec.owned[addKey] = true
-		}
-		if delPrefix != "" {
-			for k := range rec.owned {
-				if k == delPrefix || strings.HasPrefix(k, delPrefix+"/") {
-					delete(rec.owned, k)
-				}
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown wal op %q", op.Op)
 	}
 }
 
@@ -545,31 +372,23 @@ func (d *durability) checkpoint() error {
 		return err
 	}
 	st := s.state.Load()
-	clock := s.cfg.Clock()
+	cf := checkpointFile{LSN: boundary, Clock: s.cfg.Clock()}
+	// Subscriptions are mutated in place by the commits that advance them,
+	// so they are copied inside the hold that fixed the boundary.
+	s.subMu.Lock()
+	for _, sub := range s.subs {
+		cf.Subs = append(cf.Subs, ckptSub{Root: sub.root.String(), Owner: sub.owner,
+			OwnedPaths: pathStrings(sub.ownedPaths), Seq: sub.seq, OwnerClock: sub.ownerClock})
+	}
+	s.subMu.Unlock()
 	s.wmu.Unlock()
 
-	cf := checkpointFile{LSN: boundary, Clock: clock}
 	cf.Owned = make([]string, 0, len(st.owned))
 	for k := range st.owned {
 		cf.Owned = append(cf.Owned, k)
 	}
 	sort.Strings(cf.Owned)
-	if len(st.migrated) > 0 {
-		cf.Migrated = copyMigrated(st.migrated)
-	}
-	// Subscriptions are read after the rotate: a watermark mark logged
-	// before the boundary has already advanced the sub (marks append under
-	// subMu after the advance), and watermarks are monotone, so reading a
-	// later value than the boundary saw is harmless.
-	s.subMu.Lock()
-	for _, sub := range s.subs {
-		cs := ckptSub{Root: sub.root.String(), Owner: sub.owner, Seq: sub.seq, OwnerClock: sub.ownerClock}
-		for _, p := range sub.ownedPaths {
-			cs.OwnedPaths = append(cs.OwnedPaths, p.String())
-		}
-		cf.Subs = append(cf.Subs, cs)
-	}
-	s.subMu.Unlock()
+	cf.Migrated = st.migrated
 	sort.Slice(cf.Subs, func(i, j int) bool { return cf.Subs[i].Root < cf.Subs[j].Root })
 	if s.cache != nil {
 		cf.Cache = s.cache.snapshot()
@@ -660,8 +479,9 @@ func listCheckpoints(dir string) []uint64 {
 }
 
 // readNewestCheckpoint tries checkpoints newest-first and returns the first
-// that parses fully (JSON and store XML); nil when none do.
-func readNewestCheckpoint(dir string, log *slog.Logger) *checkpointFile {
+// that parses fully (JSON and store XML) with its parsed store; nil when none
+// do.
+func readNewestCheckpoint(dir string, log *slog.Logger) (*checkpointFile, *xmldb.Node) {
 	lsns := listCheckpoints(dir)
 	for i := len(lsns) - 1; i >= 0; i-- {
 		path := filepath.Join(dir, ckptName(lsns[i]))
@@ -674,13 +494,14 @@ func readNewestCheckpoint(dir string, log *slog.Logger) *checkpointFile {
 			log.Warn("checkpoint unreadable; trying older", slog.String("file", path), slog.String("err", err.Error()))
 			continue
 		}
-		if _, err := xmldb.ParseString(cf.Store); err != nil {
+		root, err := xmldb.ParseString(cf.Store)
+		if err != nil {
 			log.Warn("checkpoint store corrupt; trying older", slog.String("file", path), slog.String("err", err.Error()))
 			continue
 		}
-		return &cf
+		return &cf, root
 	}
-	return nil
+	return nil, nil
 }
 
 // prune keeps the newest ckptKeep checkpoints, removes older ones, and

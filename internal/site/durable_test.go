@@ -1,6 +1,7 @@
 package site
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -41,7 +42,13 @@ func newDurHarness(t *testing.T, owner string) *durHarness {
 // sites by split, so the main site has something to fetch and cache.
 func newSplitDurHarness(t *testing.T, owner string, split func(*workload.DB, *fragment.Assignment)) *durHarness {
 	t.Helper()
-	db := workload.Build(workload.DBConfig{Cities: 1, Neighborhoods: 2, Blocks: 2, Spaces: 3, Seed: 7})
+	return newDurHarnessOn(t, workload.DBConfig{Cities: 1, Neighborhoods: 2, Blocks: 2, Spaces: 3, Seed: 7}, owner, split)
+}
+
+// newDurHarnessOn is newSplitDurHarness over a document of the given shape.
+func newDurHarnessOn(t *testing.T, cfg workload.DBConfig, owner string, split func(*workload.DB, *fragment.Assignment)) *durHarness {
+	t.Helper()
+	db := workload.Build(cfg)
 	assign := fragment.NewAssignment(owner)
 	if split != nil {
 		split(db, assign)
@@ -110,6 +117,53 @@ func sortedOwned(s *Site) []string {
 	return keys
 }
 
+// siteImage is everything recovery must reproduce: the store bytes, the
+// ownership and forwarding tables, the subscription table with its
+// watermarks, and the set of units the residency policy tracks (their stamps
+// move with every query's touch, which is not a logged event).
+type siteImage struct {
+	Store      string            `json:"store"`
+	Owned      []string          `json:"owned"`
+	Forwarding map[string]string `json:"forwarding,omitempty"`
+	Subs       []ckptSub         `json:"subs,omitempty"`
+	Units      []string          `json:"units,omitempty"`
+}
+
+func imageOf(s *Site) siteImage {
+	img := siteImage{Store: storeBytes(s), Owned: sortedOwned(s), Forwarding: s.Debug().Forwarding}
+	s.subMu.Lock()
+	for _, sub := range s.subs {
+		img.Subs = append(img.Subs, ckptSub{Root: sub.root.String(), Owner: sub.owner,
+			OwnedPaths: pathStrings(sub.ownedPaths), Seq: sub.seq, OwnerClock: sub.ownerClock})
+	}
+	s.subMu.Unlock()
+	sort.Slice(img.Subs, func(i, j int) bool { return img.Subs[i].Root < img.Subs[j].Root })
+	if s.cache != nil {
+		for k := range s.cache.snapshot() {
+			img.Units = append(img.Units, k)
+		}
+		sort.Strings(img.Units)
+	}
+	return img
+}
+
+// requireImage fails unless the recovered site reproduces the live image.
+func requireImage(t *testing.T, what string, got, want siteImage) {
+	t.Helper()
+	if got.Store != want.Store {
+		t.Fatalf("%s: recovered store differs from live store (%d vs %d bytes)\n got %s\nwant %s",
+			what, len(got.Store), len(want.Store), got.Store, want.Store)
+	}
+	g, _ := json.Marshal(got)
+	w, _ := json.Marshal(want)
+	if string(g) != string(w) {
+		got.Store, want.Store = "", ""
+		g, _ = json.Marshal(got)
+		w, _ = json.Marshal(want)
+		t.Fatalf("%s: recovered tables differ from live ones\n got %s\nwant %s", what, g, w)
+	}
+}
+
 // send delivers one message through the wire path and fails the test on any
 // error, the receiver's included.
 func (h *durHarness) send(t *testing.T, to string, msg *Message) {
@@ -140,19 +194,29 @@ func (h *durHarness) query(t *testing.T, to, q string) {
 }
 
 // TestDurableRecoveryMatchesLive is the recovery property test: after N
-// random committed transactions — field/attr updates, every schema op, and
-// cache misses whose batch answers commit as multi-merge records with the
-// evictions they force — a crash-recovered site is byte-identical to the
-// live store it replaced, with the same ownership table.
+// random committed transactions, a crash-recovered site is byte-identical to
+// the live store it replaced, with the same ownership, forwarding and
+// subscription tables. Three durable sites take part so that every one of
+// the nine op kinds is logged and replayed:
+//
+//   - solo, a budgeted caching owner: field/attr updates, every schema op,
+//     and cache misses whose batch answers commit as multi-merge records with
+//     the evictions they force;
+//   - blocks, the owner of neighborhood 1's blocks: solo delegates a block to
+//     it and it delegates the block back, logging delegate at one end and
+//     take at the other, both ways;
+//   - replica, seeded with both of blocks' blocks (sync), streamed to by
+//     blocks' flusher (merge + mark), and finally promoted for one of them
+//     (promote); the other subscription stays, with its seq and watermark.
+//
+// The take, delegate and promote replay arms had zero test coverage at the
+// parent of the PR that gave replay and the live path one applier.
 func TestDurableRecoveryMatchesLive(t *testing.T) {
-	// Neighborhood 1's blocks live on a second site, so a query over that
-	// neighborhood at solo is a cache miss answered by one two-entry batch.
 	h := newSplitDurHarness(t, "solo", func(db *workload.DB, a *fragment.Assignment) {
 		for b := 0; b < 2; b++ {
 			a.Assign(db.BlockPath(0, 1, b), "blocks")
 		}
 	})
-	h.start(t, "blocks", "", nil)
 	// Room for one block's units (the block and its spaces) but not for two:
 	// every miss evicts.
 	block := xmldb.FindByIDPath(h.db.Doc, h.db.BlockPath(0, 1, 0))
@@ -161,43 +225,63 @@ func TestDurableRecoveryMatchesLive(t *testing.T) {
 		budget += int64(fragment.LocalInfoBytes(sp))
 	}
 	budget = budget * 3 / 2
-	dir := filepath.Join(t.TempDir(), "solo")
-	caching := func(c *Config) {
-		c.Caching = true
-		c.CacheBudgetBytes = budget
+	tmp := t.TempDir()
+	configs := map[string]func(*Config){
+		"solo": func(c *Config) {
+			c.Caching = true
+			c.CacheBudgetBytes = budget
+		},
+		"blocks":  func(c *Config) { c.ReplicaFlushInterval = 2 * time.Millisecond },
+		"replica": nil,
 	}
-	s, recovered := h.start(t, "solo", dir, caching)
-	if recovered {
-		t.Fatal("first start should be cold")
+	sites := map[string]*Site{}
+	for name, mut := range configs {
+		var recovered bool
+		if sites[name], recovered = h.start(t, name, filepath.Join(tmp, name), mut); recovered {
+			t.Fatalf("%s: first start should be cold", name)
+		}
+	}
+	s := sites["solo"]
+	promoted, subscribed := h.db.BlockPath(0, 1, 0), h.db.BlockPath(0, 1, 1)
+	for _, root := range []xmldb.IDPath{promoted, subscribed} {
+		if err := sites["blocks"].AddReadReplica(root, "replica", 30); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	rng := rand.New(rand.NewSource(42))
-	blocks := h.db.BlockPath(0, 0, 0)
+	home := h.db.BlockPath(0, 0, 0)   // schema changes land here
+	moving := h.db.BlockPath(0, 0, 1) // delegated to blocks and back
+	movingAt := "solo"
 	added := []string{}
-	for i := 0; i < 200; i++ {
-		switch k := rng.Intn(12); {
-		case k < 6: // plain sensor update
+	for i := 0; i < 240; i++ {
+		switch k := rng.Intn(14); {
+		case k < 6: // plain sensor update, at whoever owns the space right now
 			p := h.db.SpacePaths[rng.Intn(len(h.db.SpacePaths))]
+			owner := h.assign.OwnerOf(p)
+			if moving.IsPrefixOf(p) {
+				owner = movingAt
+			}
 			fields := map[string]string{"available": fmt.Sprintf("v%d", i)}
 			var attrs map[string]string
 			if rng.Intn(3) == 0 {
 				attrs = map[string]string{"quality": fmt.Sprintf("q%d", i), "src": "sensor"}
 			}
-			h.update(t, h.assign.OwnerOf(p), p, fields, attrs)
+			h.update(t, owner, p, fields, attrs)
 		case k < 7: // schema: set attributes on an owned node
-			err := s.SchemaChange(OpSetAttrs, blocks, map[string]string{
+			err := s.SchemaChange(OpSetAttrs, home, map[string]string{
 				"zone": fmt.Sprintf("z%d", i), "rev": fmt.Sprintf("%d", i)})
 			if err != nil {
 				t.Fatal(err)
 			}
 		case k < 8: // schema: non-IDable child churn
-			if err := s.SchemaChange(OpAddChild, blocks, map[string]string{
+			if err := s.SchemaChange(OpAddChild, home, map[string]string{
 				"name": "note", "text": fmt.Sprintf("n%d", i)}); err != nil {
 				t.Fatal(err)
 			}
 		case k < 9: // schema: add an IDable child (new owned node)
 			id := fmt.Sprintf("extra-%d", i)
-			if err := s.SchemaChange(OpAddIDable, blocks, map[string]string{
+			if err := s.SchemaChange(OpAddIDable, home, map[string]string{
 				"name": "parkingSpace", "id": id}); err != nil {
 				t.Fatal(err)
 			}
@@ -208,14 +292,20 @@ func TestDurableRecoveryMatchesLive(t *testing.T) {
 			}
 			id := added[len(added)-1]
 			added = added[:len(added)-1]
-			if err := s.SchemaChange(OpDelIDable, blocks, map[string]string{
+			if err := s.SchemaChange(OpDelIDable, home, map[string]string{
 				"name": "parkingSpace", "id": id}); err != nil {
 				t.Fatal(err)
 			}
 		case k < 11: // cache miss: one batch answer, one multi-merge record
 			h.query(t, "solo", h.db.NeighborhoodPath(0, 1).String()+"/block/parkingSpace")
-		default: // a pass of the pressure loop (which also runs on its own timer)
+		case k < 12: // a pass of the pressure loop (which also runs on its own timer)
 			s.relieveCachePressure()
+		default: // hand the moving block to the other site
+			to := map[string]string{"solo": "blocks", "blocks": "solo"}[movingAt]
+			if err := sites[movingAt].Delegate(moving, to); err != nil {
+				t.Fatal(err)
+			}
+			movingAt = to
 		}
 	}
 	m := &s.Metrics
@@ -223,51 +313,78 @@ func TestDurableRecoveryMatchesLive(t *testing.T) {
 		t.Fatalf("test premise broken: %d fragments in %d merge commits, %d evictions — no multi-merge record with evictions was logged",
 			m.CacheMergedFragments.Value(), m.CacheMergeCommits.Value(), m.Evictions.Value())
 	}
-	// Leave nothing for the background pressure loop to publish between the
-	// capture below and the crash.
-	s.relieveCachePressure()
-	wantStore := storeBytes(s)
-	wantOwned := sortedOwned(s)
-	wantUnits := s.cache.snapshot()
-	s.Crash()
-
-	s2, recovered := h.start(t, "solo", dir, caching)
-	if !recovered {
-		t.Fatal("restart should recover from disk")
-	}
-	if got := storeBytes(s2); got != wantStore {
-		t.Fatalf("recovered store differs from live store (%d vs %d bytes)", len(got), len(wantStore))
-	}
-	if got := sortedOwned(s2); strings.Join(got, "|") != strings.Join(wantOwned, "|") {
-		t.Fatalf("recovered owned set differs:\n got %v\nwant %v", got, wantOwned)
-	}
-	// The residency policy replayed the same fetches and evictions. (Only
-	// the tracked set is compared: a query's touch is not a logged event.)
-	gotUnits := s2.cache.snapshot()
-	if len(gotUnits) != len(wantUnits) || len(gotUnits) == 0 {
-		t.Fatalf("recovered policy tracks %d units, live tracked %d", len(gotUnits), len(wantUnits))
-	}
-	for k := range wantUnits {
-		if _, ok := gotUnits[k]; !ok {
-			t.Fatalf("recovered policy lost unit %s", k)
+	// One last miss, so solo's residency policy ends with units to recover;
+	// one last streamed value, waited for; then the promotion.
+	h.query(t, "solo", h.db.NeighborhoodPath(0, 1).String()+"/block/parkingSpace")
+	var last xmldb.IDPath
+	for _, p := range h.db.SpacePaths {
+		if promoted.IsPrefixOf(p) {
+			last = p
 		}
+	}
+	h.update(t, "blocks", last, map[string]string{"available": "streamed-last"}, nil)
+	for deadline := time.Now().Add(2 * time.Second); !strings.Contains(storeBytes(sites["replica"]), "streamed-last"); {
+		if time.Now().After(deadline) {
+			t.Fatal("replica never received the last streamed update")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := sites["replica"].Promote(promoted); err != nil {
+		t.Fatal(err)
+	}
+
+	// Capture and kill in an order that leaves nothing writing to a site
+	// between its capture and its crash: solo after a last pressure pass (its
+	// background loop then finds nothing to publish), blocks next — Crash
+	// waits out its replication sends — and the replica once its stream is dead.
+	s.relieveCachePressure()
+	want := map[string]siteImage{}
+	for _, name := range []string{"solo", "blocks", "replica"} {
+		want[name] = imageOf(sites[name])
+		sites[name].Crash()
+	}
+	if subs := want["replica"].Subs; len(subs) != 1 || subs[0].Seq == 0 || subs[0].OwnerClock == 0 {
+		t.Fatalf("test premise broken: replica subscriptions %+v, want the one that was not promoted, advanced", subs)
+	}
+	if len(want["solo"].Units) == 0 {
+		t.Fatal("test premise broken: solo's residency policy tracks nothing")
+	}
+	logged := map[string]int{}
+	for name := range sites {
+		for op, n := range loggedOps(t, filepath.Join(tmp, name)) {
+			logged[op] += n
+		}
+	}
+	for _, op := range allOps {
+		if logged[op] == 0 {
+			t.Fatalf("test premise broken: no %q record was logged (%v)", op, logged)
+		}
+	}
+
+	for name, mut := range configs {
+		s2, recovered := h.start(t, name, filepath.Join(tmp, name), mut)
+		if !recovered {
+			t.Fatalf("%s: restart should recover from disk", name)
+		}
+		requireImage(t, name, imageOf(s2), want[name])
+		if s2.RecoverySeconds() <= 0 {
+			t.Fatalf("%s: recovery duration not recorded", name)
+		}
+		sites[name] = s2
 	}
 	// Recovered ownership is re-registered with naming.
 	if owner, ok := h.registry.Lookup(naming.DNSName(h.db.SpacePaths[0], workload.Service)); !ok || owner != "solo" {
 		t.Fatalf("naming not re-registered: owner = %q, %v", owner, ok)
 	}
-	if s2.RecoverySeconds() <= 0 {
-		t.Fatal("recovery duration not recorded")
-	}
 
 	// Recover twice: a clean stop followed by another recovery must land on
 	// the same bytes again (recovery is deterministic and lossless).
-	s2.Stop()
-	s3, recovered := h.start(t, "solo", dir, caching)
+	sites["solo"].Stop()
+	s3, recovered := h.start(t, "solo", filepath.Join(tmp, "solo"), configs["solo"])
 	if !recovered {
 		t.Fatal("second restart should recover from disk")
 	}
-	if got := storeBytes(s3); got != wantStore {
+	if got := storeBytes(s3); got != want["solo"].Store {
 		t.Fatal("second recovery not byte-identical")
 	}
 }
@@ -522,4 +639,49 @@ func TestSiteStopReleasesGoroutines(t *testing.T) {
 	_ = pprof.Lookup("goroutine").WriteTo(&buf, 1)
 	t.Fatalf("goroutines leaked after Stop: %d -> %d\n%s",
 		before, runtime.NumGoroutine(), buf.String())
+}
+
+// TestReplicatedBatchIsOneRecord: an applied KindReplicate batch — the merge
+// of its delta and the watermark it carries — is one commit and so one WAL
+// record [merge, mark]. It was two at the parent of the PR that introduced
+// the commit point: the mark was appended on its own, outside wmu. A
+// heartbeat is one record holding only the mark.
+func TestReplicatedBatchIsOneRecord(t *testing.T) {
+	h := newDurHarness(t, "owner")
+	// The flusher never ticks: the test delivers the stream by hand.
+	owner, _ := h.start(t, "owner", "", func(c *Config) { c.ReplicaFlushInterval = time.Hour })
+	dir := filepath.Join(t.TempDir(), "rep")
+	rep, _ := h.start(t, "rep", dir, nil)
+	space := h.db.SpacePaths[0]
+	root := space.Parent()
+	if err := owner.AddReadReplica(root, "rep", 30); err != nil {
+		t.Fatal(err)
+	}
+	h.update(t, "owner", space, map[string]string{"available": "streamed"}, nil)
+	delta, err := fragment.BuildDelta(owner.StoreSnapshot().Seal(), []xmldb.IDPath{space})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	appends := rep.Metrics.WALAppends.Value()
+	h.send(t, "rep", &Message{Kind: KindReplicate, Path: root.String(),
+		Fragment: delta.Root.StringSized(delta.Size()), Seq: 1, ClockSec: 1001})
+	if got := rep.Metrics.WALAppends.Value() - appends; got != 1 {
+		t.Fatalf("a replicated batch appended %d WAL records, want 1", got)
+	}
+	h.send(t, "rep", &Message{Kind: KindReplicate, Path: root.String(), Seq: 2, ClockSec: 1002})
+	if got := rep.Metrics.WALAppends.Value() - appends; got != 2 {
+		t.Fatalf("batch + heartbeat appended %d WAL records, want 2", got)
+	}
+	want := imageOf(rep)
+	if len(want.Subs) != 1 || want.Subs[0].Seq != 2 || want.Subs[0].OwnerClock != 1002 ||
+		!strings.Contains(want.Store, "streamed") {
+		t.Fatalf("batch not applied: %+v", want)
+	}
+	rep.Crash()
+	if logged := loggedOps(t, dir); logged[opMerge] != 1 || logged[opMark] != 2 {
+		t.Fatalf("logged %v, want one merge and two marks", logged)
+	}
+	rep2, _ := h.start(t, "rep", dir, nil)
+	requireImage(t, "rep", imageOf(rep2), want)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
-	"strings"
 
 	"irisnet/internal/fragment"
 	"irisnet/internal/naming"
@@ -44,31 +43,16 @@ func (s *Site) Delegate(path xmldb.IDPath, newOwner string) error {
 	}
 	transfer := ownedUnder(st.owned, path)
 
-	// Build the transfer fragment: ancestors' local ID information plus the
-	// local information of every transferred node (exactly the data the new
-	// owner must hold to satisfy I1/I2). Reads go against the published
-	// (immutable) version.
-	frag := fragment.NewStore(st.store.Root.Name, st.store.Root.ID())
-	for _, p := range transfer {
-		for i := 1; i < len(p); i++ {
-			anc := st.store.NodeAt(p[:i])
-			if anc == nil {
-				return fmt.Errorf("site %s: ancestor %s missing (I2 violation)", s.cfg.Name, p[:i])
-			}
-			if err := frag.InstallLocalIDInfo(p[:i].Clone(), fragment.LocalIDInfo(anc)); err != nil {
-				return err
-			}
-		}
-		n := st.store.NodeAt(p)
-		if err := frag.InstallLocalInfo(p, fragment.LocalInfo(n), fragment.StatusComplete); err != nil {
-			return err
-		}
+	// The transfer fragment is a delta over the transferred nodes: ancestors'
+	// local ID information plus the local information of every transferred
+	// node (exactly the data the new owner must hold to satisfy I1/I2), read
+	// from the published (immutable) version.
+	frag, err := fragment.BuildDelta(st.store, transfer)
+	if err != nil {
+		return err
 	}
 
-	keys := make([]string, len(transfer))
-	for i, p := range transfer {
-		keys[i] = p.String()
-	}
+	keys := pathStrings(transfer)
 	take := &Message{
 		Kind:     KindTake,
 		Fragment: frag.Root.StringSized(frag.Size()),
@@ -89,27 +73,15 @@ func (s *Site) Delegate(path xmldb.IDPath, newOwner string) error {
 	// Step 3: downgrade local copies; step 4: repoint DNS (the atomic
 	// commit point from the rest of the system's perspective). The store
 	// downgrade, ownership table and forwarding table change together in
-	// one published version.
-	w := st.store.Begin()
-	owned := copyOwned(st.owned)
-	migrated := copyMigrated(st.migrated)
-	for _, p := range transfer {
-		delete(owned, p.Key())
-		migrated[p.Key()] = newOwner
-		// Ignore a missing node: ownership of a stub can be delegated even
-		// though there is nothing to downgrade (mirrors the pre-COW code).
-		_ = w.SetStatusAt(p, fragment.StatusComplete)
+	// one published version; wmu has been held since the ownership check, so
+	// this is the one writer that commits in the already-locked form.
+	lsn, err := s.commitLocked([]walOp{{Op: opDelegate, Paths: keys, Owner: newOwner, paths: transfer}}, 0)
+	if err != nil {
+		return err
 	}
-	lsn := s.walAppend(walOp{Op: opDelegate, Paths: keys, Owner: newOwner})
-	s.publishLocked(&siteState{store: w.Commit(), owned: owned, migrated: migrated})
 	// Rare control-plane op: waiting under wmu is acceptable, and the
 	// registry repoint below must not outrun the durable forwarding table.
 	s.walWait(lsn)
-	if s.summaries != nil {
-		// Ownership changed hands: cached aggregate summaries may now cover
-		// subtrees this site should route elsewhere, so drop them all.
-		s.summaries.flush()
-	}
 	if s.cfg.Registry != nil {
 		for _, p := range transfer {
 			s.cfg.Registry.Set(naming.DNSName(p, s.cfg.Service), newOwner)
@@ -126,7 +98,7 @@ func ownedUnder(owned map[string]bool, path xmldb.IDPath) []xmldb.IDPath {
 	prefix := path.Key()
 	var out []xmldb.IDPath
 	for k := range owned {
-		if k == prefix || strings.HasPrefix(k, prefix+"/") {
+		if keyUnder(k, prefix) {
 			p, err := xmldb.ParseIDPath(k)
 			if err != nil {
 				continue
@@ -156,45 +128,19 @@ func (s *Site) handleTake(msg *Message) *Message {
 	if err != nil {
 		return errorMessage(err)
 	}
-	var paths []xmldb.IDPath
-	for _, k := range msg.Paths {
-		p, err := xmldb.ParseIDPath(k)
-		if err != nil {
-			return errorMessage(fmt.Errorf("site %s: bad transfer path %q: %w", s.cfg.Name, k, err))
-		}
-		paths = append(paths, p)
+	paths, err := parsePaths(msg.Paths)
+	if err != nil {
+		return errorMessage(fmt.Errorf("site %s: transfer: %w", s.cfg.Name, err))
 	}
-	var takeErr error
 	var lsn uint64
 	s.cpu.Do(func() {
-		s.wmu.Lock()
-		defer s.wmu.Unlock()
-		st := s.state.Load()
-		w := st.store.Begin()
-		if takeErr = w.MergeFragment(frag); takeErr != nil {
-			return
-		}
-		owned := copyOwned(st.owned)
-		migrated := copyMigrated(st.migrated)
-		for _, p := range paths {
-			if err := w.SetStatusAt(p, fragment.StatusOwned); err != nil {
-				takeErr = fmt.Errorf("site %s: transferred node %s missing after merge", s.cfg.Name, p)
-				return
-			}
-			owned[p.Key()] = true
-			delete(migrated, p.Key())
-		}
-		lsn = s.walAppend(walOp{Op: opTake, Frag: msg.Fragment, Paths: msg.Paths})
-		s.publishLocked(&siteState{store: w.Commit(), owned: owned, migrated: migrated})
+		lsn, err = s.commit(walOp{Op: opTake, Frag: msg.Fragment, Paths: msg.Paths, frag: frag, paths: paths})
 	})
-	if takeErr != nil {
-		return errorMessage(takeErr)
+	if err != nil {
+		return errorMessage(err)
 	}
 	// The old owner downgrades its copy on this ack; the accepted
 	// ownership must be durable before that happens.
 	s.walWait(lsn)
-	if s.summaries != nil {
-		s.summaries.flush()
-	}
 	return &Message{Kind: KindOK}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -37,11 +36,14 @@ import (
 //
 // Watermark protocol: every batch (and every idle heartbeat) carries the
 // owner commit clock read under the owner's writer mutex after the batch's
-// pending set and snapshot were captured under that same mutex. Because
-// commits stamp their timestamps while holding wmu, a batch with watermark
-// W provably covers every commit stamped before W — so a replica whose
-// last applied batch carried W can answer any freshness predicate that
-// tolerates (now - W) seconds of staleness without consulting the owner.
+// pending set and snapshot were captured under that same mutex. Every
+// commit, of whatever kind, takes its timestamp and queues the nodes it
+// touched on the covering streams inside the wmu hold that publishes it
+// (commit.go), so a batch with watermark W provably covers every commit
+// stamped before W — and a replica whose last applied batch carried W can
+// answer any freshness predicate that tolerates (now - W) seconds of
+// staleness without consulting the owner. On the replica a batch is one
+// commit too: its merge and its mark publish, and are logged, together.
 //
 // Retries: every transmission attempt carries a fresh sequence number,
 // and the replica merges any non-empty fragment it receives regardless
@@ -120,7 +122,8 @@ func newReplicator(s *Site) *replicator {
 }
 
 // observeLocked records a committed path on every stream whose root covers
-// it. Called from the commit path with wmu held.
+// it. Called from the commit point (commitLocked) with wmu held, for every
+// node a commit of any kind touched.
 func (r *replicator) observeLocked(p xmldb.IDPath) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -129,7 +132,7 @@ func (r *replicator) observeLocked(p xmldb.IDPath) {
 	}
 	key := p.Key()
 	for _, st := range r.streams {
-		if key == st.rootKey || strings.HasPrefix(key, st.rootKey+"/") {
+		if keyUnder(key, st.rootKey) {
 			st.pending[key] = p
 		}
 	}
@@ -342,14 +345,10 @@ func (s *Site) AddReadReplica(root xmldb.IDPath, dest string, maxLagSec float64)
 		s.repl.removeStream(root, dest)
 		return err
 	}
-	keys := make([]string, len(transfer))
-	for i, p := range transfer {
-		keys[i] = p.String()
-	}
 	var wire string
 	s.cpu.Do(func() { wire = seed.Root.StringSized(seed.Size()) })
 	msg := &Message{Kind: KindSync, Path: root.String(), Fragment: wire,
-		Paths: keys, NewOwner: s.cfg.Name, ClockSec: clock}
+		Paths: pathStrings(transfer), NewOwner: s.cfg.Name, ClockSec: clock}
 	respB, err := s.call.Call(context.Background(), dest, msg.Encode())
 	if err == nil {
 		var resp *Message
@@ -417,37 +416,17 @@ func (s *Site) handleSync(msg *Message) *Message {
 	if err != nil {
 		return errorMessage(err)
 	}
-	var paths []xmldb.IDPath
-	for _, k := range msg.Paths {
-		p, perr := xmldb.ParseIDPath(k)
-		if perr != nil {
-			return errorMessage(fmt.Errorf("site %s: bad sync path %q: %w", s.cfg.Name, k, perr))
-		}
-		paths = append(paths, p)
+	paths, err := parsePaths(msg.Paths)
+	if err != nil {
+		return errorMessage(fmt.Errorf("site %s: sync: %w", s.cfg.Name, err))
 	}
-	var mergeErr error
 	var lsn uint64
 	s.cpu.Do(func() {
-		s.wmu.Lock()
-		defer s.wmu.Unlock()
-		st := s.state.Load()
-		w := st.store.Begin()
-		if mergeErr = w.MergeFragment(frag); mergeErr != nil {
-			return
-		}
-		// The subscription installs inside the same wmu hold as the seed's
-		// WAL record, so a checkpoint rotating after the record captures the
-		// sub too (checkpoint consistency invariant, durable.go).
-		s.subMu.Lock()
-		s.subs[root.Key()] = &replicaSub{root: root, owner: msg.NewOwner,
-			ownedPaths: paths, ownerClock: msg.ClockSec}
-		s.subMu.Unlock()
-		lsn = s.walAppend(walOp{Op: opSync, Path: root.String(), Frag: msg.Fragment,
-			Owner: msg.NewOwner, Paths: msg.Paths, Clock: msg.ClockSec})
-		s.publishLocked(&siteState{store: w.Commit(), owned: st.owned, migrated: st.migrated})
+		lsn, err = s.commit(walOp{Op: opSync, Frag: msg.Fragment, Owner: msg.NewOwner,
+			Paths: msg.Paths, Clock: msg.ClockSec, path: root, frag: frag, paths: paths})
 	})
-	if mergeErr != nil {
-		return errorMessage(fmt.Errorf("site %s: merging replica seed: %w", s.cfg.Name, mergeErr))
+	if err != nil {
+		return errorMessage(fmt.Errorf("site %s: merging replica seed: %w", s.cfg.Name, err))
 	}
 	// The owner treats the seed as applied once acked; make it durable first.
 	s.walWait(lsn)
@@ -459,83 +438,41 @@ func (s *Site) handleSync(msg *Message) *Message {
 }
 
 // handleReplicate applies one delta batch (or watermark heartbeat) from
-// the owner's stream. Any non-empty fragment is merged regardless of its
-// sequence number — merges are idempotent and monotone, and a retried
-// batch may carry commits its first (applied-but-unacked) transmission
-// did not, so a seq-based duplicate drop would lose them. Seq and
-// watermark only ever advance.
+// the owner's stream as one commit: the merge, when the batch carries a
+// fragment, and the watermark mark. Any non-empty fragment is merged
+// regardless of its sequence number — merges are idempotent and monotone, and
+// a retried batch may carry commits its first (applied-but-unacked)
+// transmission did not, so a seq-based duplicate drop would lose them. The
+// mark is applied under the same wmu hold and fails when the subscription is
+// gone, which abandons the merge with it: a batch that lost the race with
+// Promote cannot put old-owner data into the just-promoted owner's store.
 func (s *Site) handleReplicate(msg *Message) *Message {
 	root, err := xmldb.ParseIDPath(msg.Path)
 	if err != nil {
 		return errorMessage(err)
 	}
-	key := root.Key()
-	s.subMu.Lock()
-	sub := s.subs[key]
-	s.subMu.Unlock()
-	if sub == nil {
-		return errorMessage(fmt.Errorf("site %s: not a replica of %s", s.cfg.Name, root))
-	}
-	var lsn uint64
+	cmds := make([]walOp, 0, 2)
 	if msg.Fragment != "" {
 		frag, perr := xmldb.ParseString(msg.Fragment)
 		if perr != nil {
 			return errorMessage(perr)
 		}
-		var mergeErr error
-		promoted := false
-		s.cpu.Do(func() {
-			s.wmu.Lock()
-			defer s.wmu.Unlock()
-			// Re-verify the subscription under wmu: Promote deletes it
-			// before flipping statuses in its own wmu section, so a batch
-			// that lost the race must not merge old-owner data into the
-			// just-promoted owner's store.
-			s.subMu.Lock()
-			live := s.subs[key] == sub
-			s.subMu.Unlock()
-			if !live {
-				promoted = true
-				return
-			}
-			st := s.state.Load()
-			w := st.store.Begin()
-			if mergeErr = w.MergeFragment(frag); mergeErr != nil {
-				return
-			}
-			lsn = s.walAppend(walOp{Op: opMerge, Frag: msg.Fragment})
-			s.publishLocked(&siteState{store: w.Commit(), owned: st.owned, migrated: st.migrated})
-		})
-		if promoted {
-			return errorMessage(fmt.Errorf("site %s: no longer a replica of %s", s.cfg.Name, root))
-		}
-		if mergeErr != nil {
-			return errorMessage(fmt.Errorf("site %s: applying replication delta: %w", s.cfg.Name, mergeErr))
-		}
+		cmds = append(cmds, walOp{Op: opMerge, Frag: msg.Fragment, frag: frag})
 	}
-	s.subMu.Lock()
-	if s.subs[key] != sub {
-		s.subMu.Unlock()
-		return errorMessage(fmt.Errorf("site %s: no longer a replica of %s", s.cfg.Name, root))
+	cmds = append(cmds, walOp{Op: opMark, Seq: msg.Seq, Clock: msg.ClockSec, path: root})
+	var lsn uint64
+	apply := func() { lsn, err = s.commit(cmds...) }
+	if len(cmds) > 1 {
+		s.cpu.Do(apply)
+	} else {
+		apply() // a heartbeat does not wait for a CPU slot
 	}
-	if msg.Seq > sub.seq {
-		sub.seq = msg.Seq
-	}
-	if msg.ClockSec > sub.ownerClock {
-		sub.ownerClock = msg.ClockSec
-	}
-	// Persist the watermark advance while still holding subMu: the mark is
-	// appended after the advance it records, so any checkpoint whose
-	// boundary covers this record reads the advanced (or later — marks are
-	// monotone) watermark. A promoted or restarted owner therefore never
-	// regresses Seq below what it acknowledged.
-	mlsn := s.walAppend(walOp{Op: opMark, Path: root.String(), Seq: sub.seq, Clock: sub.ownerClock})
-	s.subMu.Unlock()
-	if mlsn > lsn {
-		lsn = mlsn
+	if err != nil {
+		return errorMessage(fmt.Errorf("site %s: applying replication batch: %w", s.cfg.Name, err))
 	}
 	// The owner advances its stream state on this ack; make the batch and
-	// watermark durable first.
+	// watermark durable first, so a promoted or restarted site never regresses
+	// Seq below what it acknowledged.
 	s.walWait(lsn)
 	s.Metrics.ReplicaBatchesApplied.Inc()
 	return &Message{Kind: KindOK}
@@ -549,41 +486,19 @@ func (s *Site) handleReplicate(msg *Message) *Message {
 // watermark, which (with in-order per-stream apply) guarantees the
 // promoted state covers everything any replica ever served.
 func (s *Site) Promote(root xmldb.IDPath) error {
-	key := root.Key()
 	s.subMu.Lock()
-	sub := s.subs[key]
-	delete(s.subs, key)
+	sub := s.subs[root.Key()]
 	s.subMu.Unlock()
 	if sub == nil {
 		return fmt.Errorf("site %s: not a replica of %s", s.cfg.Name, root)
 	}
-
-	s.wmu.Lock()
-	st := s.state.Load()
-	w := st.store.Begin()
-	owned := copyOwned(st.owned)
-	migrated := copyMigrated(st.migrated)
-	for _, p := range sub.ownedPaths {
-		if err := w.SetStatusAt(p, fragment.StatusOwned); err != nil {
-			s.wmu.Unlock()
-			return fmt.Errorf("site %s: promoting %s: replicated node %s missing", s.cfg.Name, root, p)
-		}
-		owned[p.Key()] = true
-		delete(migrated, p.Key())
+	lsn, err := s.commit(walOp{Op: opPromote, path: root, paths: sub.ownedPaths})
+	if err != nil {
+		return err
 	}
-	pathKeys := make([]string, len(sub.ownedPaths))
-	for i, p := range sub.ownedPaths {
-		pathKeys[i] = p.String()
-	}
-	lsn := s.walAppend(walOp{Op: opPromote, Path: root.String(), Paths: pathKeys})
-	s.publishLocked(&siteState{store: w.Commit(), owned: owned, migrated: migrated})
-	s.wmu.Unlock()
 	// The registry repoint below makes the promotion visible cluster-wide;
 	// the new ownership must survive a crash from that moment on.
 	s.walWait(lsn)
-	if s.summaries != nil {
-		s.summaries.flush()
-	}
 	if s.cfg.Registry != nil {
 		for _, p := range sub.ownedPaths {
 			s.cfg.Registry.Set(naming.DNSName(p, s.cfg.Service), s.cfg.Name)
@@ -657,8 +572,7 @@ func (s *Site) replicaLagForQuery(query string) (float64, bool) {
 	now := s.cfg.Clock()
 	lag, found := 0.0, false
 	for _, sub := range s.subs {
-		rk := sub.root.Key()
-		if lcaKey == rk || strings.HasPrefix(lcaKey, rk+"/") || strings.HasPrefix(rk, lcaKey+"/") {
+		if rk := sub.root.Key(); keyUnder(lcaKey, rk) || keyUnder(rk, lcaKey) {
 			found = true
 			if l := now - sub.ownerClock; l > lag {
 				lag = l

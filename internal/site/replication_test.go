@@ -359,3 +359,69 @@ func TestReplicateRejectsUnknownSubscription(t *testing.T) {
 		t.Fatal("replicate without a subscription should fail")
 	}
 }
+
+// TestSchemaChangeReachesReplica: a committed schema change on a replicated
+// subtree reaches the read replica like any other commit. For each of the six
+// ops, whatever the op needs to exist is set up before the replica is seeded;
+// after the op the replica's answer for the block must equal the owner's
+// within a few flush intervals, from its own copy (no subquery). The changed
+// node is queued on the stream for every op; add-idable also queues the new
+// child, or the replica would hold only its stub and have to ask for it.
+func TestSchemaChangeReachesReplica(t *testing.T) {
+	extra := map[string]string{"name": "parkingSpace", "id": "extra"}
+	for _, tc := range []struct {
+		op          SchemaOp
+		onBlock     bool // the op targets the block, not one of its spaces
+		pre         SchemaOp
+		preArg, arg map[string]string
+	}{
+		{op: OpSetAttrs, arg: map[string]string{"meter": "broken"}},
+		{op: OpDelAttrs, pre: OpSetAttrs, preArg: map[string]string{"meter": "broken"}, arg: map[string]string{"meter": ""}},
+		{op: OpAddChild, arg: map[string]string{"name": "note", "text": "swept"}},
+		{op: OpDelChild, pre: OpAddChild, preArg: map[string]string{"name": "note", "text": "swept"}, arg: map[string]string{"name": "note"}},
+		{op: OpAddIDable, onBlock: true, arg: extra},
+		{op: OpDelIDable, onBlock: true, pre: OpAddIDable, preArg: extra, arg: extra},
+	} {
+		t.Run(string(tc.op), func(t *testing.T) {
+			flush := func(c *Config) { c.ReplicaFlushInterval = 2 * time.Millisecond }
+			d := deployCfg(t, false, transport.SimConfig{}, flush)
+			rep := addReplicaSite(t, d, "replica-1", flush)
+			nbPath := d.db.NeighborhoodPath(0, 0)
+			owner := d.sites[d.assign.OwnerOf(nbPath)]
+			space := spaceUnder(t, d, nbPath)
+			block := space.Parent()
+			target := space
+			if tc.onBlock {
+				target = block
+			}
+			if tc.pre != "" {
+				if err := owner.SchemaChange(tc.pre, target, tc.preArg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := owner.AddReadReplica(nbPath, "replica-1", 30); err != nil {
+				t.Fatal(err)
+			}
+			if err := owner.SchemaChange(tc.op, target, tc.arg); err != nil {
+				t.Fatal(err)
+			}
+
+			q := block.String()
+			want := strings.Join(extracted(t, d.query(t, owner.Name(), q), q, d.clock), "|")
+			deadline := time.Now().Add(2 * time.Second)
+			for {
+				got := strings.Join(extracted(t, d.query(t, "replica-1", q), q, d.clock), "|")
+				if got == want {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("replica never converged on the owner's answer\n got %s\nwant %s", got, want)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if asked := rep.Metrics.Subqueries.Value(); asked != 0 {
+				t.Fatalf("replica issued %d subqueries for replicated data", asked)
+			}
+		})
+	}
+}

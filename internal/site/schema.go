@@ -2,6 +2,7 @@ package site
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"irisnet/internal/fragment"
@@ -42,69 +43,73 @@ const (
 	OpDelIDable SchemaOp = "del-idable"
 )
 
-// schemaApply is the operation core shared by the live write path and WAL
-// replay: it mutates the transaction and reports the ownership-table delta
-// — addKey is a new owned key (add-idable), delPrefix a deleted subtree
-// whose owned keys must go (del-idable). ownedCheck answers "does this
-// site own the node at key" against whichever ownership view the caller
-// holds (the published table live, the recovering table on replay);
-// iteration over args is sorted so replay rebuilds byte-identical trees.
-func schemaApply(w *fragment.COW, siteName string, op SchemaOp, p xmldb.IDPath, args map[string]string, ts float64, ownedCheck func(string) bool) (addKey, delPrefix string, err error) {
+// schemaApply is the applier of a schema command (commit.go): it performs the
+// operation on the transaction's store, applies the ownership-table change of
+// add-idable and del-idable, and announces the nodes whose local information
+// changed. Ownership is checked against the transaction's table, under wmu.
+// Iteration over args is sorted so replay rebuilds byte-identical trees.
+func (s *Site) schemaApply(tx *txn, c *walOp) error {
+	site, p, args := s.cfg.Name, c.path, c.Fields
+	if !tx.owned[p.Key()] {
+		return fmt.Errorf("site %s: schema change on unowned node %s", site, p)
+	}
+	w := tx.cow()
 	n, err := w.Touch(p)
 	if err != nil {
-		return "", "", fmt.Errorf("site %s: owned node %s missing", siteName, p)
+		return fmt.Errorf("site %s: owned node %s missing", site, p)
 	}
-	switch op {
-	case OpSetAttrs:
+	switch op := SchemaOp(c.SchemaOp); op {
+	case OpSetAttrs, OpDelAttrs:
 		for _, name := range sortedArgNames(args) {
 			if name == xmldb.AttrID || name == xmldb.AttrStatus {
-				return "", "", fmt.Errorf("site %s: attribute %q is reserved", siteName, name)
+				return fmt.Errorf("site %s: attribute %q is reserved", site, name)
 			}
-			n.SetAttr(name, args[name])
-		}
-	case OpDelAttrs:
-		for _, name := range sortedArgNames(args) {
-			if name == xmldb.AttrID || name == xmldb.AttrStatus {
-				return "", "", fmt.Errorf("site %s: attribute %q is reserved", siteName, name)
+			if op == OpSetAttrs {
+				n.SetAttr(name, args[name])
+			} else {
+				n.DelAttr(name)
 			}
-			n.DelAttr(name)
 		}
 	case OpAddChild:
 		name := args["name"]
 		if name == "" {
-			return "", "", fmt.Errorf("site %s: add-child needs a name", siteName)
+			return fmt.Errorf("site %s: add-child needs a name", site)
 		}
-		c := w.AddChild(n, xmldb.NewNode(name))
-		c.Text = args["text"]
+		child := w.AddChild(n, xmldb.NewNode(name))
+		child.Text = args["text"]
 	case OpDelChild:
 		name := args["name"]
 		removed := false
-		for _, c := range n.ChildrenNamed(name) {
-			if c.ID() != "" {
-				return "", "", fmt.Errorf("site %s: %q is IDable; use del-idable", siteName, name)
+		for _, child := range n.ChildrenNamed(name) {
+			if child.ID() != "" {
+				return fmt.Errorf("site %s: %q is IDable; use del-idable", site, name)
 			}
-			w.RemoveChild(n, c)
+			w.RemoveChild(n, child)
 			removed = true
 		}
 		if !removed {
-			return "", "", fmt.Errorf("site %s: no non-IDable child %q under %s", siteName, name, p)
+			return fmt.Errorf("site %s: no non-IDable child %q under %s", site, name, p)
 		}
 	case OpAddIDable:
 		name, id := args["name"], args["id"]
 		if name == "" || id == "" {
-			return "", "", fmt.Errorf("site %s: add-idable needs name and id", siteName)
+			return fmt.Errorf("site %s: add-idable needs name and id", site)
 		}
 		if n.Child(name, id) != nil {
-			return "", "", fmt.Errorf("site %s: child <%s id=%q> already exists", siteName, name, id)
+			return fmt.Errorf("site %s: child <%s id=%q> already exists", site, name, id)
 		}
-		child := w.AddChild(n, xmldb.NewElem(name, id))
-		fragment.SetStatus(child, fragment.StatusOwned)
-		addKey = p.Child(name, id).Key()
+		fragment.SetStatus(w.AddChild(n, xmldb.NewElem(name, id)), fragment.StatusOwned)
+		cp := p.Child(name, id)
+		owned, _ := tx.tables()
+		owned[cp.Key()] = true
+		// A replica must receive the new node itself, not only the stub its
+		// parent's local information now lists.
+		tx.touched = append(tx.touched, cp)
 	case OpDelIDable:
 		name, id := args["name"], args["id"]
 		child := n.Child(name, id)
 		if child == nil {
-			return "", "", fmt.Errorf("site %s: no child <%s id=%q> under %s", siteName, name, id, p)
+			return fmt.Errorf("site %s: no child <%s id=%q> under %s", site, name, id, p)
 		}
 		cp := p.Child(name, id)
 		// Every IDable node in the deleted subtree must be owned here. The
@@ -112,27 +117,30 @@ func schemaApply(w *fragment.COW, siteName string, op SchemaOp, p xmldb.IDPath, 
 		// published version have no parent pointers to climb.
 		var ownedBelow func(x *xmldb.Node, xp xmldb.IDPath) bool
 		ownedBelow = func(x *xmldb.Node, xp xmldb.IDPath) bool {
-			if !ownedCheck(xp.Key()) {
+			if !tx.owned[xp.Key()] {
 				return false
 			}
-			for _, c := range x.Children {
-				if c.ID() != "" && !ownedBelow(c, xp.Child(c.Name, c.ID())) {
+			for _, gc := range x.Children {
+				if gc.ID() != "" && !ownedBelow(gc, xp.Child(gc.Name, gc.ID())) {
 					return false
 				}
 			}
 			return true
 		}
-		unowned := id != "" && !ownedBelow(child, cp)
-		if unowned {
-			return "", "", fmt.Errorf("site %s: subtree %s has nodes owned elsewhere; migrate first", siteName, cp)
+		if id != "" && !ownedBelow(child, cp) {
+			return fmt.Errorf("site %s: subtree %s has nodes owned elsewhere; migrate first", site, cp)
 		}
 		w.RemoveChild(n, child)
-		delPrefix = cp.Key()
+		owned, _ := tx.tables()
+		maps.DeleteFunc(owned, func(k string, _ bool) bool { return keyUnder(k, cp.Key()) })
 	default:
-		return "", "", fmt.Errorf("site %s: unknown schema op %q", siteName, op)
+		return fmt.Errorf("site %s: unknown schema op %q", site, op)
 	}
-	fragment.SetTimestamp(n, ts)
-	return addKey, delPrefix, nil
+	fragment.SetTimestamp(n, c.TS)
+	// A schema change can add or remove aggregate matches anywhere under the
+	// changed node; flushing the summaries is simpler than reasoning per op.
+	tx.touched, tx.reshaped = append(tx.touched, p), true
+	return nil
 }
 
 // sortedArgNames returns the arg names ascending, for deterministic replay.
@@ -146,56 +154,19 @@ func sortedArgNames(args map[string]string) []string {
 }
 
 // SchemaChange applies one schema operation to the owned node at path. Like
-// every other write it is a copy-on-write transaction: the operation builds
-// the next store version and publishes it together with any ownership-table
-// change, so concurrent queries see either the old or the new schema, never
-// a half-applied one.
+// every other write it is one commit: the operation builds the next store
+// version and publishes it together with any ownership-table change, so
+// concurrent queries see either the old or the new schema, never a
+// half-applied one, and read replicas of the node receive it.
 func (s *Site) SchemaChange(op SchemaOp, p xmldb.IDPath, args map[string]string) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	st := s.state.Load()
-	if !st.owned[p.Key()] {
-		return fmt.Errorf("site %s: schema change on unowned node %s", s.cfg.Name, p)
-	}
-	ts := s.cfg.Clock()
-	w := st.store.Begin()
-	addKey, delPrefix, err := schemaApply(w, s.cfg.Name, op, p, args, ts,
-		func(key string) bool { return st.owned[key] })
+	lsn, err := s.commit(walOp{Op: opSchema, SchemaOp: string(op), Fields: args, path: p})
 	if err != nil {
 		return err
 	}
-	owned := st.owned // replaced with a copy by the ops that change it
-	var registry func()
-	if addKey != "" {
-		owned = copyOwned(st.owned)
-		owned[addKey] = true
-		if s.cfg.Registry != nil {
-			cp, perr := xmldb.ParseIDPath(addKey)
-			if perr == nil {
-				registry = func() { s.cfg.Registry.Set(naming.DNSName(cp, s.cfg.Service), s.cfg.Name) }
-			}
-		}
-	}
-	if delPrefix != "" {
-		owned = copyOwned(st.owned)
-		for k := range owned {
-			if k == delPrefix || len(k) > len(delPrefix) && k[:len(delPrefix)+1] == delPrefix+"/" {
-				delete(owned, k)
-			}
-		}
-	}
-	lsn := s.walAppend(walOp{Op: opSchema, SchemaOp: string(op), Path: p.String(), Fields: args, TS: ts})
-	s.publishLocked(&siteState{store: w.Commit(), owned: owned, migrated: st.migrated})
-	// Rare control-plane op: waiting under wmu is acceptable, and the DNS
-	// registration below must not outrun the durable schema change.
+	// The DNS registration below must not outrun the durable schema change.
 	s.walWait(lsn)
-	if s.summaries != nil {
-		// A schema change can add or remove aggregate matches anywhere under
-		// the changed node; flushing is simpler than reasoning per-op.
-		s.summaries.flush()
-	}
-	if registry != nil {
-		registry()
+	if op == OpAddIDable && s.cfg.Registry != nil {
+		s.cfg.Registry.Set(naming.DNSName(p.Child(args["name"], args["id"]), s.cfg.Service), s.cfg.Name)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package site
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -1056,48 +1057,26 @@ func (s *Site) mergeCache(frags []*xmldb.Node) []error {
 	return errs
 }
 
-// commitMerge is one merge transaction through the copy-on-write write
-// path: take the writer mutex, build the next version from the latest
-// published one by merging every fragment, publish. Queries in flight keep
-// reading the version they pinned; the next snapshot load sees the cached
-// data. On budgeted sites the fragments' units are held for the
-// transaction and the evictions the merge forces commit with it, so no
-// published version exceeds the budget by more than the answer being
-// installed (cache.go). A rejected fragment returns its error with nothing
-// published and no residency recorded.
+// commitMerge is one merge transaction through the commit point: a merge
+// command per fragment and, on budgeted sites, the eviction pass they force,
+// as one version and one WAL record (replaying part of it would leave a store
+// no live execution could have published). Queries in flight keep reading the
+// version they pinned; the next snapshot load sees the cached data. The
+// fragments' units are held for the transaction, so no published version
+// exceeds the budget by more than the answer being installed (cache.go). A
+// rejected fragment returns its error with nothing published.
 func (s *Site) commitMerge(frags []*xmldb.Node) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	st := s.state.Load()
-	w := st.store.Begin()
+	cmds := make([]walOp, 0, len(frags)+1)
 	for _, frag := range frags {
-		if err := w.MergeFragment(frag); err != nil {
-			return err
-		}
+		cmds = append(cmds, walOp{Op: opMerge, Cached: s.cache != nil, frag: frag})
 	}
-	var evicted []string
-	clock := s.cfg.Clock()
 	if s.cache != nil {
-		// The budget eviction inside the transaction must not cancel the
-		// fetch it is committing: its units are held until the pass is over.
-		s.cache.noteFetched(frags, clock, true)
-		evicted = s.evictToBudgetLocked(w)
-		s.cache.release()
+		cmds = append(cmds, walOp{Op: opEvict})
 	}
-	if s.dur != nil {
-		// Merges and forced evictions are one record: replaying part of it
-		// would leave a store no live execution could have published.
-		ops := make([]walOp, 0, len(frags)+1)
-		for _, frag := range frags {
-			ops = append(ops, walOp{Op: opMerge, Frag: frag.String(), Clock: clock, Cached: s.cache != nil})
-		}
-		if len(evicted) > 0 {
-			ops = append(ops, walOp{Op: opEvict, Paths: evicted})
-		}
-		// Cache merges are not acked writes; no walWait.
-		s.walAppend(ops...)
+	// Cache merges are not acked writes; no walWait.
+	if _, err := s.commit(cmds...); err != nil {
+		return err
 	}
-	s.publishLocked(&siteState{store: w.Commit(), owned: st.owned, migrated: st.migrated})
 	s.Metrics.CacheMergeCommits.Inc()
 	s.Metrics.CacheMergedFragments.Add(int64(len(frags)))
 	return nil
@@ -1119,25 +1098,14 @@ func (s *Site) handleUpdate(ctx context.Context, msg *Message) *Message {
 	if err != nil {
 		return errorMessage(err)
 	}
-	var owned bool
-	var applyErr error
 	var lsn uint64
 	s.cpu.Do(func() {
-		s.wmu.Lock()
-		st := s.state.Load()
-		owned = st.owned[p.Key()]
-		if owned {
-			lsn, applyErr = s.applyUpdateLocked(st, p, msg.Fields, msg.Attrs)
-		}
-		s.wmu.Unlock()
-		if owned {
+		lsn, err = s.commit(walOp{Op: opUpdate, Fields: msg.Fields, Attrs: msg.Attrs, path: p})
+		if err == nil {
 			s.updateCost()
 		}
 	})
-	if applyErr != nil {
-		return errorMessage(applyErr)
-	}
-	if owned {
+	if err == nil {
 		// Durability point: the ack leaves only after the commit's WAL
 		// record is on disk (group commit — concurrent updates share one
 		// fsync). The writer mutex is long released, so fsync latency never
@@ -1145,6 +1113,9 @@ func (s *Site) handleUpdate(ctx context.Context, msg *Message) *Message {
 		s.walWait(lsn)
 		s.Metrics.Updates.Inc()
 		return &Message{Kind: KindOK}
+	}
+	if !errors.Is(err, errNotOwned) {
+		return errorMessage(err)
 	}
 	// Forward to the current owner per the registry (stale-DNS path after
 	// a migration).
@@ -1173,28 +1144,6 @@ func (s *Site) updateCost() {
 	}
 }
 
-// applyUpdateLocked builds and publishes the next store version with the
-// update applied, returning the commit's WAL LSN (0 when not durable).
-// Callers hold wmu; st is the version they loaded under it.
-func (s *Site) applyUpdateLocked(st *siteState, p xmldb.IDPath, fields, attrs map[string]string) (uint64, error) {
-	ts := s.cfg.Clock()
-	w := st.store.Begin()
-	if err := w.ApplyUpdate(p, fields, attrs, ts); err != nil {
-		return 0, fmt.Errorf("site %s: owned node %s missing from store", s.cfg.Name, p)
-	}
-	lsn := s.walAppend(walOp{Op: opUpdate, Path: p.String(), Fields: fields, Attrs: attrs, TS: ts})
-	s.publishLocked(&siteState{store: w.Commit(), owned: st.owned, migrated: st.migrated})
-	// Queue the committed path on every replication stream covering it;
-	// the flusher re-reads the node's post-commit state at ship time.
-	s.repl.observeLocked(p)
-	if s.summaries != nil {
-		// Cached aggregate summaries over the updated subtree are stale the
-		// moment the new version publishes; drop them in the commit path.
-		s.summaries.invalidate(p)
-	}
-	return lsn, nil
-}
-
 // forwardTarget reports whether the query's LCA falls inside a subtree
 // this site delegated away, and to whom.
 func (s *Site) forwardTarget(query string) (string, bool) {
@@ -1220,25 +1169,6 @@ func (s *Site) rootName() string {
 
 func (s *Site) rootID() string {
 	return s.state.Load().store.Root.ID()
-}
-
-// copyOwned returns a private copy of an owned table about to change.
-// Published maps are immutable: readers iterate them without locks.
-func copyOwned(m map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// copyMigrated is copyOwned for the forwarding table.
-func copyMigrated(m map[string]string) map[string]string {
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // spin holds the caller's CPU slot for d. Sleeping (rather than busy

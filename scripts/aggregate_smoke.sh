@@ -5,25 +5,6 @@
 # query than the raw-gather baseline and answered with a >=2x better p50.
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
-
-LOG=$(mktemp)
-cleanup() {
-    rm -f "$LOG"
-}
-trap cleanup EXIT
-
-if ! go run ./cmd/irisbench -exp aggregates -short >"$LOG" 2>&1; then
-    echo "aggregate-smoke: aggregates experiment failed" >&2
-    cat "$LOG" >&2
-    exit 1
-fi
-cat "$LOG"
-
-if ! grep -q '"pass": true' BENCH_PR8.json; then
-    echo "aggregate-smoke: aggregates acceptance failed" >&2
-    cat BENCH_PR8.json >&2
-    exit 1
-fi
+"$(dirname "$0")/irisbench_smoke.sh" aggregate-smoke aggregates BENCH_PR8.json
 
 echo "aggregate-smoke: ok (>=10x fewer bytes and >=2x better p50 held)"

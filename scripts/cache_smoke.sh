@@ -6,25 +6,6 @@
 # gracefully as the budget shrank.
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
-
-LOG=$(mktemp)
-cleanup() {
-    rm -f "$LOG"
-}
-trap cleanup EXIT
-
-if ! go run ./cmd/irisbench -exp cache-pressure -short >"$LOG" 2>&1; then
-    echo "cache-smoke: cache-pressure experiment failed" >&2
-    cat "$LOG" >&2
-    exit 1
-fi
-cat "$LOG"
-
-if ! grep -q '"pass": true' BENCH_PR5.json; then
-    echo "cache-smoke: cache-pressure acceptance failed" >&2
-    cat BENCH_PR5.json >&2
-    exit 1
-fi
+"$(dirname "$0")/irisbench_smoke.sh" cache-smoke cache-pressure BENCH_PR5.json
 
 echo "cache-smoke: ok (bounded + graceful degradation held)"

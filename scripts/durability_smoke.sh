@@ -5,7 +5,8 @@
 #     (the WAL file descriptor is abandoned mid-stream), with the acceptance
 #     gates — zero lost acked updates, byte-identical recovery, bounded
 #     restart time, warm cache hit rate beating a cold rejoin — enforced via
-#     BENCH_PR10.json.
+#     the BENCH_PR10.json it writes (in a scratch directory:
+#     irisbench_smoke.sh).
 #
 #  2. A real irisnetd kill -9: boot the three-site parking demo with
 #     -data-dir on the entry/registry site, drive updates through irisload,
@@ -42,17 +43,7 @@ cleanup() {
 trap cleanup EXIT
 
 # ---- Part 1: in-process experiment gates -------------------------------
-if ! go run ./cmd/irisbench -exp durability -short >"$LOG" 2>&1; then
-    echo "durability-smoke: durability experiment failed" >&2
-    cat "$LOG" >&2
-    exit 1
-fi
-cat "$LOG"
-if ! grep -q '"pass": true' BENCH_PR10.json; then
-    echo "durability-smoke: durability acceptance failed" >&2
-    cat BENCH_PR10.json >&2
-    exit 1
-fi
+scripts/irisbench_smoke.sh durability-smoke durability BENCH_PR10.json
 
 # ---- Part 2: real daemon kill -9 ---------------------------------------
 go build -o "$BIN" ./cmd/irisnetd

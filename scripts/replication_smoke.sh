@@ -8,25 +8,6 @@
 # zero backwards-in-time answers).
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
-
-LOG=$(mktemp)
-cleanup() {
-    rm -f "$LOG"
-}
-trap cleanup EXIT
-
-if ! go run ./cmd/irisbench -exp replication -short >"$LOG" 2>&1; then
-    echo "replication-smoke: replication experiment failed" >&2
-    cat "$LOG" >&2
-    exit 1
-fi
-cat "$LOG"
-
-if ! grep -q '"pass": true' BENCH_PR9.json; then
-    echo "replication-smoke: replication acceptance failed" >&2
-    cat BENCH_PR9.json >&2
-    exit 1
-fi
+"$(dirname "$0")/irisbench_smoke.sh" replication-smoke replication BENCH_PR9.json
 
 echo "replication-smoke: ok (>=2.5x QPS scale-out, byte-identity, and clean failover held)"
