@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci build fmt vet lint test race-stress fuzz bench-smoke metrics-smoke cache-smoke aggregate-smoke replication-smoke durability-smoke perf-gate bench-e2e bench-compare
+.PHONY: ci build fmt vet lint test race-stress fuzz bench-smoke metrics-smoke durability-smoke perf-gate bench-e2e bench-compare
 
-ci: build fmt lint test race-stress fuzz bench-smoke metrics-smoke cache-smoke aggregate-smoke replication-smoke durability-smoke perf-gate
+ci: build fmt lint test race-stress fuzz bench-smoke metrics-smoke durability-smoke perf-gate
 
 build:
 	$(GO) build ./...
@@ -55,40 +55,19 @@ bench-smoke:
 metrics-smoke:
 	./scripts/metrics_smoke.sh
 
-# Bounded-cache experiment in smoke mode: short arms, but the acceptance
-# checks (cache bytes never exceed budget + one unit; hit rate degrades
-# gracefully as the budget shrinks) are still computed and enforced.
-cache-smoke:
-	./scripts/cache_smoke.sh
-
-# Aggregate-pushdown experiment in smoke mode: short arms, but the
-# acceptance comparisons (>=10x fewer bytes per query and >=2x better p50
-# than the raw-gather baseline) are still computed and enforced.
-aggregate-smoke:
-	./scripts/aggregate_smoke.sh
-
-# Replication experiment in smoke mode: short arms, but the acceptance
-# checks (>=2.5x aggregate QPS with 3 read replicas, strict/tolerant
-# byte-identity, lossless mid-load failover) are still computed and
-# enforced.
-replication-smoke:
-	./scripts/replication_smoke.sh
-
-# Durability experiment in smoke mode (zero lost acked updates,
-# byte-identical recovery, warm cache beating a cold rejoin), then a real
-# irisnetd kill -9 on the demo topology: restart on the same -data-dir must
-# set the recovery metrics, rehydrate the cache before any query, and serve
-# a byte-equal answer.
+# A real irisnetd kill -9 on the demo topology: restart on the same
+# -data-dir must set the recovery metrics, rehydrate the cache before any
+# query, and serve a byte-equal answer.
 durability-smoke:
 	./scripts/durability_smoke.sh
 
-# Benchmarks HEAD against its merge base and fails on a >15% median ns/op
-# regression in the tier-1 benchmarks (BenchmarkSnapshotQuery,
+# Benchmarks HEAD against its merge base, the two taking turns one sample at
+# a time, and fails when a tier-1 benchmark (BenchmarkSnapshotQuery,
 # BenchmarkSerialize; BenchmarkParse, BenchmarkAggregateCompute,
 # BenchmarkCacheMissMerge and BenchmarkTouchAnswer are watched once both sides
-# have them). benchstat
-# renders the comparison when installed; cmd/benchgate decides the verdict
-# either way.
+# have them) is >15% slower in the median with every new sample slower than
+# every old one. benchstat renders the comparison when installed;
+# cmd/benchgate decides the verdict either way.
 perf-gate:
 	./scripts/perf_gate.sh
 

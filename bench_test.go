@@ -240,8 +240,8 @@ func BenchmarkFigure10(b *testing.B) {
 		for _, m := range mixes {
 			b.Run(mode.name+"/"+m.name, func(b *testing.B) {
 				cfg := benchCfg()
-				cfg.Caching = mode.caching
-				cfg.CacheBypass = mode.bypass
+				cfg.Site.Caching = mode.caching
+				cfg.Site.CacheBypass = mode.bypass
 				c, err := cluster.New(cluster.Hierarchical, cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -289,7 +289,8 @@ func BenchmarkFigure11(b *testing.B) {
 	for _, v := range variants {
 		for _, lvl := range levels {
 			b.Run(v.name+"/entry-"+lvl.name, func(b *testing.B) {
-				cfg := cluster.Config{DB: v.db, Latency: 50 * time.Microsecond, NaivePlans: v.naive}
+				cfg := cluster.Config{DB: v.db, Latency: 50 * time.Microsecond}
+				cfg.Site.NaivePlans = v.naive
 				c, err := cluster.New(cluster.Hierarchical, cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -321,7 +322,7 @@ func BenchmarkCacheLatency(b *testing.B) {
 		}
 		b.Run(name+"/QW-3", func(b *testing.B) {
 			cfg := benchCfg()
-			cfg.Caching = caching
+			cfg.Site.Caching = caching
 			c, err := cluster.New(cluster.Hierarchical, cfg)
 			if err != nil {
 				b.Fatal(err)

@@ -9,7 +9,7 @@
 //	irisbench -exp fig7 -dur 5s   # one experiment, longer measurement
 //
 // Experiments: updates, fig7, fig8, fig9, fig10, fig11, latency, faults,
-// trace-overhead, cache-pressure, aggregates, replication, durability, all.
+// trace-overhead, all.
 package main
 
 import (
@@ -28,11 +28,10 @@ import (
 )
 
 var (
-	expFlag   = flag.String("exp", "all", "experiment: updates|fig7|fig8|fig9|fig10|fig11|latency|faults|trace-overhead|cache-pressure|aggregates|replication|durability|all")
+	expFlag   = flag.String("exp", "all", "experiment: updates|fig7|fig8|fig9|fig10|fig11|latency|faults|trace-overhead|all")
 	durFlag   = flag.Duration("dur", 3*time.Second, "measurement duration per cell")
 	clients   = flag.Int("clients", 24, "closed-loop query clients")
 	largeFlag = flag.Bool("large", false, "use the x8 database where applicable")
-	shortFlag = flag.Bool("short", false, "smoke mode: clamp duration and client count (CI)")
 	faultFlag = flag.String("faults", "drop=0.05,stallrate=0.05,stall=40ms",
 		"fault injection for -exp faults: drop=<rate>,stallrate=<rate>,stall=<dur>")
 )
@@ -49,12 +48,8 @@ func main() {
 		"latency":        runLatency,
 		"faults":         runFaults,
 		"trace-overhead": runTraceOverhead,
-		"cache-pressure": runCachePressure,
-		"aggregates":     runAggregates,
-		"replication":    runReplication,
-		"durability":     runDurability,
 	}
-	order := []string{"updates", "fig7", "fig8", "fig9", "fig10", "fig11", "latency", "faults", "trace-overhead", "cache-pressure", "aggregates", "replication", "durability"}
+	order := []string{"updates", "fig7", "fig8", "fig9", "fig10", "fig11", "latency", "faults", "trace-overhead"}
 	if *expFlag == "all" {
 		for _, name := range order {
 			exps[name]()
@@ -262,8 +257,8 @@ func runFig10() {
 		fmt.Printf("%-22s", mode.name)
 		for _, m := range mixes {
 			cfg := baseCfg()
-			cfg.Caching = mode.caching
-			cfg.CacheBypass = mode.bypass
+			cfg.Site.Caching = mode.caching
+			cfg.Site.CacheBypass = mode.bypass
 			c, err := cluster.New(cluster.Hierarchical, cfg)
 			fatal(err)
 			res := c.RunLoad(cluster.LoadOpts{
@@ -309,7 +304,8 @@ func runFig11() {
 			// simulated wire latency: like the paper's LAN micro-bench,
 			// "communication" is the CPU cost of constructing and
 			// deconstructing messages, not propagation delay.
-			cfg := cluster.Config{DB: v.db, NaivePlans: v.naive}
+			cfg := cluster.Config{DB: v.db}
+			cfg.Site.NaivePlans = v.naive
 			c, err := cluster.New(cluster.Hierarchical, cfg)
 			fatal(err)
 			fe := c.NewFrontend()
@@ -376,7 +372,7 @@ func runLatency() {
 		var p95s [2]float64
 		for i, caching := range []bool{false, true} {
 			cfg := baseCfg()
-			cfg.Caching = caching
+			cfg.Site.Caching = caching
 			c, err := cluster.New(cluster.Hierarchical, cfg)
 			fatal(err)
 			// Identical repeated working set in both runs; with caching on,
@@ -458,7 +454,7 @@ func runFaults() {
 	for _, sc := range scenarios {
 		cfg := baseCfg()
 		cfg.Seed = 7
-		cfg.CallTimeout = 150 * time.Millisecond
+		cfg.Site.CallTimeout = 150 * time.Millisecond
 		cfg.QueryTimeout = 2 * time.Second
 		c, err := cluster.New(cluster.Hierarchical, cfg)
 		fatal(err)

@@ -40,6 +40,7 @@ import (
 	"syscall"
 
 	"irisnet/internal/deploy"
+	"irisnet/internal/site"
 )
 
 func main() {
@@ -74,18 +75,19 @@ func main() {
 		fail(logger, err)
 	}
 	node, err := deploy.StartSite(topo, *siteName, deploy.SiteOptions{
-		HostRegistry:     *registry,
-		Caching:          *caching,
-		CacheBudgetBytes: *cacheCap,
-		AdminAddr:        *adminAddr,
-		Logger:           logger,
-
-		SlowQueryThreshold:   *slowQuery,
-		StaleAnswerThreshold: *staleAns,
-		ProfileInterval:      *profEvery,
-		DataDir:              *dataDir,
-		FsyncInterval:        *fsyncIvl,
-		CheckpointInterval:   *ckptIvl,
+		HostRegistry:    *registry,
+		AdminAddr:       *adminAddr,
+		ProfileInterval: *profEvery,
+		Site: site.Config{
+			Caching:              *caching,
+			CacheBudgetBytes:     *cacheCap,
+			Logger:               logger,
+			SlowQueryThreshold:   *slowQuery,
+			StaleAnswerThreshold: *staleAns,
+			DataDir:              *dataDir,
+			FsyncInterval:        *fsyncIvl,
+			CheckpointInterval:   *ckptIvl,
+		},
 	})
 	if err != nil {
 		fail(logger, err)

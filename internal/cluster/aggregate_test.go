@@ -9,6 +9,7 @@ import (
 
 	"irisnet/internal/qeg"
 	"irisnet/internal/service"
+	"irisnet/internal/site"
 	"irisnet/internal/transport"
 	"irisnet/internal/xmldb"
 	"irisnet/internal/xpath"
@@ -147,7 +148,7 @@ func TestAggregateFallbackEquivalence(t *testing.T) {
 }
 
 func TestAggregateCachingMixedAndSummaryHits(t *testing.T) {
-	c, err := New(Hierarchical, Config{DB: tinyDB(), Caching: true})
+	c, err := New(Hierarchical, Config{DB: tinyDB(), Site: site.Config{Caching: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestAggregateCachingMixedAndSummaryHits(t *testing.T) {
 }
 
 func TestAggregateUpdateInvalidatesSummaries(t *testing.T) {
-	c, err := New(Hierarchical, Config{DB: tinyDB(), Caching: true})
+	c, err := New(Hierarchical, Config{DB: tinyDB(), Site: site.Config{Caching: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,9 +227,8 @@ func TestAggregatePartitionYieldsPartialAnswer(t *testing.T) {
 	cfg := Config{
 		DB:           tinyDB(),
 		Seed:         11,
-		CallTimeout:  150 * time.Millisecond,
 		QueryTimeout: 3 * time.Second,
-		Retry:        transport.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond},
+		Site:         site.Config{CallTimeout: 150 * time.Millisecond, Retry: transport.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}},
 	}
 	c, err := New(Hierarchical, cfg)
 	if err != nil {

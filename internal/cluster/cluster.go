@@ -70,68 +70,29 @@ type Config struct {
 	// Bandwidth is the simulated link throughput in bytes per second; zero
 	// keeps message size free (see transport.SimConfig.Bandwidth).
 	Bandwidth float64
-	// Caching enables query-result caching at every site.
-	Caching bool
-	// CacheBudgetBytes bounds each site's accounted cached (non-owned)
-	// bytes; over budget, cold local-information units are evicted. Zero
-	// leaves caches unbounded. Only meaningful with Caching.
-	CacheBudgetBytes int64
-	// CacheBypass keeps cache writes but ignores cached data on reads
-	// (Figure 10's "caching with no hits" and Section 5.5's bypass).
-	CacheBypass bool
-	// NaivePlans selects naive per-query plan creation everywhere.
-	NaivePlans bool
-	// CPUSlots is the number of concurrent CPU-bound message-processing
-	// slots per site; zero means 1, the paper's single-CPU machines.
-	CPUSlots int
-	// QueryWork, PerNodeWork and UpdateWork are the synthetic service-time
-	// model of the paper's heavier XML backend: a query evaluation holds a
-	// site's CPU slot for QueryWork + PerNodeWork x (result nodes); an
-	// update holds it for UpdateWork. See site.Config.
-	QueryWork   time.Duration
-	PerNodeWork time.Duration
-	UpdateWork  time.Duration
 	// BlockSites is the number of worker sites holding blocks in
 	// architectures 2 and 3 (paper: 8, for 9 machines total).
 	BlockSites int
 	// DNSTTL is the client-side DNS cache TTL.
 	DNSTTL time.Duration
-	// Clock overrides the consistency clock (nil = wall time).
-	Clock func() float64
 	// Seed feeds the simulated network's jitter and fault schedules, making
 	// fault-injection runs reproducible. Zero uses the transport default.
 	Seed int64
-	// CallTimeout bounds each site-to-site attempt; zero uses the transport
-	// default. Keep it well below QueryTimeout so a site can give up on one
-	// peer, mark it unreachable and still answer partially in time.
-	CallTimeout time.Duration
 	// QueryTimeout is the end-to-end deadline frontends put on each query;
-	// zero means none.
+	// zero means none. Keep Site.CallTimeout well below it so a site can
+	// give up on one peer, mark it unreachable and still answer partially
+	// in time.
 	QueryTimeout time.Duration
-	// Retry shapes site and frontend retry loops (zero = defaults).
-	Retry transport.RetryPolicy
-	// BatchByteCap caps one batch message's encoded payload; zero uses
-	// site.DefaultBatchByteCap.
-	BatchByteCap int
 	// ForceEntry routes every frontend query through the named site
 	// regardless of architecture (e.g. the root site, to concentrate misses
 	// on one cache). Empty keeps the per-architecture default.
 	ForceEntry string
-	// ReplicaFlushInterval sets how often owners push committed deltas to
-	// their read replicas; zero uses site.DefaultReplicaFlushInterval. See
-	// site.Config.ReplicaFlushInterval.
-	ReplicaFlushInterval time.Duration
-	// DataDir, when set, gives every site a durable store under
-	// DataDir/<site-name>: committed transactions are WAL-logged and
-	// checkpointed, and sites restart warm (see site.Config.DataDir).
-	// Empty keeps the prior in-memory behavior.
-	DataDir string
-	// FsyncInterval relaxes WAL durability to at-most-one-interval of
-	// acked-update loss; zero fsyncs on every acked commit (group commit).
-	FsyncInterval time.Duration
-	// CheckpointInterval is the per-site checkpoint cadence; zero uses
-	// site.DefaultCheckpointInterval.
-	CheckpointInterval time.Duration
+	// Site is the template every site of the cluster is built from: each
+	// site option is a site.Config field and is set here (Site.Caching,
+	// Site.CallTimeout, ...). The cluster fills Name, Service, Net, DNS,
+	// Registry and Schema per site, and a non-empty Site.DataDir becomes
+	// DataDir/<site-name>. Frontends share Site.Clock and Site.Retry.
+	Site site.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -143,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DNSTTL == 0 {
 		c.DNSTTL = time.Hour
-	}
-	if c.CPUSlots == 0 {
-		c.CPUSlots = 1
 	}
 	return c
 }
@@ -162,13 +120,6 @@ type Cluster struct {
 	// Metrics is the process-wide metrics registry every site registers
 	// into (one label set per site), served by ServeAdmin at /metrics.
 	Metrics *metrics.Registry
-
-	// baseStores and baseOwned retain the initial partition per site, so a
-	// restart can hand Recover the same cold-start fallback the original
-	// start had (recovery only uses it when the data dir is empty or
-	// durability is off).
-	baseStores map[string]*fragment.Store
-	baseOwned  map[string][]xmldb.IDPath
 }
 
 // ServeAdmin starts the observability HTTP endpoint (/metrics, /healthz,
@@ -190,8 +141,11 @@ func (c *Cluster) ServeAdmin(addr string) (*service.Admin, string, error) {
 func New(arch Architecture, cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	db := workload.Build(cfg.DB)
-	assign := buildAssignment(arch, db, cfg)
+	return start(arch, cfg, db, buildAssignment(arch, db, cfg))
+}
 
+// start partitions db by assign and runs one site per partition.
+func start(arch Architecture, cfg Config, db *workload.DB, assign *fragment.Assignment) (*Cluster, error) {
 	c := &Cluster{
 		Arch:     arch,
 		Cfg:      cfg,
@@ -202,14 +156,12 @@ func New(arch Architecture, cfg Config) (*Cluster, error) {
 		Assign:   assign,
 		Metrics:  metrics.NewRegistry(),
 	}
-
 	stores, owned, err := fragment.Partition(db.Doc, assign)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: partition: %w", err)
 	}
-	c.baseStores, c.baseOwned = stores, owned
 	for _, name := range assign.Sites() {
-		if _, err := c.startSite(name); err != nil {
+		if _, err := c.startSite(c.siteConfig(name), stores[name], owned[name]); err != nil {
 			return nil, err
 		}
 	}
@@ -217,72 +169,38 @@ func New(arch Architecture, cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// siteConfig builds one site's configuration from the cluster settings.
+// siteConfig is the one place a cluster site is configured: the Cfg.Site
+// template with this site's identity and the cluster's wiring filled in.
 func (c *Cluster) siteConfig(name string) site.Config {
-	cfg := c.Cfg
-	sc := site.Config{
-		Name:                 name,
-		Service:              workload.Service,
-		Net:                  c.Net,
-		DNS:                  c.NewResolver(),
-		Registry:             c.Registry,
-		Schema:               c.DB.Schema,
-		Caching:              cfg.Caching,
-		CacheBudgetBytes:     cfg.CacheBudgetBytes,
-		CacheBypass:          cfg.CacheBypass,
-		NaivePlans:           cfg.NaivePlans,
-		CPUSlots:             cfg.CPUSlots,
-		QueryWork:            cfg.QueryWork,
-		PerNodeWork:          cfg.PerNodeWork,
-		UpdateWork:           cfg.UpdateWork,
-		Clock:                cfg.Clock,
-		CallTimeout:          cfg.CallTimeout,
-		Retry:                cfg.Retry,
-		BatchByteCap:         cfg.BatchByteCap,
-		ReplicaFlushInterval: cfg.ReplicaFlushInterval,
-	}
-	if cfg.DataDir != "" {
-		sc.DataDir = filepath.Join(cfg.DataDir, name)
-		sc.FsyncInterval = cfg.FsyncInterval
-		sc.CheckpointInterval = cfg.CheckpointInterval
+	sc := c.Cfg.Site
+	sc.Name = name
+	sc.Service = workload.Service
+	sc.Net = c.Net
+	sc.DNS = c.NewResolver()
+	sc.Registry = c.Registry
+	sc.Schema = c.DB.Schema
+	if sc.DataDir != "" {
+		sc.DataDir = filepath.Join(sc.DataDir, name)
 	}
 	return sc
 }
 
-// startSite builds, recovers (or cold-loads) and starts one site, replacing
-// any previous instance under the same name. Used both by New and by
-// RestartSite after a crash.
-func (c *Cluster) startSite(name string) (*site.Site, error) {
-	s := site.New(c.siteConfig(name), workload.RootName, workload.RootID)
-	base := c.baseStores[name]
-	if base == nil {
-		base = fragment.NewStore(workload.RootName, workload.RootID)
+// startSite builds a site, recovers it from its data directory (or loads
+// store and owned when it has none) and starts it.
+func (c *Cluster) startSite(sc site.Config, store *fragment.Store, owned []xmldb.IDPath) (*site.Site, error) {
+	s := site.New(sc, workload.RootName, workload.RootID)
+	if store == nil {
+		store = fragment.NewStore(workload.RootName, workload.RootID)
 	}
-	if _, err := s.Recover(base, c.baseOwned[name]); err != nil {
-		return nil, fmt.Errorf("cluster: recovering site %s: %w", name, err)
+	if _, err := s.Recover(store, owned); err != nil {
+		return nil, fmt.Errorf("cluster: recovering site %s: %w", sc.Name, err)
 	}
 	if err := s.Start(); err != nil {
 		return nil, err
 	}
-	// Re-registering after a restart is a no-op (the registry keeps the
-	// first series); the fresh Site's own Metrics struct is what the bench
-	// harnesses read.
 	s.Register(c.Metrics)
-	c.Sites[name] = s
+	c.Sites[sc.Name] = s
 	return s, nil
-}
-
-// RestartSite rebuilds the named site after a Crash or Stop, recovering
-// whatever its data directory holds (warm restart) or falling back to the
-// original partition when the cluster runs in-memory. The new instance
-// replaces the old one in c.Sites.
-func (c *Cluster) RestartSite(name string) (*site.Site, error) {
-	old, ok := c.Sites[name]
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown site %q", name)
-	}
-	old.Stop() // idempotent; ensures the previous instance released the log
-	return c.startSite(name)
 }
 
 // AddReplicaSite starts an empty site (owning nothing) wired into the
@@ -293,38 +211,11 @@ func (c *Cluster) AddReplicaSite(name string) (*site.Site, error) {
 	if _, ok := c.Sites[name]; ok {
 		return nil, fmt.Errorf("cluster: site %q already exists", name)
 	}
-	cfg := c.Cfg
-	sc := site.Config{
-		Name:                 name,
-		Service:              workload.Service,
-		Net:                  c.Net,
-		DNS:                  c.NewResolver(),
-		Registry:             c.Registry,
-		Schema:               c.DB.Schema,
-		CPUSlots:             cfg.CPUSlots,
-		QueryWork:            cfg.QueryWork,
-		PerNodeWork:          cfg.PerNodeWork,
-		UpdateWork:           cfg.UpdateWork,
-		Clock:                cfg.Clock,
-		CallTimeout:          cfg.CallTimeout,
-		Retry:                cfg.Retry,
-		ReplicaFlushInterval: cfg.ReplicaFlushInterval,
-	}
-	if cfg.DataDir != "" {
-		sc.DataDir = filepath.Join(cfg.DataDir, name)
-		sc.FsyncInterval = cfg.FsyncInterval
-		sc.CheckpointInterval = cfg.CheckpointInterval
-	}
-	s := site.New(sc, workload.RootName, workload.RootID)
-	if _, err := s.Recover(fragment.NewStore(workload.RootName, workload.RootID), nil); err != nil {
-		return nil, fmt.Errorf("cluster: recovering replica site %s: %w", name, err)
-	}
-	if err := s.Start(); err != nil {
-		return nil, err
-	}
-	s.Register(c.Metrics)
-	c.Sites[name] = s
-	return s, nil
+	sc := c.siteConfig(name)
+	// A replica serves what its owner pushes: it caches nothing of its own,
+	// and bypass would make it ignore the copy it exists to serve.
+	sc.Caching, sc.CacheBypass = false, false
+	return c.startSite(sc, nil, nil)
 }
 
 // Close stops all sites.
@@ -349,11 +240,11 @@ func (c *Cluster) NewFrontend() *service.Frontend {
 	if c.Cfg.ForceEntry != "" {
 		f.ForceEntry = c.Cfg.ForceEntry
 	}
-	if c.Cfg.Clock != nil {
-		f.Clock = c.Cfg.Clock
+	if c.Cfg.Site.Clock != nil {
+		f.Clock = c.Cfg.Site.Clock
 	}
 	f.Timeout = c.Cfg.QueryTimeout
-	f.Retry = c.Cfg.Retry
+	f.Retry = c.Cfg.Site.Retry
 	return f
 }
 
@@ -400,28 +291,7 @@ func BalancedSkewCluster(cfg Config, hotCity, hotNB int) (*Cluster, error) {
 		p := db.BlockPath(hotCity, hotNB, b)
 		assign.Assign(p, all[b%len(all)])
 	}
-	c := &Cluster{
-		Arch:     Hierarchical,
-		Cfg:      cfg,
-		Net:      transport.NewSimNet(transport.SimConfig{Latency: cfg.Latency, Jitter: cfg.Jitter, PerMessage: cfg.PerMessage, Bandwidth: cfg.Bandwidth, Seed: cfg.Seed}),
-		Registry: naming.NewRegistry(),
-		Sites:    map[string]*site.Site{},
-		DB:       db,
-		Assign:   assign,
-		Metrics:  metrics.NewRegistry(),
-	}
-	stores, owned, err := fragment.Partition(db.Doc, assign)
-	if err != nil {
-		return nil, err
-	}
-	c.baseStores, c.baseOwned = stores, owned
-	for _, name := range assign.Sites() {
-		if _, err := c.startSite(name); err != nil {
-			return nil, err
-		}
-	}
-	c.Registry.RegisterSubtree(db.Doc, workload.Service, assign.OwnerOf)
-	return c, nil
+	return start(Hierarchical, cfg, db, assign)
 }
 
 func siteNamesHierarchical(db *workload.DB) []string {
@@ -447,8 +317,8 @@ func (c *Cluster) UpdatePaths() []xmldb.IDPath { return c.DB.SpacePaths }
 // All values sit above this host's ~1.2 ms sleep-timer floor.
 func PaperCalibration(cfg Config) Config {
 	cfg.Latency = 1500 * time.Microsecond
-	cfg.QueryWork = 2 * time.Millisecond
-	cfg.PerNodeWork = 40 * time.Microsecond
-	cfg.UpdateWork = 4 * time.Millisecond
+	cfg.Site.QueryWork = 2 * time.Millisecond
+	cfg.Site.PerNodeWork = 40 * time.Microsecond
+	cfg.Site.UpdateWork = 4 * time.Millisecond
 	return cfg
 }

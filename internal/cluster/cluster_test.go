@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"irisnet/internal/sensor"
+	"irisnet/internal/site"
 	"irisnet/internal/workload"
 )
 
@@ -162,7 +163,7 @@ func TestUniqueGenExhaustsCleanly(t *testing.T) {
 }
 
 func TestDynamicLoadBalanceMigrates(t *testing.T) {
-	c, err := New(Hierarchical, Config{DB: tinyDB(), QueryWork: 2 * time.Millisecond})
+	c, err := New(Hierarchical, Config{DB: tinyDB(), Site: site.Config{QueryWork: 2 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestBalancedSkewCluster(t *testing.T) {
 }
 
 func TestCachingClusterCorrectness(t *testing.T) {
-	c, err := New(Hierarchical, Config{DB: tinyDB(), Caching: true})
+	c, err := New(Hierarchical, Config{DB: tinyDB(), Site: site.Config{Caching: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"irisnet/internal/site"
 	"irisnet/internal/transport"
 )
 
@@ -17,9 +18,8 @@ import (
 func TestPartitionedSiteYieldsPartialAnswerWithinDeadline(t *testing.T) {
 	cfg := Config{
 		Seed:         11,
-		CallTimeout:  150 * time.Millisecond,
 		QueryTimeout: 3 * time.Second,
-		Retry:        transport.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond},
+		Site:         site.Config{CallTimeout: 150 * time.Millisecond, Retry: transport.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}},
 	}
 	c, err := New(Hierarchical, cfg)
 	if err != nil {
@@ -70,8 +70,8 @@ func TestPartitionedSiteYieldsPartialAnswerWithinDeadline(t *testing.T) {
 func TestHealedPartitionRecovers(t *testing.T) {
 	cfg := Config{
 		Seed:         11,
-		CallTimeout:  150 * time.Millisecond,
 		QueryTimeout: 3 * time.Second,
+		Site:         site.Config{CallTimeout: 150 * time.Millisecond},
 	}
 	c, err := New(Hierarchical, cfg)
 	if err != nil {
@@ -110,9 +110,8 @@ func TestHealedPartitionRecovers(t *testing.T) {
 func TestDroppedMessagesAreRetriedTransparently(t *testing.T) {
 	cfg := Config{
 		Seed:         23,
-		CallTimeout:  time.Second,
 		QueryTimeout: 10 * time.Second,
-		Retry:        transport.RetryPolicy{MaxAttempts: 6, BaseBackoff: time.Millisecond},
+		Site:         site.Config{CallTimeout: time.Second, Retry: transport.RetryPolicy{MaxAttempts: 6, BaseBackoff: time.Millisecond}},
 	}
 	c, err := New(Hierarchical, cfg)
 	if err != nil {
@@ -150,9 +149,8 @@ func TestFaultRunsAreReproducible(t *testing.T) {
 	run := func() []bool {
 		cfg := Config{
 			Seed:         77,
-			CallTimeout:  50 * time.Millisecond,
 			QueryTimeout: 2 * time.Second,
-			Retry:        transport.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond},
+			Site:         site.Config{CallTimeout: 50 * time.Millisecond, Retry: transport.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}},
 		}
 		c, err := New(Hierarchical, cfg)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"irisnet/internal/site"
 	"irisnet/internal/trace"
 )
 
@@ -12,7 +13,7 @@ import (
 // cache ledgers cached units; and the per-site freshness instruments
 // advance.
 func TestQueryFreshnessEndToEnd(t *testing.T) {
-	c, err := New(Hierarchical, Config{Caching: true})
+	c, err := New(Hierarchical, Config{Site: site.Config{Caching: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

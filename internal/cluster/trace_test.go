@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"irisnet/internal/site"
 	"irisnet/internal/trace"
 	"irisnet/internal/transport"
 )
@@ -103,9 +104,8 @@ func TestTraceIDsUniqueAndStable(t *testing.T) {
 func TestTraceSurvivesRetries(t *testing.T) {
 	cfg := Config{
 		Seed:         23,
-		CallTimeout:  time.Second,
 		QueryTimeout: 10 * time.Second,
-		Retry:        transport.RetryPolicy{MaxAttempts: 6, BaseBackoff: time.Millisecond},
+		Site:         site.Config{CallTimeout: time.Second, Retry: transport.RetryPolicy{MaxAttempts: 6, BaseBackoff: time.Millisecond}},
 	}
 	c, err := New(Hierarchical, cfg)
 	if err != nil {
@@ -143,9 +143,8 @@ func TestTraceSurvivesRetries(t *testing.T) {
 func TestTraceMarksPartialAnswers(t *testing.T) {
 	cfg := Config{
 		Seed:         11,
-		CallTimeout:  150 * time.Millisecond,
 		QueryTimeout: 3 * time.Second,
-		Retry:        transport.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond},
+		Site:         site.Config{CallTimeout: 150 * time.Millisecond, Retry: transport.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}},
 	}
 	c, err := New(Hierarchical, cfg)
 	if err != nil {
@@ -188,7 +187,7 @@ func TestTraceMarksPartialAnswers(t *testing.T) {
 // query/cache/retry/partial series in one registry without collisions, and
 // /debug/fragment reports every site.
 func TestClusterAdminEndpoint(t *testing.T) {
-	cfg := Config{Caching: true}
+	cfg := Config{Site: site.Config{Caching: true}}
 	c, err := New(Hierarchical, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"time"
@@ -260,38 +259,21 @@ type SiteOptions struct {
 	// HostRegistry makes this process serve the name registry and seed it
 	// with every IDable node's owner.
 	HostRegistry bool
-	// Caching enables query-result caching.
-	Caching bool
-	// CacheBudgetBytes bounds the accounted bytes of cached (non-owned)
-	// data; zero leaves the cache unbounded. Only meaningful with Caching.
-	CacheBudgetBytes int64
-	// Schema overrides the inferred schema.
-	Schema *xpath.Schema
 	// AdminAddr, when non-empty, serves the observability endpoint
 	// (/metrics, /healthz, /debug/fragment, /debug/cluster, /debug/pprof)
 	// on this host:port (":0" picks a free port; see Node.AdminAddr for
 	// the bound address).
 	AdminAddr string
-	// Logger receives the site's structured logs; nil disables them.
-	Logger *slog.Logger
-	// SlowQueryThreshold, when positive, logs a warning for queries whose
-	// handling time reaches it. StaleAnswerThreshold does the same for
-	// answers whose oldest cached unit reaches the given age.
-	SlowQueryThreshold   time.Duration
-	StaleAnswerThreshold time.Duration
 	// ProfileInterval, when positive, runs a continuous CPU profiler that
 	// takes a one-second sample each interval, served at
 	// /debug/profile/latest. Requires AdminAddr.
 	ProfileInterval time.Duration
-	// DataDir, when set, makes the site durable under DataDir/<site-name>
-	// (WAL plus snapshot checkpoints; warm restart after kill -9). Empty
-	// keeps the in-memory behavior.
-	DataDir string
-	// FsyncInterval relaxes WAL fsyncs to a background cadence (bounded
-	// loss); zero fsyncs every acked commit.
-	FsyncInterval time.Duration
-	// CheckpointInterval overrides site.DefaultCheckpointInterval.
-	CheckpointInterval time.Duration
+	// Site is the template the site is built from: every site option is a
+	// site.Config field and is set here (Site.Caching, Site.Logger,
+	// Site.DataDir, ...). StartSite fills Name, Service, Net, DNS and
+	// Registry, infers Schema from the document when nil, defaults CPUSlots
+	// to 4, and a non-empty Site.DataDir becomes DataDir/<site-name>.
+	Site site.Config
 }
 
 // Node is a running deployment member.
@@ -326,16 +308,34 @@ func (n *Node) Stop() {
 	n.Net.Close()
 }
 
+// siteConfig is the one place a deployed site is configured: the caller's
+// template with the site's identity and the deployment's wiring filled in.
+func siteConfig(sc site.Config, t *Topology, name string, net transport.Network, registry naming.Store, doc *xmldb.Node) site.Config {
+	sc.Name = name
+	sc.Service = t.Service
+	sc.Net = net
+	sc.DNS = naming.NewClient(registry, t.Service, time.Minute, nil)
+	sc.Registry = registry
+	if sc.Schema == nil {
+		sc.Schema = xpath.InferSchema(doc)
+	}
+	if sc.CPUSlots == 0 {
+		sc.CPUSlots = 4
+	}
+	if sc.DataDir != "" {
+		sc.DataDir = filepath.Join(sc.DataDir, name)
+	}
+	return sc
+}
+
 // StartSite loads the shared document, partitions it per the topology, and
 // runs the named site over TCP. Every process derives the same partition
 // deterministically from the shared topology, so no coordination is needed
 // at startup.
 func StartSite(t *Topology, name string, opts SiteOptions) (*Node, error) {
-	addr, ok := t.Sites[name]
-	if !ok {
+	if _, ok := t.Sites[name]; !ok {
 		return nil, fmt.Errorf("deploy: unknown site %q", name)
 	}
-	_ = addr
 	doc, err := t.LoadDocument()
 	if err != nil {
 		return nil, err
@@ -363,30 +363,7 @@ func StartSite(t *Topology, name string, opts SiteOptions) (*Node, error) {
 		node.registry = NewRemoteRegistry(net)
 	}
 
-	schema := opts.Schema
-	if schema == nil {
-		schema = inferSchema(doc)
-	}
-	sc := site.Config{
-		Name:             name,
-		Service:          t.Service,
-		Net:              net,
-		DNS:              naming.NewClient(node.registry, t.Service, time.Minute, nil),
-		Registry:         node.registry,
-		Schema:           schema,
-		Caching:          opts.Caching,
-		CacheBudgetBytes: opts.CacheBudgetBytes,
-		CPUSlots:         4,
-		Logger:           opts.Logger,
-
-		SlowQueryThreshold:   opts.SlowQueryThreshold,
-		StaleAnswerThreshold: opts.StaleAnswerThreshold,
-	}
-	if opts.DataDir != "" {
-		sc.DataDir = filepath.Join(opts.DataDir, name)
-		sc.FsyncInterval = opts.FsyncInterval
-		sc.CheckpointInterval = opts.CheckpointInterval
-	}
+	sc := siteConfig(opts.Site, t, name, net, node.registry, doc)
 	s := site.New(sc, doc.Name, doc.ID())
 	store, okStore := stores[name]
 	if !okStore {
@@ -441,30 +418,3 @@ func NewFrontend(t *Topology) *service.Frontend {
 	net := t.network()
 	return service.NewFrontend(net, naming.NewClient(NewRemoteRegistry(net), t.Service, time.Minute, nil))
 }
-
-// inferSchema mirrors the facade's schema inference for deployments that
-// do not ship an explicit schema.
-func inferSchema(doc *xmldb.Node) *xpath.Schema {
-	s := &xpath.Schema{Children: map[string][]string{}, IDable: map[string]bool{doc.Name: true}}
-	seen := map[string]map[string]bool{}
-	doc.Walk(func(n *xmldb.Node) bool {
-		if n.ID() != "" || n.Parent == nil {
-			s.IDable[n.Name] = true
-		}
-		for _, c := range n.Children {
-			if seen[n.Name] == nil {
-				seen[n.Name] = map[string]bool{}
-			}
-			if !seen[n.Name][c.Name] {
-				seen[n.Name][c.Name] = true
-				s.Children[n.Name] = append(s.Children[n.Name], c.Name)
-			}
-		}
-		return true
-	})
-	return s
-}
-
-// ParsePathForTest re-exports ID-path parsing for the package tests and
-// tools without importing xmldb directly.
-func ParsePathForTest(s string) (xmldb.IDPath, error) { return xmldb.ParseIDPath(s) }

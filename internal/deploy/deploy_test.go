@@ -5,8 +5,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"irisnet/internal/site"
+	"irisnet/internal/xmldb"
 )
 
 const testDoc = `<usRegion id="NE">
@@ -96,19 +101,64 @@ func writeTopology(t *testing.T) (*Topology, string) {
 func startDeployment(t *testing.T) *Topology {
 	t.Helper()
 	topo, _ := writeTopology(t)
-	rootNode, err := StartSite(topo, "root-site", SiteOptions{HostRegistry: true, Caching: true})
+	rootNode, err := StartSite(topo, "root-site", SiteOptions{HostRegistry: true, Site: site.Config{Caching: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rootNode.Stop)
 	for _, name := range []string{"oakland", "shadyside"} {
-		node, err := StartSite(topo, name, SiteOptions{Caching: true})
+		node, err := StartSite(topo, name, SiteOptions{Site: site.Config{Caching: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(node.Stop)
 	}
 	return topo
+}
+
+// TestStartSiteBuildsFromTemplate: a site option is a site.Config field, and
+// StartSite passes the caller's template through whole. It fills in only the
+// identity and wiring, the inferred schema, four CPU slots and the per-site
+// data directory.
+func TestStartSiteBuildsFromTemplate(t *testing.T) {
+	topo, _ := writeTopology(t)
+	dataDir := t.TempDir()
+	tmpl := site.Config{
+		Caching:              true,
+		CacheBudgetBytes:     4096,
+		BatchByteCap:         512,
+		CallTimeout:          70 * time.Millisecond,
+		ReplicaFlushInterval: 3 * time.Millisecond,
+		DataDir:              dataDir,
+	}
+	node, err := StartSite(topo, "root-site", SiteOptions{HostRegistry: true, Site: tmpl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Stop()
+	if got := node.Site.Debug().CacheBudget; got != tmpl.CacheBudgetBytes {
+		t.Fatalf("running site reports cache budget %d, want %d", got, tmpl.CacheBudgetBytes)
+	}
+	if _, err := os.Stat(filepath.Join(dataDir, "root-site")); err != nil {
+		t.Fatalf("site did not open its own directory under DataDir: %v", err)
+	}
+
+	doc, err := topo.LoadDocument()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := siteConfig(tmpl, topo, "root-site", node.Net, node.registry, doc)
+	if got.DNS == nil || got.Schema == nil || !got.Schema.IDable["parkingSpace"] {
+		t.Fatalf("resolver or inferred schema missing: %+v", got)
+	}
+	want := tmpl
+	want.Name, want.Service, want.Net, want.Registry = "root-site", topo.Service, node.Net, node.registry
+	want.DNS, want.Schema = got.DNS, got.Schema
+	want.CPUSlots = 4
+	want.DataDir = filepath.Join(dataDir, "root-site")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("site config built from the template\n got %+v\nwant %+v", got, want)
+	}
 }
 
 func TestLoadTopologyValidation(t *testing.T) {
@@ -179,7 +229,7 @@ func TestTCPDeploymentEndToEnd(t *testing.T) {
 	if err != nil || len(sp) != 1 {
 		t.Fatalf("space 2: %v %v", sp, err)
 	}
-	p, _ := ParsePathForTest(pgh + "/neighborhood[@id='Oakland']/block[@id='1']/parkingSpace[@id='2']")
+	p, _ := xmldb.ParseIDPath(pgh + "/neighborhood[@id='Oakland']/block[@id='1']/parkingSpace[@id='2']")
 	if err := fe.Update(p, map[string]string{"available": "yes"}, nil); err != nil {
 		t.Fatal(err)
 	}

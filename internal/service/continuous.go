@@ -94,8 +94,10 @@ func (f *Frontend) WatchQuery(query string, interval time.Duration) (*Watch, err
 	ch := make(chan Change, 1)
 	w := &Watch{C: ch, stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
-		defer close(w.done)
+		// done closes before C: a consumer that sees C closed must find the
+		// terminal error in Err, which reads it only once done is closed.
 		defer close(ch)
+		defer close(w.done)
 		// baseline is the answer set the consumer has seen (delivered and
 		// read); pending is the set encoded in a sent-but-possibly-unread
 		// change, nil when nothing is in flight.

@@ -10,6 +10,7 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -529,10 +530,15 @@ func TestDurableReplicaWatermarkPersists(t *testing.T) {
 
 // TestDurableWarmCacheRecovered restarts a caching entry site and verifies
 // the cache comes back warm — repeat queries are answered locally — and is
-// trimmed to a shrunken budget on the way in.
+// trimmed to a shrunken budget on the way in, where the same restart over a
+// wiped data directory (a cold rejoin) has to fetch the answer again.
 func TestDurableWarmCacheRecovered(t *testing.T) {
 	d := deployCfg(t, false, transport.SimConfig{}, nil)
 	dir := filepath.Join(t.TempDir(), "entry")
+	// The entry's clock moves between queries, so the cache has a coldest
+	// unit for the trim to take.
+	var sec atomic.Int64
+	sec.Store(1000)
 	mkEntry := func(budget int64) *Site {
 		sc := Config{
 			Name:             "entry",
@@ -544,7 +550,7 @@ func TestDurableWarmCacheRecovered(t *testing.T) {
 			Caching:          true,
 			CacheBudgetBytes: budget,
 			CPUSlots:         1,
-			Clock:            d.clock,
+			Clock:            func() float64 { return float64(sec.Load()) },
 			DataDir:          dir,
 		}
 		s := New(sc, workload.RootName, workload.RootID)
@@ -559,10 +565,11 @@ func TestDurableWarmCacheRecovered(t *testing.T) {
 	}
 	entry := mkEntry(1 << 20)
 
-	q := d.db.BlockQuery(0, 0, 0)
-	want := centralAnswer(t, d, q)
+	q, hotQ := d.db.BlockQuery(0, 0, 0), d.db.BlockQuery(1, 1, 2)
+	want, hotWant := centralAnswer(t, d, q), centralAnswer(t, d, hotQ)
 	d.query(t, "entry", q)
-	d.query(t, "entry", d.db.BlockQuery(1, 1, 2))
+	sec.Add(1)
+	d.query(t, "entry", hotQ)
 	if entry.CachedFragments() == 0 {
 		t.Fatal("entry cached nothing")
 	}
@@ -579,10 +586,37 @@ func TestDurableWarmCacheRecovered(t *testing.T) {
 	if got := int64(entry2.CacheBytes()); got > smallBudget {
 		t.Fatalf("recovered cache over budget: %d > %d", got, smallBudget)
 	}
-	// Warm restart: the recovered answer is correct.
-	got := extracted(t, d.query(t, "entry", q), q, d.clock)
+	// Warm restart: the query used last before the crash survived the trim
+	// and is answered from the recovered cache without asking any other site.
+	got := extracted(t, d.query(t, "entry", hotQ), hotQ, d.clock)
+	if strings.Join(got, "|") != strings.Join(hotWant, "|") {
+		t.Fatalf("post-restart answer wrong:\n got %v\nwant %v", got, hotWant)
+	}
+	if hits, asked := entry2.Metrics.CacheHits.Value(), entry2.Metrics.Subqueries.Value(); hits != 1 || asked != 0 {
+		t.Fatalf("warm restart: %d cache hits, %d subqueries for a cached query, want 1 and 0", hits, asked)
+	}
+	// Whatever the trim evicted is fetched again, correctly.
+	got = extracted(t, d.query(t, "entry", q), q, d.clock)
 	if strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Fatalf("post-restart answer wrong:\n got %v\nwant %v", got, want)
+	}
+	entry2.Crash()
+
+	// Cold control: the same restart over a wiped directory rejoins with
+	// nothing cached and must go back to the owners for the same query.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	cold := mkEntry(smallBudget)
+	if n := cold.CachedFragments(); n != 0 {
+		t.Fatalf("cold rejoin came back with %d cached fragments", n)
+	}
+	got = extracted(t, d.query(t, "entry", hotQ), hotQ, d.clock)
+	if strings.Join(got, "|") != strings.Join(hotWant, "|") {
+		t.Fatalf("cold-rejoin answer wrong:\n got %v\nwant %v", got, hotWant)
+	}
+	if hits, asked := cold.Metrics.CacheHits.Value(), cold.Metrics.Subqueries.Value(); hits != 0 || asked == 0 {
+		t.Fatalf("cold rejoin: %d cache hits, %d subqueries, want a miss that asks the owners", hits, asked)
 	}
 }
 

@@ -81,6 +81,30 @@ type Schema struct {
 	IDable map[string]bool
 }
 
+// InferSchema derives a Schema from a document instance, for deployments
+// that ship none: the observed parent-child tag relation and the tags that
+// appear with id attributes.
+func InferSchema(doc *xmldb.Node) *Schema {
+	s := &Schema{Children: map[string][]string{}, IDable: map[string]bool{doc.Name: true}}
+	seen := map[string]map[string]bool{}
+	doc.Walk(func(n *xmldb.Node) bool {
+		if n.ID() != "" || n.Parent == nil {
+			s.IDable[n.Name] = true
+		}
+		for _, c := range n.Children {
+			if seen[n.Name] == nil {
+				seen[n.Name] = map[string]bool{}
+			}
+			if !seen[n.Name][c.Name] {
+				seen[n.Name][c.Name] = true
+				s.Children[n.Name] = append(s.Children[n.Name], c.Name)
+			}
+		}
+		return true
+	})
+	return s
+}
+
 // DescendantTags returns the set of tags reachable strictly below tag.
 func (s *Schema) DescendantTags(tag string) map[string]bool {
 	out := map[string]bool{}

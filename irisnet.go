@@ -321,23 +321,4 @@ func (d *Deployment) Stats(siteName string) (SiteStats, error) {
 
 // InferSchema derives a Schema from a document instance: the observed
 // parent-child tag relation and the tags that appear with id attributes.
-func InferSchema(doc *Node) *Schema {
-	s := &Schema{Children: map[string][]string{}, IDable: map[string]bool{doc.Name: true}}
-	seen := map[string]map[string]bool{}
-	doc.Walk(func(n *Node) bool {
-		if n.ID() != "" || n.Parent == nil {
-			s.IDable[n.Name] = true
-		}
-		for _, c := range n.Children {
-			if seen[n.Name] == nil {
-				seen[n.Name] = map[string]bool{}
-			}
-			if !seen[n.Name][c.Name] {
-				seen[n.Name][c.Name] = true
-				s.Children[n.Name] = append(s.Children[n.Name], c.Name)
-			}
-		}
-		return true
-	})
-	return s
-}
+func InferSchema(doc *Node) *Schema { return xpath.InferSchema(doc) }

@@ -1,20 +1,14 @@
 #!/usr/bin/env bash
-# Smoke-tests the durable fragment store, twice over:
-#
-#  1. The in-process durability experiment in -short mode: kill -9 semantics
-#     (the WAL file descriptor is abandoned mid-stream), with the acceptance
-#     gates — zero lost acked updates, byte-identical recovery, bounded
-#     restart time, warm cache hit rate beating a cold rejoin — enforced via
-#     the BENCH_PR10.json it writes (in a scratch directory:
-#     irisbench_smoke.sh).
-#
-#  2. A real irisnetd kill -9: boot the three-site parking demo with
-#     -data-dir on the entry/registry site, drive updates through irisload,
-#     pose a region query so the entry site caches both leaf neighborhoods,
-#     kill -9 the daemon, restart it on the same data dir, and require the
-#     recovery metrics (irisnet_recovery_seconds, irisnet_cached_fragments
-#     before any new query, irisnet_checkpoints_total) plus a byte-equal
-#     answer served by the rehydrated site.
+# Smoke-tests the durable fragment store against a real irisnetd kill -9:
+# boot the three-site parking demo with -data-dir on the entry/registry site,
+# drive updates through irisload, pose a region query so the entry site
+# caches both leaf neighborhoods, kill -9 the daemon, restart it on the same
+# data dir, and require the recovery metrics (irisnet_recovery_seconds,
+# irisnet_cached_fragments before any new query, irisnet_checkpoints_total)
+# plus a byte-equal answer served by the rehydrated site. (Zero lost acked
+# updates, byte-identical recovery and warm-beats-cold are Go tests in
+# internal/site: TestDurableAckedUpdateSurvivesCrash,
+# TestDurableRecoveryMatchesLive, TestDurableWarmCacheRecovered.)
 #
 # Every daemon is torn down by the EXIT trap, even when a check fails.
 set -euo pipefail
@@ -42,10 +36,6 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# ---- Part 1: in-process experiment gates -------------------------------
-scripts/irisbench_smoke.sh durability-smoke durability BENCH_PR10.json
-
-# ---- Part 2: real daemon kill -9 ---------------------------------------
 go build -o "$BIN" ./cmd/irisnetd
 
 wait_healthz() {
@@ -129,4 +119,4 @@ if [ "$PRE" != "$POST" ]; then
     exit 1
 fi
 
-echo "durability-smoke: ok (experiment gates, kill -9 recovery metrics, warm cache, byte-equal answer)"
+echo "durability-smoke: ok (kill -9 recovery metrics, warm cache, byte-equal answer)"

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Perf-regression gate: benchmarks the tier-1 hot paths (snapshot queries,
 # wire serialization) on this checkout and on its merge base, then fails if
-# any gated benchmark's median ns/op regressed more than THRESHOLD percent.
+# any gated benchmark regressed: median ns/op up more than THRESHOLD percent
+# and every new sample slower than every old one (cmd/benchgate).
 # benchstat, when installed, renders the statistical comparison into the
 # artifact directory; the pass/fail verdict comes from cmd/benchgate, which
 # needs nothing beyond the Go toolchain, so the gate runs identically in CI
@@ -48,21 +49,51 @@ if [ "$base" = "$head" ] && git diff --quiet; then
 fi
 
 wt=$(mktemp -d)
-cleanup() {
-    git worktree remove --force "$wt" >/dev/null 2>&1 || true
-    rm -rf "$wt"
-}
-trap cleanup EXIT
-
-git worktree add --detach "$wt" "$base" >/dev/null 2>&1
+trap 'rm -rf "$wt"' EXIT
+git archive "$base" | tar -x -C "$wt"
 
 mapfile -t BASE_PKGS < <(pkgs_for "$wt")
 mapfile -t HEAD_PKGS < <(pkgs_for .)
 
-echo "perf-gate: benchmarking base ${base} (count=$COUNT benchtime=$BENCHTIME)"
-(cd "$wt" && go test -run '^$' -bench "$PATTERN" -count "$COUNT" -benchtime "$BENCHTIME" "${BASE_PKGS[@]}") >"$OUT/base.txt"
-echo "perf-gate: benchmarking HEAD"
-go test -run '^$' -bench "$PATTERN" -count "$COUNT" -benchtime "$BENCHTIME" "${HEAD_PKGS[@]}" >"$OUT/head.txt"
+# One test binary per package and side, built once.
+build_benches() {
+    local tree=$1 side=$2 p
+    shift 2
+    for p in "$@"; do
+        (cd "$tree" && go test -c -o "$wt/bin/$side/${p##*/}.test" "$p")
+    done
+}
+mkdir -p "$wt/bin/base" "$wt/bin/head"
+build_benches "$wt" base "${BASE_PKGS[@]}"
+build_benches . head "${HEAD_PKGS[@]}"
+
+# run_benches <tree> <side> <pkg>...: one sample of every gated benchmark,
+# each binary from its own package directory (where its testdata lives).
+run_benches() {
+    local tree=$1 side=$2 p
+    shift 2
+    for p in "$@"; do
+        (cd "$tree/${p#./}" && "$wt/bin/$side/${p##*/}.test" -test.run '^$' -test.bench "$PATTERN" \
+            -test.count 1 -test.benchtime "$BENCHTIME" -test.timeout 10m)
+    done
+}
+
+# The two sides take turns, one sample at a time, and swap who goes first
+# each round: load from the rest of the machine that lasts a few seconds
+# then lands on both captures, where back-to-back runs would put it all on
+# one side and read it as a regression.
+echo "perf-gate: benchmarking base ${base} against HEAD (count=$COUNT benchtime=$BENCHTIME, alternating)"
+: >"$OUT/base.txt"
+: >"$OUT/head.txt"
+for ((i = 0; i < COUNT; i++)); do
+    if ((i % 2 == 0)); then
+        run_benches "$wt" base "${BASE_PKGS[@]}" >>"$OUT/base.txt"
+        run_benches . head "${HEAD_PKGS[@]}" >>"$OUT/head.txt"
+    else
+        run_benches . head "${HEAD_PKGS[@]}" >>"$OUT/head.txt"
+        run_benches "$wt" base "${BASE_PKGS[@]}" >>"$OUT/base.txt"
+    fi
+done
 
 if command -v benchstat >/dev/null 2>&1; then
     benchstat "$OUT/base.txt" "$OUT/head.txt" | tee "$OUT/benchstat.txt"
