@@ -64,8 +64,8 @@ durability-smoke:
 # Benchmarks HEAD against its merge base, the two taking turns one sample at
 # a time, and fails when a tier-1 benchmark (BenchmarkSnapshotQuery,
 # BenchmarkSerialize; BenchmarkParse, BenchmarkAggregateCompute,
-# BenchmarkCacheMissMerge and BenchmarkTouchAnswer are watched once both sides
-# have them) is >15% slower in the median with every new sample slower than
+# BenchmarkCacheMissMerge, BenchmarkTouchAnswer and BenchmarkAnswerMerge are
+# watched once both sides have them) is >15% slower in the median with every new sample slower than
 # every old one. benchstat renders the comparison when installed;
 # cmd/benchgate decides the verdict either way.
 perf-gate:

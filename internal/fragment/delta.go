@@ -46,7 +46,7 @@ func BuildDelta(snap *Store, paths []xmldb.IDPath) (*Store, error) {
 		if err := installSpine(frag, snap, p, installed); err != nil {
 			return nil, err
 		}
-		if err := frag.InstallLocalInfo(p, LocalInfo(n), StatusComplete); err != nil {
+		if err := frag.InstallLocalInfo(p, n, StatusComplete); err != nil {
 			return nil, err
 		}
 	}
@@ -73,7 +73,7 @@ func BuildSync(snap *Store, root xmldb.IDPath) (*Store, error) {
 		st := StatusOf(n)
 		switch {
 		case st.HasLocalInfo():
-			if err := frag.InstallLocalInfo(p, LocalInfo(n), StatusComplete); err != nil {
+			if err := frag.InstallLocalInfo(p, n, StatusComplete); err != nil {
 				return err
 			}
 		case st.HasLocalIDInfo():

@@ -30,7 +30,7 @@ func TestBuildSyncSeedsReplica(t *testing.T) {
 	base, owned := buildStore(t)
 	// Give the data timestamps and owned status, like a live site store.
 	for _, p := range owned {
-		if err := base.InstallLocalInfo(p, LocalInfo(base.NodeAt(p)), StatusOwned); err != nil {
+		if err := base.InstallLocalInfo(p, base.NodeAt(p), StatusOwned); err != nil {
 			t.Fatal(err)
 		}
 		SetTimestamp(base.NodeAt(p), 100)
@@ -63,7 +63,7 @@ func TestBuildSyncSeedsReplica(t *testing.T) {
 func TestBuildDeltaRoundTrip(t *testing.T) {
 	base, owned := buildStore(t)
 	for _, p := range owned {
-		if err := base.InstallLocalInfo(p, LocalInfo(base.NodeAt(p)), StatusOwned); err != nil {
+		if err := base.InstallLocalInfo(p, base.NodeAt(p), StatusOwned); err != nil {
 			t.Fatal(err)
 		}
 		SetTimestamp(base.NodeAt(p), 100)
@@ -135,7 +135,7 @@ func TestBuildDeltaRoundTrip(t *testing.T) {
 func TestBuildDeltaSkipsDepartedNodes(t *testing.T) {
 	base, owned := buildStore(t)
 	for _, p := range owned {
-		if err := base.InstallLocalInfo(p, LocalInfo(base.NodeAt(p)), StatusOwned); err != nil {
+		if err := base.InstallLocalInfo(p, base.NodeAt(p), StatusOwned); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,7 +172,7 @@ func BenchmarkReplicaApplyDelta(b *testing.B) {
 	}
 	base, paths := stores["solo"], owned["solo"]
 	for _, p := range paths {
-		if err := base.InstallLocalInfo(p, LocalInfo(base.NodeAt(p)), StatusOwned); err != nil {
+		if err := base.InstallLocalInfo(p, base.NodeAt(p), StatusOwned); err != nil {
 			b.Fatal(err)
 		}
 		SetTimestamp(base.NodeAt(p), 100)

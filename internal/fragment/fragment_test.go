@@ -235,14 +235,6 @@ func TestInstallAndEvict(t *testing.T) {
 	if err := s.EvictLocalInfo(oakPath); err == nil {
 		t.Fatal("double evict should fail")
 	}
-	// Subtree eviction drops to a bare stub.
-	if err := s.EvictSubtree(oakPath); err != nil {
-		t.Fatal(err)
-	}
-	n = s.NodeAt(oakPath)
-	if StatusOf(n) != StatusIncomplete || len(n.Children) != 0 {
-		t.Fatalf("after subtree evict: %v children=%d", StatusOf(n), len(n.Children))
-	}
 }
 
 func TestEvictRefusesOwned(t *testing.T) {
@@ -256,21 +248,12 @@ func TestEvictRefusesOwned(t *testing.T) {
 	if err := s.EvictLocalInfo(path(t, oaklandPath)); err == nil {
 		t.Fatal("evicting owned local info must fail")
 	}
-	if err := s.EvictSubtree(path(t, oaklandPath)); err == nil {
-		t.Fatal("evicting owned subtree must fail")
-	}
-	if err := s.EvictSubtree(path(t, "/usRegion[@id='NE']")); err == nil {
-		t.Fatal("evicting the root must fail")
-	}
 }
 
 func TestEvictMissing(t *testing.T) {
 	s := NewStore("usRegion", "NE")
 	if err := s.EvictLocalInfo(path(t, oaklandPath)); err == nil {
 		t.Fatal("evicting a missing node must fail")
-	}
-	if err := s.EvictSubtree(path(t, oaklandPath)); err == nil {
-		t.Fatal("evicting a missing subtree must fail")
 	}
 }
 

@@ -157,8 +157,13 @@ func TestIndexCOWProperty(t *testing.T) {
 				_ = w.SetStatusAt(p, st)
 			case 2: // dirty: drop a local-information unit
 				_ = w.EvictLocalInfo(p)
-			case 3: // dirty: drop a whole subtree
-				_ = w.EvictSubtree(p)
+			case 3: // dirty: drop a whole subtree, leaving an incomplete stub
+				if parent, err := w.Touch(p.Parent()); err == nil {
+					if c := parent.Child(p[len(p)-1].Name, p[len(p)-1].ID); c != nil {
+						w.RemoveChild(parent, c)
+						SetStatus(w.AddChild(parent, xmldb.NewElem(c.Name, c.ID())), StatusIncomplete)
+					}
+				}
 			case 4: // dirty or clean: re-merge the reference answer
 				if err := w.MergeFragment(refFrag); err != nil {
 					t.Fatal(err)
@@ -219,7 +224,7 @@ func TestIndexDerivedOnCleanCommit(t *testing.T) {
 	verifyIndexAgainstTree(t, clean)
 
 	w = clean.Begin()
-	if err := w.EvictSubtree(spacePath); err != nil {
+	if err := w.EvictLocalInfo(spacePath); err != nil {
 		t.Fatal(err)
 	}
 	dirty := w.Commit()

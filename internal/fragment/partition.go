@@ -79,10 +79,7 @@ func Partition(doc *xmldb.Node, assign *Assignment) (map[string]*Store, map[stri
 		if err := st.EnsureAncestors(doc, p); err != nil {
 			return err
 		}
-		if len(p) == 1 {
-			// Document root: install directly.
-			st.applyLocalInfo(st.Root, LocalInfo(n), StatusOwned)
-		} else if err := st.InstallLocalInfo(p, LocalInfo(n), StatusOwned); err != nil {
+		if err := st.InstallLocalInfo(p, n, StatusOwned); err != nil {
 			return err
 		}
 		ownedPaths[owner] = append(ownedPaths[owner], p)

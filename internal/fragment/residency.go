@@ -5,10 +5,10 @@ import (
 )
 
 // Memory accounting for cached (non-owned) data, in units of local
-// information — the same units the eviction transactions (EvictLocalInfo,
-// EvictSubtree) operate on. A store keeps a byte counter of all complete
-// (cached) local-information units, maintained incrementally by the
-// mutators exactly like the node count: 0 means "not computed yet", and
+// information — the same units eviction (EvictLocalInfo) operates on. A
+// store keeps a byte counter of all complete (cached) local-information
+// units, maintained incrementally by the editor (editor.go) exactly like
+// the node count: 0 means "not computed yet", and
 // the first CachedBytes call on a version walks once and seeds the
 // counter, after which copy-on-write descendants inherit it and update it
 // by deltas. Sites that never set a cache budget never call CachedBytes,
@@ -111,12 +111,12 @@ func (s *Store) CachedBytes() int {
 // CachedBytes exposes the in-progress version's accounted cache bytes to
 // the eviction policy, which trims the version to budget before commit.
 func (w *COW) CachedBytes() int {
-	return w.out.CachedBytes()
+	return w.s.CachedBytes()
 }
 
 // Root exposes the in-progress version's root for read-only walks: the
 // eviction policy adopts cached units it finds in the version it is
 // trimming, not in the published one the transaction started from.
 func (w *COW) Root() *xmldb.Node {
-	return w.out.Root
+	return w.s.Root
 }

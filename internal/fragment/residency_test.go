@@ -87,10 +87,10 @@ func TestCachedBytesIncrementalStore(t *testing.T) {
 	}
 	checkAccounting(t, s, "evict b local info")
 
-	if err := s.EvictSubtree(aP); err != nil {
+	if err := s.EvictLocalInfo(aP); err != nil {
 		t.Fatal(err)
 	}
-	checkAccounting(t, s, "evict a subtree")
+	checkAccounting(t, s, "evict a local info")
 
 	if err := s.EvictLocalInfo(rootP); err != nil {
 		t.Fatal(err)
@@ -168,11 +168,11 @@ func TestCachedBytesIncrementalCOW(t *testing.T) {
 	checkAccounting(t, cur, "COW evict local info")
 
 	w = cur.Begin()
-	if err := w.EvictSubtree(aP); err != nil {
+	if err := w.EvictLocalInfo(aP); err != nil {
 		t.Fatal(err)
 	}
 	cur = w.Commit()
-	checkAccounting(t, cur, "COW evict subtree")
+	checkAccounting(t, cur, "COW evict a local info")
 	if cur.CachedBytes() != 0 {
 		t.Fatalf("CachedBytes=%d after evicting the only cached units, want 0", cur.CachedBytes())
 	}

@@ -133,55 +133,116 @@ func TestCOWSequentialWritersKeepBothChanges(t *testing.T) {
 	}
 }
 
+// TestCOWMergeMatchesMutableMerge runs seeded random sequences of merges
+// of fragments cut from PaperSmall and of evictions through both modes of
+// the tree editor: in place on a mutable store, and as one copy-on-write
+// transaction per step on a sealed twin. The fragments cover one
+// neighborhood, so units are merged again and again, and the site owns one
+// of its blocks, so merges also land on owned data. After every step the
+// two trees are equal, both stores' node and cached-byte counts match a
+// fresh walk, the mutable tree's parent pointers are whole, and no node the
+// transaction made points to a parent.
 func TestCOWMergeMatchesMutableMerge(t *testing.T) {
-	base, owned := buildStore(t)
-	base.Seal()
-
-	// An incoming answer fragment refreshing one space and introducing a
-	// new block stub.
-	frag := xmldb.NewElem("usRegion", "NE")
-	SetStatus(frag, StatusIDComplete)
-	city := frag.AddChild(xmldb.NewElem("city", "a"))
-	SetStatus(city, StatusIDComplete)
-	blk := city.AddChild(xmldb.NewElem("block", "1"))
-	SetStatus(blk, StatusIDComplete)
-	sp := blk.AddChild(xmldb.NewElem("parkingSpace", "1"))
-	SetStatus(sp, StatusComplete)
-	SetTimestamp(sp, 99)
-	av := sp.AddChild(xmldb.NewNode("available"))
-	av.Text = "merged"
-	nb := city.AddChild(xmldb.NewElem("block", "9"))
-	SetStatus(nb, StatusIncomplete)
-
-	mutable := base.Clone()
-	if err := mutable.MergeFragment(frag); err != nil {
+	db := workload.Build(workload.PaperSmall())
+	solo, _, err := Partition(db.Doc, NewAssignment("solo"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	w := base.Begin()
-	if err := w.MergeFragment(frag); err != nil {
+	source := solo["solo"].Seal()
+	assign := NewAssignment("root")
+	assign.Assign(db.BlockPath(0, 0, 0), "site")
+	stores, _, err := Partition(db.Doc, assign)
+	if err != nil {
 		t.Fatal(err)
 	}
-	next := w.Commit()
+	for seed := int64(1); seed <= 5; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		mut := stores["site"].Clone()
+		cur := stores["site"].Clone().Seal()
+		// Known byte counts are maintained by every edit from here on.
+		mut.CachedBytes()
+		cur.CachedBytes()
+		var merged []xmldb.IDPath
+		for step := 0; step < 200; step++ {
+			var errMut, errCOW error
+			w := cur.Begin()
+			if len(merged) == 0 || r.Intn(3) > 0 {
+				frag, p := cutFragment(t, r, db, source)
+				merged = append(merged, p)
+				errMut, errCOW = mut.MergeFragment(frag), w.MergeFragment(frag)
+			} else {
+				p := merged[r.Intn(len(merged))]
+				if r.Intn(4) == 0 {
+					p = p.Parent() // often id-complete or owned: refused
+				}
+				errMut, errCOW = mut.EvictLocalInfo(p), w.EvictLocalInfo(p)
+			}
+			if (errMut == nil) != (errCOW == nil) {
+				t.Fatalf("seed %d step %d: mutable error %v, COW error %v", seed, step, errMut, errCOW)
+			}
+			for n := range w.fresh {
+				if n.Parent != nil {
+					t.Fatalf("seed %d step %d: node <%s id=%q> made by the transaction has a parent pointer", seed, step, n.Name, n.ID())
+				}
+			}
+			cur = w.Commit()
+			if !xmldb.Equal(mut.Root, cur.Root) {
+				t.Fatalf("seed %d step %d: COW tree differs from mutable tree", seed, step)
+			}
+			for name, s := range map[string]*Store{"mutable": mut, "COW": cur} {
+				if got, want := s.Size(), s.Root.CountNodes(); got != want {
+					t.Fatalf("seed %d step %d: %s Size() = %d, walk = %d", seed, step, name, got, want)
+				}
+				if got, want := s.CachedBytes(), cachedBytesIn(s.Root); got != want {
+					t.Fatalf("seed %d step %d: %s CachedBytes() = %d, walk = %d", seed, step, name, got, want)
+				}
+			}
+			mut.Root.Walk(func(n *xmldb.Node) bool {
+				for _, c := range n.Children {
+					if c.Parent != n {
+						t.Fatalf("seed %d step %d: <%s id=%q> has the wrong parent", seed, step, c.Name, c.ID())
+					}
+				}
+				return true
+			})
+		}
+	}
+}
 
-	if !xmldb.Equal(mutable.Root, next.Root) {
-		t.Fatalf("COW merge differs from mutable merge:\n%s\nvs\n%s", next.Root.Indented(), mutable.Root.Indented())
+// cutFragment returns the answer fragment for a random block or parking
+// space of PaperSmall's first neighborhood, and its path: the local ID
+// information of every
+// ancestor, then the subtree complete. Each complete unit gets a random
+// timestamp, so copies arrive both fresher and staler than what a store
+// holds; some get a changed value or a nested non-IDable field, and some
+// list one IDable child fewer.
+func cutFragment(t *testing.T, r *rand.Rand, db *workload.DB, source *Store) (*xmldb.Node, xmldb.IDPath) {
+	t.Helper()
+	p := db.BlockPath(0, 0, r.Intn(db.Cfg.Blocks))
+	if r.Intn(2) == 0 {
+		p = p.Child("parkingSpace", fmt.Sprint(1+r.Intn(db.Cfg.Spaces)))
 	}
-	// Owned data was not clobbered by the merge (parkingSpace 1 is owned in
-	// the base store, so the incoming complete copy must not replace it).
-	p := spath("city", "a", "block", "1", "parkingSpace", "1")
-	if got := next.NodeAt(p).ChildNamed("available").Text; got != "yes" {
-		t.Fatalf("merge clobbered owned data: %q", got)
+	ans, err := BuildSync(source, p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := next.Size(), next.Root.CountNodes(); got != want {
-		t.Fatalf("Size() = %d, walk = %d", got, want)
-	}
-	// Invariant check against a reference document extended with the new
-	// block stub the merge introduced.
-	ref := buildDoc()
-	ref.ChildNamed("city").AddChild(xmldb.NewElem("block", "9"))
-	if errs := CheckInvariants(next, ref, owned, false); len(errs) > 0 {
-		t.Fatalf("invariants after COW merge: %v", errs)
-	}
+	ans.Root.Walk(func(n *xmldb.Node) bool {
+		if StatusOf(n) != StatusComplete {
+			return true
+		}
+		SetTimestamp(n, float64(r.Intn(50)))
+		if f := n.ChildNamed("available"); f != nil && r.Intn(2) == 0 {
+			f.Text = fmt.Sprint(r.Intn(9))
+		}
+		if r.Intn(4) == 0 {
+			n.AddChild(xmldb.NewNode("note")).AddChild(xmldb.NewNode("by")).Text = fmt.Sprint(r.Intn(9))
+		}
+		if ids := n.IDableChildren(); len(ids) > 0 && r.Intn(8) == 0 {
+			n.RemoveChild(ids[len(ids)-1])
+		}
+		return true
+	})
+	return ans.Root, p
 }
 
 func TestCOWMergeValidationLeavesVersionClean(t *testing.T) {
@@ -223,33 +284,6 @@ func TestCOWEvictions(t *testing.T) {
 		t.Fatalf("Size() = %d, walk = %d", got, want)
 	}
 
-	// Owned subtrees cannot be evicted.
-	w2 := next.Begin()
-	if err := w2.EvictSubtree(spath("city", "a")); err == nil {
-		t.Fatal("evicted a subtree containing owned data")
-	}
-	// A cached-only node can be dropped wholesale.
-	base2 := NewStore("usRegion", "NE")
-	if err := base2.InstallLocalIDInfo(spath(), localIDInfoStub("usRegion", "NE", "city", "c")); err != nil {
-		t.Fatal(err)
-	}
-	info := localIDInfoStub("city", "c", "block", "7")
-	if err := base2.InstallLocalInfo(spath("city", "c"), info, StatusComplete); err != nil {
-		t.Fatal(err)
-	}
-	base2.Seal()
-	w3 := base2.Begin()
-	if err := w3.EvictSubtree(spath("city", "c")); err != nil {
-		t.Fatal(err)
-	}
-	v3 := w3.Commit()
-	n := v3.NodeAt(spath("city", "c"))
-	if StatusOf(n) != StatusIncomplete || len(n.Children) != 0 {
-		t.Fatalf("evicted subtree not a bare stub: %s", n)
-	}
-	if got, want := v3.Size(), v3.Root.CountNodes(); got != want {
-		t.Fatalf("Size() = %d, walk = %d", got, want)
-	}
 }
 
 func TestSealedStorePanicsOnMutation(t *testing.T) {
@@ -296,10 +330,6 @@ func TestSizeAccountingAcrossMutators(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("evict-local-info")
-	if err := s.EvictSubtree(spath("city", "a")); err != nil {
-		t.Fatal(err)
-	}
-	check("evict-subtree")
 }
 
 func TestCloneCarriesCount(t *testing.T) {

@@ -75,10 +75,12 @@ func (s *Store) Seal() *Store {
 // Sealed reports whether the store has been sealed.
 func (s *Store) Sealed() bool { return s.sealed }
 
-func (s *Store) mutable() {
+// edit returns the editor that writes s in place (editor.go).
+func (s *Store) edit() *editor {
 	if s.sealed {
 		panic("fragment: mutation of a sealed store; use Begin() for copy-on-write")
 	}
+	return &editor{s: s}
 }
 
 // addNodes adjusts the cached node count by delta when the count is known.
@@ -107,28 +109,6 @@ func (s *Store) NodeAt(p xmldb.IDPath) *xmldb.Node {
 	return xmldb.FindByIDPath(s.Root, p)
 }
 
-// ensurePath creates incomplete stubs down to the path and returns the node.
-func (s *Store) ensurePath(p xmldb.IDPath) (*xmldb.Node, error) {
-	if len(p) == 0 {
-		return nil, fmt.Errorf("fragment: empty id path")
-	}
-	cur := s.Root
-	if cur.Name != p[0].Name || (p[0].ID != "" && cur.ID() != p[0].ID) {
-		return nil, fmt.Errorf("fragment: path %s does not match store root %s[@id=%q]",
-			p, cur.Name, cur.ID())
-	}
-	for _, st := range p[1:] {
-		next := cur.Child(st.Name, st.ID)
-		if next == nil {
-			next = cur.AddChild(xmldb.NewElem(st.Name, st.ID))
-			SetStatus(next, StatusIncomplete)
-			s.addNodes(1)
-		}
-		cur = next
-	}
-	return cur, nil
-}
-
 // SetTimestamp stamps a node with the given time (seconds on the local
 // clock), used by owners when applying sensor updates.
 func SetTimestamp(n *xmldb.Node, ts float64) {
@@ -149,117 +129,25 @@ func Timestamp(n *xmldb.Node) (float64, bool) {
 }
 
 // InstallLocalInfo replaces the local-information unit of the node at path
-// with info (a detached fragment as produced by LocalInfo), upgrading the
-// node to the given status. Existing IDable children that are richer than
-// the bare stubs listed in info are preserved; IDable children of the
-// stored node that are NOT listed in info are removed (the fresh local
+// with that of src, a node of another tree (typically the stored node of
+// another store or version), upgrading the node to the given status. Only
+// src's local information is read: its attributes, text and non-IDable
+// subtrees are copied, its IDable children become stubs. Existing IDable
+// children that are richer than those stubs are preserved; IDable children
+// of the stored node that src does NOT list are removed (fresh local
 // information is authoritative about which children exist). Ancestor local
 // ID information must already be present (invariant I2) — the caller
 // arranges it via EnsureAncestors or a prior merge.
-func (s *Store) InstallLocalInfo(p xmldb.IDPath, info *xmldb.Node, st Status) error {
-	s.mutable()
-	if !st.HasLocalInfo() {
-		return fmt.Errorf("fragment: InstallLocalInfo with status %v", st)
-	}
-	n, err := s.ensurePath(p)
-	if err != nil {
-		return err
-	}
-	if len(p) > 1 && !StatusOf(n.Parent).HasLocalIDInfo() && n.Parent.Parent != nil {
-		return fmt.Errorf("fragment: I2 violation: parent of %s lacks local ID info", p)
-	}
-	s.applyLocalInfo(n, info, st)
-	return nil
-}
-
-// applyLocalInfo overwrites n's local info unit from the detached fragment.
-func (s *Store) applyLocalInfo(n *xmldb.Node, info *xmldb.Node, st Status) {
-	track := s.countKnown()
-	btrack := s.cachedBytesKnown()
-	if btrack && StatusOf(n) == StatusComplete {
-		s.addCachedBytes(-LocalInfoBytes(n))
-	}
-	// Replace attributes wholesale (the local info unit includes them).
-	n.Attrs = nil
-	for _, a := range info.Attrs {
-		if a.Name == xmldb.AttrStatus {
-			continue
-		}
-		n.SetAttr(a.Name, a.Value)
-	}
-	n.Text = info.Text
-	SetStatus(n, st)
-
-	// Replace the non-IDable children and reconcile the IDable stubs.
-	keep := map[string]*xmldb.Node{}
-	for _, c := range n.Children {
-		if c.ID() != "" {
-			keep[c.Name+"\x00"+c.ID()] = c
-		} else if track {
-			s.addNodes(-c.CountNodes())
-		}
-	}
-	n.Children = nil
-	for _, c := range info.Children {
-		if c.ID() == "" {
-			cl := c.Clone()
-			stripStatusDeep(cl)
-			cl.Parent = n
-			n.Children = append(n.Children, cl)
-			if track {
-				s.addNodes(cl.CountNodes())
-			}
-			continue
-		}
-		key := c.Name + "\x00" + c.ID()
-		if old, ok := keep[key]; ok {
-			old.Parent = n
-			n.Children = append(n.Children, old)
-			delete(keep, key)
-		} else {
-			stub := xmldb.NewElem(c.Name, c.ID())
-			SetStatus(stub, StatusIncomplete)
-			stub.Parent = n
-			n.Children = append(n.Children, stub)
-			s.addNodes(1)
-		}
-	}
-	for _, dropped := range keep {
-		if track {
-			s.addNodes(-dropped.CountNodes())
-		}
-		if btrack {
-			s.addCachedBytes(-cachedBytesIn(dropped))
-		}
-	}
-	if btrack && st == StatusComplete {
-		s.addCachedBytes(LocalInfoBytes(n))
-	}
+func (s *Store) InstallLocalInfo(p xmldb.IDPath, src *xmldb.Node, st Status) error {
+	return s.edit().installLocalInfo(p, src, st)
 }
 
 // InstallLocalIDInfo merges the local ID information of the node at path:
 // its ID plus stubs for the listed IDable children. If the node is below
-// id-complete it is upgraded; richer statuses are untouched.
+// id-complete it is upgraded; richer statuses are untouched. Info must list
+// IDable children only; otherwise the store is left unchanged.
 func (s *Store) InstallLocalIDInfo(p xmldb.IDPath, info *xmldb.Node) error {
-	s.mutable()
-	n, err := s.ensurePath(p)
-	if err != nil {
-		return err
-	}
-	for _, c := range info.Children {
-		if c.ID() == "" {
-			return fmt.Errorf("fragment: local ID info for %s contains non-IDable child <%s>", p, c.Name)
-		}
-		if n.Child(c.Name, c.ID()) == nil {
-			stub := n.AddChild(xmldb.NewElem(c.Name, c.ID()))
-			SetStatus(stub, StatusIncomplete)
-			s.addNodes(1)
-		}
-	}
-	if !StatusOf(n).HasLocalIDInfo() {
-		SetStatus(n, StatusIDComplete)
-	}
-	return nil
+	return s.edit().installLocalIDInfo(p, info)
 }
 
 // EnsureAncestors installs the local ID information of every proper
@@ -289,7 +177,7 @@ func (s *Store) EnsureAncestors(ref *xmldb.Node, p xmldb.IDPath) error {
 // unreachable, and placing a child under an incomplete node would violate
 // the fragment conditions.
 func (s *Store) MarkUnreachable(p xmldb.IDPath) error {
-	s.mutable()
+	e := s.edit()
 	if len(p) == 0 {
 		return fmt.Errorf("fragment: empty id path")
 	}
@@ -310,8 +198,7 @@ func (s *Store) MarkUnreachable(p xmldb.IDPath) error {
 					return nil
 				}
 			}
-			next = cur.AddChild(xmldb.NewElem(st.Name, st.ID))
-			SetStatus(next, StatusUnreachable)
+			SetStatus(e.attach(cur, xmldb.NewElem(st.Name, st.ID)), StatusUnreachable)
 			s.addNodes(1)
 			return nil
 		}
@@ -348,88 +235,7 @@ func (s *Store) UnreachablePaths() []xmldb.IDPath {
 // info is refreshed when the incoming copy is at least as new (the paper's
 // replace-on-fresh-copy policy). Owned data is never overwritten by a merge.
 func (s *Store) MergeFragment(frag *xmldb.Node) error {
-	s.mutable()
-	if err := ValidateFragment(frag); err != nil {
-		return err
-	}
-	if frag.Name != s.Root.Name || (s.Root.ID() != "" && frag.ID() != "" && frag.ID() != s.Root.ID()) {
-		return fmt.Errorf("fragment: merge root <%s id=%q> does not match store root <%s id=%q>",
-			frag.Name, frag.ID(), s.Root.Name, s.Root.ID())
-	}
-	s.mergeNode(s.Root, frag)
-	return nil
-}
-
-func (s *Store) mergeNode(dst, src *xmldb.Node) {
-	srcStatus := StatusOf(src)
-	dstStatus := StatusOf(dst)
-	switch {
-	case srcStatus.HasLocalInfo():
-		fresh := true
-		if dstStatus == StatusOwned {
-			fresh = false // never clobber owned data
-		} else if dstStatus == StatusComplete {
-			oldTS, okOld := Timestamp(dst)
-			newTS, okNew := Timestamp(src)
-			if okOld && okNew && newTS < oldTS {
-				fresh = false // stale copy; keep what we have
-			}
-		}
-		if fresh {
-			s.applyLocalInfo(dst, localInfoOf(src), StatusComplete)
-		} else {
-			// Still merge any child stubs we did not know about.
-			s.unionChildStubs(dst, src)
-		}
-	case srcStatus == StatusIDComplete:
-		s.unionChildStubs(dst, src)
-		if !dstStatus.HasLocalIDInfo() {
-			SetStatus(dst, StatusIDComplete)
-		}
-	default:
-		// Incomplete: nothing beyond the node's existence.
-	}
-	// Recurse into IDable children present in the source.
-	for _, sc := range src.Children {
-		if sc.ID() == "" {
-			continue
-		}
-		dc := dst.Child(sc.Name, sc.ID())
-		if dc == nil {
-			dc = dst.AddChild(xmldb.NewElem(sc.Name, sc.ID()))
-			SetStatus(dc, StatusIncomplete)
-			s.addNodes(1)
-		}
-		s.mergeNode(dc, sc)
-	}
-}
-
-// localInfoOf extracts the local-information unit from a fragment node that
-// carries full local info (attributes, non-IDable children, IDable stubs).
-func localInfoOf(src *xmldb.Node) *xmldb.Node {
-	out := src.CloneShallow()
-	out.DelAttr(xmldb.AttrStatus)
-	for _, c := range src.Children {
-		if c.ID() != "" {
-			out.AddChild(idStub(c))
-		} else {
-			out.AddChild(c.Clone())
-		}
-	}
-	return out
-}
-
-func (s *Store) unionChildStubs(dst, src *xmldb.Node) {
-	for _, sc := range src.Children {
-		if sc.ID() == "" {
-			continue
-		}
-		if dst.Child(sc.Name, sc.ID()) == nil {
-			stub := dst.AddChild(xmldb.NewElem(sc.Name, sc.ID()))
-			SetStatus(stub, StatusIncomplete)
-			s.addNodes(1)
-		}
-	}
+	return s.edit().mergeFragment(frag)
 }
 
 // ValidateFragment checks the structural cache conditions on an incoming
@@ -480,79 +286,7 @@ func ValidateFragment(frag *xmldb.Node) error {
 // the non-IDable children) while keeping the IDable child stubs and their
 // subtrees. Owned nodes cannot be evicted (invariant I1).
 func (s *Store) EvictLocalInfo(p xmldb.IDPath) error {
-	s.mutable()
-	n := s.NodeAt(p)
-	if n == nil {
-		return fmt.Errorf("fragment: evict: %s not present", p)
-	}
-	st := StatusOf(n)
-	if st == StatusOwned {
-		return fmt.Errorf("fragment: evict: %s is owned (I1 forbids eviction)", p)
-	}
-	if st != StatusComplete {
-		return fmt.Errorf("fragment: evict: %s has status %v, not complete", p, st)
-	}
-	track := s.countKnown()
-	if s.cachedBytesKnown() {
-		s.addCachedBytes(-LocalInfoBytes(n))
-	}
-	id := n.ID()
-	n.Attrs = nil
-	if id != "" {
-		n.SetAttr(xmldb.AttrID, id)
-	}
-	n.Text = ""
-	SetStatus(n, StatusIDComplete)
-	var kids []*xmldb.Node
-	for _, c := range n.Children {
-		if c.ID() != "" {
-			kids = append(kids, c)
-		} else if track {
-			s.addNodes(-c.CountNodes())
-		}
-	}
-	n.Children = kids
-	return nil
-}
-
-// EvictSubtree removes everything stored for the node at path except its
-// bare ID, downgrading it to incomplete. It fails if the node or any
-// descendant is owned by this site.
-func (s *Store) EvictSubtree(p xmldb.IDPath) error {
-	s.mutable()
-	n := s.NodeAt(p)
-	if n == nil {
-		return fmt.Errorf("fragment: evict: %s not present", p)
-	}
-	if n.Parent == nil {
-		return fmt.Errorf("fragment: evict: cannot evict the document root")
-	}
-	owned := false
-	n.Walk(func(x *xmldb.Node) bool {
-		if StatusOf(x) == StatusOwned {
-			owned = true
-			return false
-		}
-		return true
-	})
-	if owned {
-		return fmt.Errorf("fragment: evict: subtree %s contains owned data", p)
-	}
-	if s.countKnown() {
-		s.addNodes(-(n.CountNodes() - 1))
-	}
-	if s.cachedBytesKnown() {
-		s.addCachedBytes(-cachedBytesIn(n))
-	}
-	id := n.ID()
-	n.Attrs = nil
-	if id != "" {
-		n.SetAttr(xmldb.AttrID, id)
-	}
-	n.Text = ""
-	n.Children = nil
-	SetStatus(n, StatusIncomplete)
-	return nil
+	return s.edit().evictLocalInfo(p)
 }
 
 // Size returns the number of element nodes stored. The count is cached and

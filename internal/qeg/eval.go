@@ -461,24 +461,7 @@ func (w *walker) installLocalInfo(n *xmldb.Node, p xmldb.IDPath) error {
 	if w.opts.Prov != nil {
 		w.opts.Prov.noteUnit(n, w.statusOf(n))
 	}
-	if len(p) == 1 {
-		// Document root: install in place on the answer store root.
-		return w.ans.MergeFragment(rootLocalInfoFragment(n))
-	}
-	return w.ans.InstallLocalInfo(p, fragment.LocalInfo(n), fragment.StatusComplete)
-}
-
-// rootLocalInfoFragment wraps the root's local information as a mergeable
-// single-node fragment.
-func rootLocalInfoFragment(root *xmldb.Node) *xmldb.Node {
-	f := fragment.LocalInfo(root)
-	fragment.SetStatus(f, fragment.StatusComplete)
-	for _, c := range f.Children {
-		if c.ID() != "" {
-			fragment.SetStatus(c, fragment.StatusIncomplete)
-		}
-	}
-	return f
+	return w.ans.InstallLocalInfo(p, n, fragment.StatusComplete)
 }
 
 // includeSubtree adds the entire subtree under a selected node to the

@@ -32,11 +32,11 @@ func benchCacher(b *testing.B) (*Site, []*xmldb.Node) {
 				if err := ans.EnsureAncestors(db.Doc, bp); err != nil {
 					b.Fatal(err)
 				}
-				if err := ans.InstallLocalInfo(bp, fragment.LocalInfo(block), fragment.StatusComplete); err != nil {
+				if err := ans.InstallLocalInfo(bp, block, fragment.StatusComplete); err != nil {
 					b.Fatal(err)
 				}
 				for _, sp := range block.IDableChildren() {
-					if err := ans.InstallLocalInfo(bp.Child(sp.Name, sp.ID()), fragment.LocalInfo(sp), fragment.StatusComplete); err != nil {
+					if err := ans.InstallLocalInfo(bp.Child(sp.Name, sp.ID()), sp, fragment.StatusComplete); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -230,7 +230,7 @@ func TestSiteConcurrentCoalescedFetchesWithEviction(t *testing.T) {
 			}
 		}(w)
 	}
-	// Eviction worker: repeatedly drop cached block subtrees at the city.
+	// Eviction worker: repeatedly drop cached block units at the city.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -239,7 +239,7 @@ func TestSiteConcurrentCoalescedFetchesWithEviction(t *testing.T) {
 			city.wmu.Lock()
 			st := city.state.Load()
 			w := st.store.Begin()
-			if err := w.EvictSubtree(p); err == nil {
+			if err := w.EvictLocalInfo(p); err == nil {
 				city.publishLocked(&siteState{store: w.Commit(), owned: st.owned, migrated: st.migrated})
 			}
 			city.wmu.Unlock()

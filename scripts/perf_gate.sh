@@ -19,7 +19,7 @@ COUNT="${COUNT:-6}"
 BENCHTIME="${BENCHTIME:-100ms}"
 THRESHOLD="${THRESHOLD:-15}"
 OUT="${OUT:-bench_gate}"
-PATTERN='BenchmarkSnapshotQuery|BenchmarkSerialize|BenchmarkParse|BenchmarkAggregateCompute|BenchmarkReplicaApplyDelta|BenchmarkWALAppend|BenchmarkWALReplay|BenchmarkCacheMissMerge|BenchmarkTouchAnswer'
+PATTERN='BenchmarkSnapshotQuery|BenchmarkSerialize|BenchmarkParse|BenchmarkAggregateCompute|BenchmarkReplicaApplyDelta|BenchmarkWALAppend|BenchmarkWALReplay|BenchmarkCacheMissMerge|BenchmarkTouchAnswer|BenchmarkAnswerMerge'
 ALL_PKGS=(./internal/site ./internal/xmldb ./internal/qeg ./internal/fragment ./internal/wal)
 
 # pkgs_for <tree>: the subset of ALL_PKGS that exists in that checkout, so
