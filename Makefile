@@ -62,12 +62,10 @@ durability-smoke:
 	./scripts/durability_smoke.sh
 
 # Benchmarks HEAD against its merge base, the two taking turns one sample at
-# a time, and fails when a tier-1 benchmark (BenchmarkSnapshotQuery,
-# BenchmarkSerialize; BenchmarkParse, BenchmarkAggregateCompute,
-# BenchmarkCacheMissMerge, BenchmarkTouchAnswer and BenchmarkAnswerMerge are
-# watched once both sides have them) is >15% slower in the median with every new sample slower than
-# every old one. benchstat renders the comparison when installed;
-# cmd/benchgate decides the verdict either way.
+# a time, and fails when a watched benchmark (PATTERN in
+# scripts/perf_gate.sh, the one list of them) is >15% slower in the median
+# with every new sample slower than every old one. benchstat renders the
+# comparison when installed; cmd/benchgate decides the verdict either way.
 perf-gate:
 	./scripts/perf_gate.sh
 

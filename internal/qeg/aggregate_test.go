@@ -2,7 +2,6 @@ package qeg
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -201,8 +200,9 @@ func TestAggregateSubqueryRendersPinnedQuery(t *testing.T) {
 // TestGatherTruncationReturnsPartialAnswer forces the nested gather fixpoint
 // past its round bound: every fetched fragment reveals one more remote block
 // stub at the gather point, so fresh subqueries never dry up. The gather
-// must stop at maxGatherRounds with the partial answer and a TruncatedError
-// naming the query, not spin or discard the gathered work.
+// must stop after maxGatherRounds fetch rounds and return the partial answer
+// with every still-pending target marked unreachable, not spin or discard
+// the gathered work.
 func TestGatherTruncationReturnsPartialAnswer(t *testing.T) {
 	d := doc(t)
 	a := fragment.NewAssignment("main")
@@ -226,11 +226,11 @@ func TestGatherTruncationReturnsPartialAnswer(t *testing.T) {
 		t.Fatal("test needs a nested plan")
 	}
 
-	// The adversarial fetcher answers every subquery with a fragment where
+	// The adversarial env answers every subquery with a fragment where
 	// Oakland holds a brand-new remote block stub, so each evaluation round
 	// discovers a fresh gather-point target.
 	gen := 0
-	fetch := func(ctx context.Context, sq Subquery) (*xmldb.Node, error) {
+	env := &seqEnv{fetch: func(ctx context.Context, sq Subquery) Fetched {
 		gen++
 		dd := doc(t)
 		nb := xmldb.FindByIDPath(dd, idpath(t, oakland))
@@ -243,26 +243,27 @@ func TestGatherTruncationReturnsPartialAnswer(t *testing.T) {
 		aa.Assign(p, "elsewhere")
 		frs, _, err := fragment.Partition(dd, aa)
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
-		return frs["answer"].Root, nil
-	}
+		return Fetched{Frag: frs["answer"].Root}
+	}}
 
-	root, err := Gather(context.Background(), stores["main"], plans, fetch, Options{})
-	var trunc *TruncatedError
-	if !errors.As(err, &trunc) {
-		t.Fatalf("Gather error = %v, want TruncatedError", err)
+	g, err := Gather(context.Background(), stores["main"], plans, env, Options{})
+	if err != nil {
+		t.Fatalf("a truncated gather returns its partial answer, not an error: %v", err)
 	}
-	if root == nil {
-		t.Fatal("truncated gather must still return the partial answer")
+	if env.rounds != maxGatherRounds {
+		t.Fatalf("gather ran %d fetch rounds, want %d", env.rounds, maxGatherRounds)
 	}
-	if trunc.Query != plans[0].Source {
-		t.Fatalf("TruncatedError.Query = %q, want the offending query %q", trunc.Query, plans[0].Source)
+	if len(g.Pending) == 0 {
+		t.Fatal("Pending should list the outstanding subqueries")
 	}
-	if trunc.Rounds != maxGatherRounds {
-		t.Fatalf("TruncatedError.Rounds = %d, want %d", trunc.Rounds, maxGatherRounds)
-	}
-	if len(trunc.Pending) == 0 {
-		t.Fatal("TruncatedError.Pending should list the outstanding subqueries")
+	for _, sq := range g.Pending {
+		if !g.Unreachable[sq.Target.Key()] {
+			t.Errorf("pending target %s not in Unreachable", sq.Target)
+		}
+		if n := g.Answer.NodeAt(sq.Target); n == nil || fragment.StatusOf(n) != fragment.StatusUnreachable {
+			t.Errorf("pending target %s carries no unreachable marker in the answer", sq.Target)
+		}
 	}
 }

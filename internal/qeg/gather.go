@@ -2,7 +2,6 @@ package qeg
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"irisnet/internal/fragment"
@@ -11,139 +10,166 @@ import (
 	"irisnet/internal/xpatheval"
 )
 
-// Fetcher resolves one subquery against the rest of the system (the site
-// layer implements it by routing to the target's owner) and returns the
-// remote answer fragment, rooted at the document root with status tags.
-// The context carries the query's remaining deadline; fetchers must give
-// up once it expires.
-type Fetcher func(ctx context.Context, sq Subquery) (*xmldb.Node, error)
+// Env is the seam between the gather loop and the site running it.
+type Env interface {
+	// Evaluate is Evaluate plus whatever cost accounting the site keeps.
+	Evaluate(store *fragment.Store, plan *Plan, opts Options) (*Result, error)
+	// Fetch resolves one round of subqueries against their owners and
+	// returns the outcomes index-aligned with sqs. The context carries the
+	// query's remaining deadline.
+	Fetch(ctx context.Context, sqs []Subquery) []Fetched
+	// Do runs CPU work: every splice and unreachable mark goes through it.
+	Do(func())
+}
 
-// maxGatherRounds bounds the evaluate/fetch fixpoint for nested queries; in
-// practice two or three rounds suffice, the bound only guards against
-// pathological ownership configurations.
-const maxGatherRounds = 64
+// Fetched is the outcome of one subquery: the remote answer fragment,
+// rooted at the document root with status tags, and the ID-path keys the
+// remote site could not reach itself; or the error that left it unanswered.
+type Fetched struct {
+	Frag        *xmldb.Node
+	Unreachable []string
+	Err         error
+}
 
-// TruncatedError reports a gather loop that hit maxGatherRounds before the
-// evaluate/fetch fixpoint converged. The answer assembled so far is still
-// returned alongside it — callers that can serve partial answers should,
-// rather than discard the gathered work. Pending lists the subqueries that
-// were still outstanding when the loop stopped.
-type TruncatedError struct {
-	// Query is the offending query.
-	Query string
-	// Rounds is the number of gather rounds that ran.
-	Rounds int
-	// Pending are the subqueries the truncated loop never issued.
+// Gathered is an assembled answer.
+type Gathered struct {
+	// Answer is the C1/C2 answer fragment, with an unreachable placeholder
+	// for every subtree that could not be fetched.
+	Answer *fragment.Store
+	// Unreachable holds the ID-path keys of those subtrees (nil when the
+	// answer is complete).
+	Unreachable map[string]bool
+	// Pending lists the subqueries a nested fixpoint still had outstanding
+	// when it hit maxGatherRounds; their targets are in Unreachable.
 	Pending []Subquery
 }
 
-func (e *TruncatedError) Error() string {
-	return fmt.Sprintf("qeg: gather truncated: %q did not converge after %d rounds (%d subqueries pending)",
-		e.Query, e.Rounds, len(e.Pending))
+// maxGatherRounds bounds a nested plan's evaluate/fetch fixpoint in fetch
+// rounds; in practice two or three suffice, the bound only guards against
+// pathological ownership configurations.
+const maxGatherRounds = 64
+
+// gatherer is the state of one Gather call. Its CPU work hands env.Do
+// closures that report through err, so a splice allocates only its closure.
+// After a failed splice or mark, err holds the error and both are no-ops.
+type gatherer struct {
+	Gathered
+	env Env
+	err error
 }
 
 // Gather executes the full query-evaluate-gather loop for a compiled query
-// (one plan per union branch): evaluate against the local fragment, fetch
-// the missing parts via subqueries, and splice everything into one C1/C2
-// answer fragment. The local store is never mutated; caching is the
-// caller's decision (it sees every fetched fragment through its Fetcher).
-func Gather(ctx context.Context, store *fragment.Store, plans []*Plan, fetch Fetcher, opts Options) (*xmldb.Node, error) {
-	ans := fragment.NewStore(store.Root.Name, store.Root.ID())
+// (one plan per union branch): evaluate against the local fragment, fetch the
+// missing parts via subqueries, and splice everything into one C1/C2 answer.
+// The store is never mutated; caching is the env's decision (it sees every
+// fetched fragment). A subquery that fails, or that a nested fixpoint cut at
+// maxGatherRounds never issued, does not fail the gather: its target becomes
+// an unreachable placeholder of a partial answer. opts.Prov receives the
+// ledger of exactly the evaluations whose local result joins the answer.
+func Gather(ctx context.Context, store *fragment.Store, plans []*Plan, env Env, opts Options) (*Gathered, error) {
+	g := &gatherer{env: env, Gathered: Gathered{Answer: fragment.NewStore(store.Root.Name, store.Root.ID())}}
 	seen := map[string]bool{}
 	for _, plan := range plans {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+		// A depth-0 plan takes one fetch round: every sub-answer is complete
+		// for its scope by induction. A nested plan must assemble the subtree
+		// at its gather point before its predicates can be evaluated, so it
+		// iterates evaluate -> fetch -> splice on a deep working copy
+		// (structural sharing does not preserve the parent axes it may
+		// navigate) until no new subqueries appear (Section 4).
+		var work *fragment.Store
+		snap, o := store, opts
 		if plan.NestedIdx >= 0 {
-			if err := gatherNested(ctx, store, plan, fetch, opts, ans, seen); err != nil {
-				var trunc *TruncatedError
-				if errors.As(err, &trunc) {
-					// Truncation keeps the partial answer: the caller gets
-					// everything gathered so far plus an explicit marker in
-					// the error, instead of losing the work.
-					return ans.Root, err
-				}
+			work = store.Clone()
+			snap = work
+		}
+		var res *Result
+		var pending []Subquery
+		for round := 0; ; round++ {
+			if work != nil && opts.Prov != nil {
+				// Intermediate rounds re-read the same units; only the last
+				// round's ledger joins.
+				o.Prov = NewProvenance(opts.Prov.Now())
+			}
+			var err error
+			if res, err = env.Evaluate(snap, plan, o); err != nil {
 				return nil, err
 			}
-			continue
-		}
-		res, err := Evaluate(store, plan, opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := ans.MergeFragment(res.Fragment); err != nil {
-			return nil, fmt.Errorf("qeg: merging local result: %w", err)
-		}
-		for _, sq := range res.Subqueries {
-			if seen[sq.Key()] {
-				continue
+			var fresh []Subquery
+			for _, sq := range res.Subqueries {
+				if k := sq.Key(); !seen[k] {
+					seen[k] = true
+					fresh = append(fresh, sq)
+				}
 			}
-			seen[sq.Key()] = true
-			sub, err := fetch(ctx, sq)
-			if err != nil {
-				return nil, fmt.Errorf("qeg: subquery %s at %s: %w", sq.Query, sq.Target, err)
+			if len(fresh) == 0 {
+				break
 			}
-			if err := ans.MergeFragment(sub); err != nil {
-				return nil, fmt.Errorf("qeg: splicing subanswer for %s: %w", sq.Target, err)
+			if round == maxGatherRounds {
+				pending = fresh
+				break
+			}
+			for i, f := range env.Fetch(ctx, fresh) {
+				if f.Err != nil {
+					// The seen-set guarantees the subquery is not reissued.
+					g.mark(fresh[i].Target)
+					continue
+				}
+				g.splice(work, f.Frag)
+				// Unreachable markers carry no data, so merging drops them;
+				// re-apply the remote site's partial-answer list.
+				for _, k := range f.Unreachable {
+					if p, err := xmldb.ParseIDPath(k); err == nil {
+						g.mark(p)
+					}
+				}
+			}
+			if work == nil || g.err != nil {
+				break
 			}
 		}
+		g.splice(nil, res.Fragment)
+		if work != nil && opts.Prov != nil {
+			opts.Prov.Merge(o.Prov)
+		}
+		for _, sq := range pending {
+			g.mark(sq.Target)
+		}
+		if g.err != nil {
+			return nil, fmt.Errorf("qeg: assembling the answer: %w", g.err)
+		}
+		g.Pending = append(g.Pending, pending...)
 	}
-	return ans.Root, nil
+	return &g.Gathered, nil
 }
 
-// gatherNested handles nesting depth >= 1: the subtree at the gather point
-// must be assembled before the nested predicates can be evaluated, so the
-// loop iterates evaluate -> fetch -> merge on a working copy of the store
-// until no new subqueries appear (Section 4).
-func gatherNested(ctx context.Context, store *fragment.Store, plan *Plan, fetch Fetcher, opts Options, ans *fragment.Store, seen map[string]bool) error {
-	work := store.Clone()
-	for round := 0; round < maxGatherRounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		res, err := Evaluate(work, plan, opts)
-		if err != nil {
-			return err
-		}
-		var fresh []Subquery
-		for _, sq := range res.Subqueries {
-			if !seen[sq.Key()] {
-				seen[sq.Key()] = true
-				fresh = append(fresh, sq)
-			}
-		}
-		if len(fresh) == 0 {
-			return ans.MergeFragment(res.Fragment)
-		}
-		if round == maxGatherRounds-1 {
-			// Out of rounds with work still pending: keep what this round
-			// evaluated (the merged fetches are already in ans) and report
-			// the truncation with the offending query instead of discarding
-			// everything gathered so far.
-			if merr := ans.MergeFragment(res.Fragment); merr != nil {
-				return fmt.Errorf("qeg: merging truncated result: %w", merr)
-			}
-			return &TruncatedError{Query: plan.Source, Rounds: maxGatherRounds, Pending: fresh}
-		}
-		for _, sq := range fresh {
-			sub, err := fetch(ctx, sq)
-			if err != nil {
-				return fmt.Errorf("qeg: nested subquery %s at %s: %w", sq.Query, sq.Target, err)
-			}
-			if err := work.MergeFragment(sub); err != nil {
-				return fmt.Errorf("qeg: merging nested subanswer: %w", err)
-			}
-			// The gathered subtree also joins the answer: the final
-			// extraction re-evaluates the nested predicates and needs the
-			// sibling data they reference, not just the matching nodes.
-			if err := ans.MergeFragment(sub); err != nil {
-				return fmt.Errorf("qeg: splicing nested subanswer: %w", err)
-			}
-		}
+// splice merges frag into the working copy, when there is one, and into the
+// answer. A nested round's sub-answers join the answer too: the final
+// extraction re-evaluates the nested predicates and needs the sibling data
+// they reference, not just the matching nodes.
+func (g *gatherer) splice(work *fragment.Store, frag *xmldb.Node) {
+	if g.err != nil {
+		return
 	}
-	// Unreachable: the last loop iteration either converged or returned the
-	// truncation error above.
-	return &TruncatedError{Query: plan.Source, Rounds: maxGatherRounds}
+	g.env.Do(func() {
+		if work != nil {
+			g.err = work.MergeFragment(frag)
+		}
+		if g.err == nil {
+			g.err = g.Answer.MergeFragment(frag)
+		}
+	})
+}
+
+// mark splices an unreachable placeholder at p into the answer and records p.
+func (g *gatherer) mark(p xmldb.IDPath) {
+	if g.err != nil {
+		return
+	}
+	g.env.Do(func() { g.err = g.Answer.MarkUnreachable(p) })
+	if g.Unreachable == nil {
+		g.Unreachable = map[string]bool{}
+	}
+	g.Unreachable[p.Key()] = true
 }
 
 // LCAPath extracts the ID path of a query's lowest common ancestor from
@@ -195,14 +221,9 @@ func commonIDPrefix(a, b xmldb.IDPath) xmldb.IDPath {
 	return a[:i].Clone()
 }
 
-// ExtractOptions tunes ExtractAnswerFull.
-type ExtractOptions struct {
-	// ReportUnreachable includes selected nodes that are unreachable
-	// placeholders in the returned node set, with their status="unreachable"
-	// attribute retained so callers can tell data from markers. By default
-	// such stubs are skipped like any other placeholder.
-	ReportUnreachable bool
-}
+// ExtractOptions tunes ExtractAnswerFull. It has no fields: it stays because
+// callers such as benchmark/replay.go pass ExtractOptions{}.
+type ExtractOptions struct{}
 
 // ExtractAnswer runs the original user query against an assembled answer
 // fragment and returns clean copies of the selected subtrees (status tags
@@ -210,7 +231,7 @@ type ExtractOptions struct {
 // reflects the freshness decisions QEG made, and the paper's owner-side
 // semantics ("return the freshest data even if older than the tolerance")
 // must not be re-filtered away. Unreachable placeholders (partial answers)
-// are skipped; use ExtractAnswerFull to see them.
+// are skipped; ExtractAnswerFull also lists their paths.
 func ExtractAnswer(fragRoot *xmldb.Node, query string, now func() float64) ([]*xmldb.Node, error) {
 	nodes, _, err := ExtractAnswerFull(fragRoot, query, now, ExtractOptions{})
 	return nodes, err
@@ -218,8 +239,7 @@ func ExtractAnswer(fragRoot *xmldb.Node, query string, now func() float64) ([]*x
 
 // ExtractAnswerFull is ExtractAnswer plus partial-answer reporting: the
 // second return value lists the ID paths of every unreachable-marked
-// subtree in the fragment, and opts controls whether unreachable stubs
-// matching the selection are surfaced as nodes.
+// subtree in the fragment.
 func ExtractAnswerFull(fragRoot *xmldb.Node, query string, now func() float64, opts ExtractOptions) ([]*xmldb.Node, []string, error) {
 	expr, err := xpath.Parse(query)
 	if err != nil {
@@ -243,10 +263,6 @@ func ExtractParsed(fragRoot *xmldb.Node, expr xpath.Expr, now func() float64, op
 			if !fragment.EffectiveStatus(n.Parent).HasLocalInfo() {
 				continue
 			}
-			out = append(out, n.Clone())
-			continue
-		}
-		if opts.ReportUnreachable && fragment.StatusOf(n) == fragment.StatusUnreachable {
 			out = append(out, n.Clone())
 			continue
 		}

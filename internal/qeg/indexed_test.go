@@ -1,7 +1,6 @@
 package qeg
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -78,11 +77,7 @@ func TestIndexedSnapshotMatchesWalker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frag, err := Gather(context.Background(), hier["root-site"], plans,
-		resolver(t, hier, a, schema, nil), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	frag := gatherAll(t, hier["root-site"], plans, resolver(t, hier, a, schema, "", nil))
 	warmed := hier["root-site"].Clone()
 	if err := warmed.MergeFragment(frag); err != nil {
 		t.Fatal(err)

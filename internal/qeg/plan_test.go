@@ -182,14 +182,28 @@ func TestSubtreeQueryEscapesQuotes(t *testing.T) {
 	}
 }
 
-func TestGatherPropagatesFetchErrors(t *testing.T) {
+// TestGatherMarksFailedFetchesUnreachable: a subquery that fails does not
+// fail the gather; its target becomes an unreachable placeholder of a
+// partial answer.
+func TestGatherMarksFailedFetchesUnreachable(t *testing.T) {
 	stores, _ := hierarchicalStores(t)
 	plans, _ := CompileQuery(figure2Query, parkingSchema())
-	failing := func(ctx context.Context, sq Subquery) (*xmldb.Node, error) {
-		return nil, errFetch
+	var targets []xmldb.IDPath
+	failing := &seqEnv{fetch: func(ctx context.Context, sq Subquery) Fetched {
+		targets = append(targets, sq.Target)
+		return Fetched{Err: errFetch}
+	}}
+	g, err := Gather(context.Background(), stores["city-site"], plans, failing, Options{})
+	if err != nil {
+		t.Fatalf("a failed fetch must not fail the gather: %v", err)
 	}
-	if _, err := Gather(context.Background(), stores["city-site"], plans, failing, Options{}); err == nil {
-		t.Fatal("fetch errors must propagate")
+	if len(targets) == 0 || len(g.Unreachable) != len(targets) {
+		t.Fatalf("unreachable = %v, want the %d failed targets", g.Unreachable, len(targets))
+	}
+	for _, p := range targets {
+		if !g.Unreachable[p.Key()] {
+			t.Errorf("failed target %s not marked unreachable", p)
+		}
 	}
 }
 
@@ -202,10 +216,10 @@ func (*fetchError) Error() string { return "injected fetch failure" }
 func TestGatherMalformedSubAnswer(t *testing.T) {
 	stores, _ := hierarchicalStores(t)
 	plans, _ := CompileQuery(figure2Query, parkingSchema())
-	malformed := func(ctx context.Context, sq Subquery) (*xmldb.Node, error) {
+	malformed := &seqEnv{fetch: func(ctx context.Context, sq Subquery) Fetched {
 		// A fragment violating C2: complete child under incomplete parent.
-		return xmldb.MustParse(`<usRegion id="NE" status="incomplete"><state id="PA" status="complete"/></usRegion>`), nil
-	}
+		return Fetched{Frag: xmldb.MustParse(`<usRegion id="NE" status="incomplete"><state id="PA" status="complete"/></usRegion>`)}
+	}}
 	if _, err := Gather(context.Background(), stores["city-site"], plans, malformed, Options{}); err == nil {
 		t.Fatal("invalid subanswers must be rejected")
 	}

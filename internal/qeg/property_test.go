@@ -10,13 +10,16 @@ import (
 	"irisnet/internal/fragment"
 	"irisnet/internal/xmldb"
 	"irisnet/internal/xpath"
+	"irisnet/internal/xpatheval"
 )
 
 // The golden property of the whole system (Section 3's correctness claim):
 // for ANY partitioning satisfying invariants I1/I2, ANY entry site, and ANY
 // cache state produced by merging prior answers, the distributed
 // query-evaluate-gather answer equals the centralized answer on the full
-// document.
+// document. With a site down, the answer is a correct partial answer
+// instead. Every run goes through Gather, the loop each site runs, with the
+// sequential env of qeg_test.go standing in for the network.
 
 func randSchema() *xpath.Schema {
 	return &xpath.Schema{
@@ -105,29 +108,86 @@ func randQuery(r *rand.Rand) string {
 	}
 }
 
-func runDistributed(t testing.TB, stores map[string]*fragment.Store, a *fragment.Assignment, entry, q string, schema *xpath.Schema) ([]string, error) {
+// runDistributed gathers q entering at entry, with every subquery to the
+// site down failing ("" for none).
+func runDistributed(t testing.TB, stores map[string]*fragment.Store, a *fragment.Assignment, entry, down, q string, schema *xpath.Schema) (*Gathered, error) {
 	plans, err := CompileQuery(q, schema)
 	if err != nil {
 		return nil, err
 	}
-	var fetch Fetcher
-	fetch = func(ctx context.Context, sq Subquery) (*xmldb.Node, error) {
-		owner := a.OwnerOf(sq.Target)
-		p2, err := CompileQuery(sq.Query, schema)
-		if err != nil {
-			return nil, err
-		}
-		return Gather(ctx, stores[owner], p2, fetch, Options{})
-	}
-	frag, err := Gather(context.Background(), stores[entry], plans, fetch, Options{})
-	if err != nil {
-		return nil, err
-	}
-	ans, err := ExtractAnswer(frag, q, nil)
+	return Gather(context.Background(), stores[entry], plans, resolver(t, stores, a, schema, down, nil), Options{})
+}
+
+// extract is the answer set a client reads out of a gathered answer.
+func extract(g *Gathered, q string) ([]string, error) {
+	ans, err := ExtractAnswer(g.Answer.Root, q, nil)
 	if err != nil {
 		return nil, err
 	}
 	return canonSet(ans), nil
+}
+
+// locKey names a node by the names and ids on its path from the root, so a
+// node of the full document and its copy in an answer share a key.
+func locKey(n *xmldb.Node) string {
+	k := "/" + n.Name + "[" + n.ID() + "]"
+	if n.Parent != nil {
+		return locKey(n.Parent) + k
+	}
+	return k
+}
+
+// checkPartial holds a gather run with the site down dead to the
+// partial-answer property: every node the answer selects is in the
+// centralized answer, every centralized node it lacks lies at or below an
+// unreachable key, and every unreachable key is a target down owns.
+func checkPartial(d *xmldb.Node, a *fragment.Assignment, down, q string, g *Gathered) error {
+	expr, err := xpath.Parse(q)
+	if err != nil {
+		return err
+	}
+	expr = xpath.StripConsistency(expr)
+	want, err := xpatheval.Select(expr, &xpatheval.Context{Root: d}, d)
+	if err != nil {
+		return err
+	}
+	got, err := xpatheval.Select(expr, &xpatheval.Context{Root: g.Answer.Root}, g.Answer.Root)
+	if err != nil {
+		return err
+	}
+	central, answered := map[string]bool{}, map[string]bool{}
+	for _, n := range want {
+		central[locKey(n)] = true
+	}
+	for _, n := range got {
+		// Extraction keeps only selected nodes that carry local information.
+		if !fragment.EffectiveStatus(n).HasLocalInfo() {
+			continue
+		}
+		if !central[locKey(n)] {
+			return fmt.Errorf("answer node %s is not in the centralized answer", locKey(n))
+		}
+		answered[locKey(n)] = true
+	}
+	for _, n := range want {
+		if answered[locKey(n)] {
+			continue
+		}
+		below := false
+		for c := n; c != nil && !below; c = c.Parent {
+			p, ok := xmldb.IDPathOf(c)
+			below = ok && g.Unreachable[p.Key()]
+		}
+		if !below {
+			return fmt.Errorf("%s is missing but lies below no unreachable key %v", locKey(n), g.Unreachable)
+		}
+	}
+	for k := range g.Unreachable {
+		if p, err := xmldb.ParseIDPath(k); err != nil || a.OwnerOf(p) != down {
+			return fmt.Errorf("unreachable %s is not a target of the down site %s", k, down)
+		}
+	}
+	return nil
 }
 
 func TestPropertyDistributedEqualsCentralized(t *testing.T) {
@@ -142,11 +202,34 @@ func TestPropertyDistributedEqualsCentralized(t *testing.T) {
 			t.Logf("seed %d: partition: %v", seed, err)
 			return false
 		}
+		sites := a.Sites()
 		for trial := 0; trial < 4; trial++ {
 			q := randQuery(r)
 			want := centralized(t, d, q)
-			for entry := range stores {
-				got, err := runDistributed(t, stores, a, entry, q, schema)
+			for _, entry := range sites {
+				// Every other site takes a turn being down: the answer is then
+				// a correct partial answer.
+				for _, down := range sites {
+					if down == entry {
+						continue
+					}
+					g, err := runDistributed(t, stores, a, entry, down, q, schema)
+					if err == nil {
+						err = checkPartial(d, a, down, q, g)
+					}
+					if err != nil {
+						t.Logf("seed %d query %q entry %s down %s: %v", seed, q, entry, down, err)
+						return false
+					}
+				}
+				g, err := runDistributed(t, stores, a, entry, "", q, schema)
+				var got []string
+				if err == nil && len(g.Unreachable) > 0 {
+					err = fmt.Errorf("partial answer with every site up: %v", g.Unreachable)
+				}
+				if err == nil {
+					got, err = extract(g, q)
+				}
 				if err != nil {
 					t.Logf("seed %d query %q entry %s: %v", seed, q, entry, err)
 					return false
@@ -191,24 +274,12 @@ func TestPropertyCachingPreservesCorrectness(t *testing.T) {
 		for warm := 0; warm < 3; warm++ {
 			entry := siteNames[r.Intn(len(siteNames))]
 			q := randQuery(r)
-			plans, err := CompileQuery(q, schema)
-			if err != nil {
-				return false
-			}
-			var fetch Fetcher
-			fetch = func(ctx context.Context, sq Subquery) (*xmldb.Node, error) {
-				p2, err := CompileQuery(sq.Query, schema)
-				if err != nil {
-					return nil, err
-				}
-				return Gather(ctx, stores[a.OwnerOf(sq.Target)], p2, fetch, Options{})
-			}
-			frag, err := Gather(context.Background(), stores[entry], plans, fetch, Options{})
+			g, err := runDistributed(t, stores, a, entry, "", q, schema)
 			if err != nil {
 				t.Logf("seed %d warm %q: %v", seed, q, err)
 				return false
 			}
-			if err := stores[entry].MergeFragment(frag); err != nil {
+			if err := stores[entry].MergeFragment(g.Answer.Root); err != nil {
 				t.Logf("seed %d warm merge: %v", seed, err)
 				return false
 			}
@@ -222,7 +293,11 @@ func TestPropertyCachingPreservesCorrectness(t *testing.T) {
 			entry := siteNames[r.Intn(len(siteNames))]
 			q := randQuery(r)
 			want := centralized(t, d, q)
-			got, err := runDistributed(t, stores, a, entry, q, schema)
+			g, err := runDistributed(t, stores, a, entry, "", q, schema)
+			var got []string
+			if err == nil {
+				got, err = extract(g, q)
+			}
 			if err != nil {
 				t.Logf("seed %d verify %q: %v", seed, q, err)
 				return false
@@ -254,23 +329,11 @@ func TestPropertyAnswersAreValidFragments(t *testing.T) {
 		for trial := 0; trial < 3; trial++ {
 			q := randQuery(r)
 			entry := a.Sites()[r.Intn(len(a.Sites()))]
-			plans, err := CompileQuery(q, schema)
+			g, err := runDistributed(t, stores, a, entry, "", q, schema)
 			if err != nil {
 				return false
 			}
-			var fetch Fetcher
-			fetch = func(ctx context.Context, sq Subquery) (*xmldb.Node, error) {
-				p2, err := CompileQuery(sq.Query, schema)
-				if err != nil {
-					return nil, err
-				}
-				return Gather(ctx, stores[a.OwnerOf(sq.Target)], p2, fetch, Options{})
-			}
-			frag, err := Gather(context.Background(), stores[entry], plans, fetch, Options{})
-			if err != nil {
-				return false
-			}
-			if err := fragment.ValidateFragment(frag); err != nil {
+			if err := fragment.ValidateFragment(g.Answer.Root); err != nil {
 				t.Logf("seed %d query %q: invalid answer fragment: %v", seed, q, err)
 				return false
 			}

@@ -1,7 +1,6 @@
 package qeg
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -23,10 +22,7 @@ func warmOakland(t *testing.T) (citySite *fragment.Store, stores map[string]*fra
 	if err != nil {
 		t.Fatal(err)
 	}
-	frag, err := Gather(context.Background(), citySite, plans, resolver(t, stores, a, schema, nil), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	frag := gatherAll(t, citySite, plans, resolver(t, stores, a, schema, "", nil))
 	if err := citySite.MergeFragment(frag); err != nil {
 		t.Fatal(err)
 	}

@@ -111,23 +111,72 @@ func hierarchicalStores(t testing.TB) (map[string]*fragment.Store, *fragment.Ass
 	return stores, a
 }
 
-// resolver returns a Fetcher that recursively answers subqueries against
-// the owners' stores — the same loop the site layer runs over the network.
-func resolver(t testing.TB, stores map[string]*fragment.Store, a *fragment.Assignment, schema *xpath.Schema, hops *int) Fetcher {
-	var fetch Fetcher
-	fetch = func(ctx context.Context, sq Subquery) (*xmldb.Node, error) {
+// seqEnv is the sequential Env the tests run the production gather loop
+// through: plain Evaluate, CPU work inline, and a Fetch that answers each
+// subquery of a round in turn with fetch.
+type seqEnv struct {
+	fetch  func(ctx context.Context, sq Subquery) Fetched
+	rounds int // Fetch calls so far
+}
+
+func (e *seqEnv) Evaluate(store *fragment.Store, plan *Plan, opts Options) (*Result, error) {
+	return Evaluate(store, plan, opts)
+}
+
+func (e *seqEnv) Fetch(ctx context.Context, sqs []Subquery) []Fetched {
+	e.rounds++
+	out := make([]Fetched, len(sqs))
+	for i, sq := range sqs {
+		out[i] = e.fetch(ctx, sq)
+	}
+	return out
+}
+
+func (e *seqEnv) Do(f func()) { f() }
+
+// resolver returns a seqEnv that answers each subquery by a recursive Gather
+// at its target's owner — the loop the site layer runs over the network —
+// except that every subquery whose target the site down owns fails, as if
+// that site were dead ("" for none). hops, when non-nil, counts subqueries.
+func resolver(t testing.TB, stores map[string]*fragment.Store, a *fragment.Assignment, schema *xpath.Schema, down string, hops *int) *seqEnv {
+	env := &seqEnv{}
+	env.fetch = func(ctx context.Context, sq Subquery) Fetched {
 		if hops != nil {
 			*hops++
 		}
 		owner := a.OwnerOf(sq.Target)
-		store := stores[owner]
-		plans, err := CompileQuery(sq.Query, schema)
-		if err != nil {
-			return nil, err
+		if owner == down {
+			return Fetched{Err: errFetch}
 		}
-		return Gather(ctx, store, plans, fetch, Options{})
+		plans, err := CompileQuery(sq.Query, schema)
+		if err == nil {
+			var g *Gathered
+			if g, err = Gather(ctx, stores[owner], plans, env, Options{}); err == nil {
+				f := Fetched{Frag: g.Answer.Root}
+				for k := range g.Unreachable {
+					f.Unreachable = append(f.Unreachable, k)
+				}
+				return f
+			}
+		}
+		t.Errorf("subquery %q at %s: %v", sq.Query, owner, err)
+		return Fetched{Err: err}
 	}
-	return fetch
+	return env
+}
+
+// gatherAll runs the gather loop at store through env and returns the
+// answer, failing the test on an error or a partial answer.
+func gatherAll(t testing.TB, store *fragment.Store, plans []*Plan, env Env) *xmldb.Node {
+	t.Helper()
+	g, err := Gather(context.Background(), store, plans, env, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Unreachable) > 0 {
+		t.Fatalf("partial answer, unreachable: %v", g.Unreachable)
+	}
+	return g.Answer.Root
 }
 
 // centralized evaluates the query on the full document.
@@ -161,10 +210,7 @@ func distributed(t testing.TB, stores map[string]*fragment.Store, a *fragment.As
 	if err != nil {
 		t.Fatalf("compile %q: %v", query, err)
 	}
-	frag, err := Gather(context.Background(), stores[entry], plans, resolver(t, stores, a, schema, nil), Options{})
-	if err != nil {
-		t.Fatalf("gather %q at %s: %v", query, entry, err)
-	}
+	frag := gatherAll(t, stores[entry], plans, resolver(t, stores, a, schema, "", nil))
 	ans, err := ExtractAnswer(frag, query, nil)
 	if err != nil {
 		t.Fatalf("extract %q: %v", query, err)
@@ -360,9 +406,7 @@ func TestGatherHopCount(t *testing.T) {
 	count := func(entry string) int {
 		hops := 0
 		plans, _ := CompileQuery(figure2Query, schema)
-		if _, err := Gather(context.Background(), stores[entry], plans, resolver(t, stores, a, schema, &hops), Options{}); err != nil {
-			t.Fatal(err)
-		}
+		gatherAll(t, stores[entry], plans, resolver(t, stores, a, schema, "", &hops))
 		return hops
 	}
 	atCity := count("city-site")
@@ -382,10 +426,7 @@ func TestPartialMatchCaching(t *testing.T) {
 
 	warm := pittsburghPath + "/neighborhood[@id='Oakland']/block[@id='1']/parkingSpace[available='yes']"
 	plans, _ := CompileQuery(warm, schema)
-	frag, err := Gather(context.Background(), citySite, plans, resolver(t, stores, a, schema, nil), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	frag := gatherAll(t, citySite, plans, resolver(t, stores, a, schema, "", nil))
 	if err := citySite.MergeFragment(frag); err != nil {
 		t.Fatalf("caching merge: %v", err)
 	}
@@ -419,10 +460,7 @@ func TestSubsumption(t *testing.T) {
 	for _, nb := range []string{"Oakland", "Shadyside", "Etna"} {
 		q := pittsburghPath + "/neighborhood[@id='" + nb + "']"
 		plans, _ := CompileQuery(q, schema)
-		frag, err := Gather(context.Background(), citySite, plans, resolver(t, stores, a, schema, nil), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		frag := gatherAll(t, citySite, plans, resolver(t, stores, a, schema, "", nil))
 		if err := citySite.MergeFragment(frag); err != nil {
 			t.Fatal(err)
 		}
@@ -455,10 +493,7 @@ func TestConsistencyPredicates(t *testing.T) {
 	fragment.SetTimestamp(oakNode, 100)
 	warm := pittsburghPath + "/neighborhood[@id='Oakland']"
 	plans, _ := CompileQuery(warm, schema)
-	frag, err := Gather(context.Background(), citySite, plans, resolver(t, stores, a, schema, nil), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	frag := gatherAll(t, citySite, plans, resolver(t, stores, a, schema, "", nil))
 	if err := citySite.MergeFragment(frag); err != nil {
 		t.Fatal(err)
 	}
@@ -611,10 +646,7 @@ func TestGatherResultIsValidFragment(t *testing.T) {
 	stores, a := hierarchicalStores(t)
 	schema := parkingSchema()
 	plans, _ := CompileQuery(figure2Query, schema)
-	frag, err := Gather(context.Background(), stores["root-site"], plans, resolver(t, stores, a, schema, nil), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	frag := gatherAll(t, stores["root-site"], plans, resolver(t, stores, a, schema, "", nil))
 	if err := fragment.ValidateFragment(frag); err != nil {
 		t.Fatalf("answer fragment violates cache conditions: %v", err)
 	}

@@ -104,8 +104,8 @@ func (s *Site) handleAggregate(ctx context.Context, msg *Message, reqBytes int, 
 		if snap == nil {
 			snap = s.state.Load().store
 		}
-		prov := qeg.NewProvenance(now)
-		res, err := h.evaluate(snap, plans[0], qeg.Options{Now: s.cfg.Clock, IgnoreCached: s.cfg.CacheBypass, Prov: prov})
+		h.prov = *qeg.NewProvenance(now)
+		res, err := h.Evaluate(snap, plans[0], qeg.Options{Now: s.cfg.Clock, IgnoreCached: s.cfg.CacheBypass, Prov: &h.prov})
 		if err != nil {
 			return errorMessage(err)
 		}
@@ -128,7 +128,7 @@ func (s *Site) handleAggregate(ctx context.Context, msg *Message, reqBytes int, 
 			if err != nil {
 				return errorMessage(fmt.Errorf("site %s: aggregating local matches: %w", s.cfg.Name, err))
 			}
-			ageMax = prov.AgeMax
+			ageMax = h.prov.AgeMax
 			if len(res.Subqueries) > 0 {
 				// Each addressed site gets the same pinned, self-routing
 				// subquery wrapped in the aggregate function.
@@ -136,6 +136,7 @@ func (s *Site) handleAggregate(ctx context.Context, msg *Message, reqBytes int, 
 				for i, sq := range res.Subqueries {
 					reqs[i] = qeg.Subquery{Target: sq.Target, Query: qeg.AggregateSubquery(aggQ.Fn, sq)}
 				}
+				h.unreachable = map[string]bool{}
 				for i, r := range dispatch(ctx, h, s.aggKind, reqs) {
 					if r.err != nil {
 						// Partial answer: mark just this subtree unreachable,
@@ -155,7 +156,7 @@ func (s *Site) handleAggregate(ctx context.Context, msg *Message, reqBytes int, 
 			}
 			s.Metrics.AggregatePushdowns.Inc()
 			s.Metrics.AnswerStaleness.Observe(ageMax)
-			h.freshness = freshnessReport(prov, 0)
+			h.freshness = freshnessReport(&h.prov, 0)
 			h.freshness.MaxAgeSec = ageMax // roll up the remote partials' staleness
 			if localBytes > 0 {
 				s.Metrics.GatherBytesSaved.Add(int64(localBytes))

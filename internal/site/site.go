@@ -119,11 +119,6 @@ type Config struct {
 // WAN link for seconds.
 const DefaultBatchByteCap = 256 << 10
 
-// maxSiteGatherRounds bounds a site's evaluate/fetch gather loop; hitting
-// it returns the partial answer with a truncation marker rather than an
-// error (see handleQuery).
-const maxSiteGatherRounds = 64
-
 // Metrics exposes a site's counters to the harness.
 type Metrics struct {
 	Queries        metrics.Counter // queries and subqueries served
@@ -639,20 +634,24 @@ type hop struct {
 
 	planTime, execTime, commTime time.Duration
 	// fanout counts the subrequests issued; zero means the answer came
-	// entirely from local and cached data (a cache hit).
-	fanout int
+	// entirely from local and cached data (a cache hit). fetchedBytes is the
+	// wire size of the raw sub-answers that came back.
+	fanout       int
+	fetchedBytes int64
 	// unreachable holds the ID-path keys of subtrees whose owners did not
 	// answer (partial answer); truncated marks a gather cut at its round bound.
 	unreachable map[string]bool
 	truncated   bool
-	freshness   *trace.FreshnessReport
+	// prov is the answer's staleness ledger; freshness is its wire form.
+	prov      qeg.Provenance
+	freshness *trace.FreshnessReport
 }
 
 // beginHop opens the frame for msg, or forwards msg and returns the answer
 // that came back (third result; no frame then). route is the query whose LCA
 // addresses the request: the query itself, or an aggregate's inner path.
 func (s *Site) beginHop(ctx context.Context, msg *Message, op, route string, reqBytes int) (context.Context, *hop, *Message) {
-	h := &hop{s: s, msg: msg, unreachable: map[string]bool{}}
+	h := &hop{s: s, msg: msg}
 	// Tracing: a TraceID on the request makes this hop record a span. The
 	// per-hop retry/deadline tallies ride in the context so concurrent
 	// queries do not race on the site-wide counters.
@@ -714,9 +713,9 @@ func (h *hop) compile(query string) ([]*qeg.Plan, error) {
 	return plans, err
 }
 
-// evaluate runs one plan against a store while holding a CPU slot, and holds
-// the slot on for the cost model's service time (Config.QueryWork).
-func (h *hop) evaluate(store *fragment.Store, plan *qeg.Plan, opts qeg.Options) (*qeg.Result, error) {
+// Evaluate runs one plan against a store while holding a CPU slot, and holds
+// the slot on for the cost model's service time (Config.QueryWork; qeg.Env).
+func (h *hop) Evaluate(store *fragment.Store, plan *qeg.Plan, opts qeg.Options) (*qeg.Result, error) {
 	cfg := &h.s.cfg
 	var res *qeg.Result
 	var err error
@@ -798,8 +797,7 @@ func (h *hop) finish(ctx context.Context, res *Message, bytesOut int) *Message {
 //
 // pinned, when non-nil, is the sealed snapshot every plan evaluates against
 // — batch entries share one snapshot so all entries of a batch answer from
-// a single consistent version. Nil loads the latest published snapshot per
-// plan, the behavior for individually arriving queries.
+// a single consistent version. Nil loads the latest published snapshot.
 func (s *Site) handleQuery(ctx context.Context, msg *Message, reqBytes int, pinned *fragment.Store) *Message {
 	ctx, h, forwarded := s.beginHop(ctx, msg, "query", msg.Query, reqBytes)
 	if forwarded != nil {
@@ -820,160 +818,52 @@ func (s *Site) handleQuery(ctx context.Context, msg *Message, reqBytes int, pinn
 	return h.finish(ctx, &Message{Kind: KindResult, Fragment: out}, len(out))
 }
 
-// gather is the evaluate/fetch/splice loop over the plans of one query: it
-// assembles the answer store, leaving the subtrees it could not fetch as
-// unreachable placeholders, and records the answer's staleness ledger.
+// Fetch is one gather round's fetch (qeg.Env): the dispatcher fetches the
+// subqueries concurrently, coalescing duplicate in-flight fetches and batching
+// per destination site, and has cached every fragment before it returns.
+func (h *hop) Fetch(ctx context.Context, sqs []qeg.Subquery) []qeg.Fetched {
+	out := make([]qeg.Fetched, len(sqs))
+	for i, r := range dispatch(ctx, h, h.s.rawKind, sqs) {
+		out[i] = qeg.Fetched{Frag: r.val.frag, Unreachable: r.downs, Err: r.err}
+		if r.err == nil {
+			h.fetchedBytes += int64(r.val.bytes)
+		}
+	}
+	return out
+}
+
+// Do runs the gather's splices and marks in a site CPU slot (qeg.Env).
+func (h *hop) Do(f func()) { h.s.cpu.Do(f) }
+
+// gather runs the query-evaluate-gather loop (qeg.Gather, with the hop as its
+// env) over the plans of one query against one snapshot: pinned, or the
+// latest published one. It records what the loop could not reach and the
+// answer's staleness ledger.
 func (h *hop) gather(ctx context.Context, query string, plans []*qeg.Plan, pinned *fragment.Store) (*fragment.Store, error) {
 	s := h.s
-	opts := qeg.Options{Now: s.cfg.Clock, IgnoreCached: s.cfg.CacheBypass}
-	ans := fragment.NewStore(s.rootName(), s.rootID())
-	seen := map[string]bool{}
-
-	// Staleness ledger: prov aggregates provenance across plans and gather
-	// rounds; only the rounds whose local result actually merges into the
-	// answer contribute (intermediate nested rounds re-read the same units).
-	prov := qeg.NewProvenance(s.cfg.Clock())
-	var fetchedBytes int64
-	// mergeLocal splices a round's local result into the answer and its
-	// ledger into the answer's.
-	mergeLocal := func(res *qeg.Result, what string) error {
-		var err error
-		s.cpu.Do(func() {
-			err = ans.MergeFragment(res.Fragment)
-		})
-		if err != nil {
-			return fmt.Errorf("site %s: merging %s result: %w", s.cfg.Name, what, err)
-		}
-		prov.Merge(opts.Prov)
-		return nil
+	if pinned == nil {
+		pinned = s.state.Load().store
 	}
-	markUnreachable := func(p xmldb.IDPath) error {
-		var err error
-		s.cpu.Do(func() {
-			err = ans.MarkUnreachable(p)
-		})
-		if err != nil {
-			return fmt.Errorf("site %s: marking %s unreachable: %w", s.cfg.Name, p, err)
-		}
-		h.unreachable[p.Key()] = true
-		return nil
+	h.prov = *qeg.NewProvenance(s.cfg.Clock())
+	prov := &h.prov
+	g, err := qeg.Gather(ctx, pinned, plans, h, qeg.Options{Now: s.cfg.Clock, IgnoreCached: s.cfg.CacheBypass, Prov: prov})
+	if err != nil {
+		return nil, fmt.Errorf("site %s: %w", s.cfg.Name, err)
 	}
-
-	for _, plan := range plans {
-		// One atomic load pins this plan's snapshot; evaluation runs
-		// lock-free against the sealed version. Nested plans evaluate a
-		// deep working copy (they splice sub-answers into it between
-		// rounds and may navigate parent axes, which structural sharing
-		// does not preserve).
-		snap := pinned
-		if snap == nil {
-			snap = s.state.Load().store
-		}
-		var work *fragment.Store // nil = evaluate the published snapshot
-		if plan.NestedIdx >= 0 {
-			work = snap.Clone()
-			snap = work
-		}
-		for round := 0; ; round++ {
-			opts.Prov = qeg.NewProvenance(prov.Now())
-			res, err := h.evaluate(snap, plan, opts)
-			if err != nil {
-				return nil, err
-			}
-
-			var fresh []qeg.Subquery
-			for _, sq := range res.Subqueries {
-				if !seen[sq.Key()] {
-					seen[sq.Key()] = true
-					fresh = append(fresh, sq)
-				}
-			}
-			if len(fresh) == 0 {
-				if err := mergeLocal(res, "local"); err != nil {
-					return nil, err
-				}
-				break
-			}
-			if round >= maxSiteGatherRounds {
-				// The evaluate/fetch fixpoint did not converge within the
-				// round bound. Return the partial answer with an explicit
-				// truncation marker — everything gathered so far plus
-				// unreachable markers for the still-pending subtrees —
-				// instead of discarding the work (gather truncation).
-				if err := mergeLocal(res, "truncated"); err != nil {
-					return nil, err
-				}
-				for _, sq := range fresh {
-					if err := markUnreachable(sq.Target); err != nil {
-						return nil, err
-					}
-				}
-				h.truncated = true
-				s.log.LogAttrs(ctx, slog.LevelWarn, "gather truncated",
-					slog.String("trace_id", h.msg.TraceID), slog.String("query", clipQuery(query)),
-					slog.Int("rounds", round), slog.Int("pending", len(fresh)))
-				break
-			}
-			// Subqueries address disjoint parts of the hierarchy; the
-			// dispatcher fetches them concurrently, coalescing duplicate
-			// in-flight fetches and batching per destination site (the
-			// splice itself stays serialized).
-			for i, r := range dispatch(ctx, h, s.rawKind, fresh) {
-				if r.err != nil {
-					// Partial answer: the target's owner did not respond
-					// within the remaining budget. Splice an unreachable
-					// placeholder instead of failing the whole query; the
-					// seen-set guarantees the subquery is not reissued.
-					if err := markUnreachable(fresh[i].Target); err != nil {
-						return nil, err
-					}
-					continue
-				}
-				fetchedBytes += int64(r.val.bytes)
-				// The site-cache merge already happened in the dispatch
-				// layer, before the fetch's flight retired (dispatch.go);
-				// only the answer (and working copy) splices remain.
-				var mergeErr error
-				s.cpu.Do(func() {
-					if work != nil {
-						mergeErr = work.MergeFragment(r.val.frag)
-					}
-					if mergeErr == nil {
-						mergeErr = ans.MergeFragment(r.val.frag)
-					}
-				})
-				if mergeErr != nil {
-					return nil, fmt.Errorf("site %s: splicing subanswer: %w", s.cfg.Name, mergeErr)
-				}
-				// Unreachable markers carry no data, so merging drops them;
-				// re-apply the downstream site's partial-answer list here.
-				for _, us := range r.downs {
-					p, perr := xmldb.ParseIDPath(us)
-					if perr != nil {
-						continue
-					}
-					if err := markUnreachable(p); err != nil {
-						return nil, err
-					}
-				}
-			}
-			if work == nil {
-				// Depth-0 plans finish after one fetch round: every
-				// subanswer is complete for its scope by induction.
-				if err := mergeLocal(res, "local"); err != nil {
-					return nil, err
-				}
-				break
-			}
-		}
+	h.unreachable = g.Unreachable
+	if len(g.Pending) > 0 {
+		h.truncated = true
+		s.log.LogAttrs(ctx, slog.LevelWarn, "gather truncated",
+			slog.String("trace_id", h.msg.TraceID), slog.String("query", clipQuery(query)),
+			slog.Int("pending", len(g.Pending)))
 	}
 	if s.cache != nil {
 		// Refresh the recency of every cached unit this answer used, so the
 		// budget policy evicts the units queries are not asking for.
-		s.cache.touchAnswer(ans.Root, s.cfg.Clock())
+		s.cache.touchAnswer(g.Answer.Root, s.cfg.Clock())
 	}
 
-	h.freshness = freshnessReport(prov, fetchedBytes)
+	h.freshness = freshnessReport(prov, h.fetchedBytes)
 	if lag, ok := s.replicaLagForQuery(query); ok {
 		// The answer came (at least partly) from replicated data: record
 		// how far behind the owner this site was when it served.
@@ -987,7 +877,7 @@ func (h *hop) gather(ctx context.Context, query string, plans []*qeg.Plan, pinne
 	}
 	s.Metrics.AnswerCacheBytes.Add(prov.CachedBytes)
 	s.Metrics.AnswerOwnedBytes.Add(prov.OwnedBytes)
-	s.Metrics.AnswerFetchedBytes.Add(fetchedBytes)
+	s.Metrics.AnswerFetchedBytes.Add(h.fetchedBytes)
 	if s.cfg.StaleAnswerThreshold > 0 && prov.AgeMax >= s.cfg.StaleAnswerThreshold.Seconds() {
 		attrs := []slog.Attr{
 			slog.String("trace_id", h.msg.TraceID), slog.String("query", clipQuery(query)),
@@ -999,7 +889,7 @@ func (h *hop) gather(ctx context.Context, query string, plans []*qeg.Plan, pinne
 		}
 		s.log.LogAttrs(ctx, slog.LevelWarn, "stale answer", attrs...)
 	}
-	return ans, nil
+	return g.Answer, nil
 }
 
 // clipQuery bounds query text in log records.
@@ -1161,14 +1051,6 @@ func (s *Site) forwardTarget(query string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-func (s *Site) rootName() string {
-	return s.state.Load().store.Root.Name
-}
-
-func (s *Site) rootID() string {
-	return s.state.Load().store.Root.ID()
 }
 
 // spin holds the caller's CPU slot for d. Sleeping (rather than busy
