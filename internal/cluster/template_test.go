@@ -47,8 +47,8 @@ func (b *lockedBuffer) records(t *testing.T) []map[string]any {
 // logs to the template's logger under its own "site" attribute, a caching
 // site warns about an answer older than the template's StaleAnswerThreshold,
 // and with a one-byte BatchByteCap three subqueries bound for one site leave
-// as three messages, not one batch, from the central site and the replica
-// alike.
+// as three one-entry messages, not one batch of three, from the central site
+// and the replica alike.
 func TestSiteTemplateReachesEverySite(t *testing.T) {
 	var logs lockedBuffer
 	clock := newStepClock()
@@ -89,9 +89,9 @@ func TestSiteTemplateReachesEverySite(t *testing.T) {
 			t.Fatalf("query at %s: %v", entry, err)
 		}
 		m := &c.Sites[entry].Metrics
-		if sub, rpcs, batches := m.Subqueries.Value(), m.SubqueryRPCs.Value(), m.Batches.Value(); sub != int64(c.DB.Cfg.Blocks) || rpcs != sub || batches != 0 {
-			t.Fatalf("%s: %d subqueries left as %d messages, %d of them batches; the 1-byte cap wants %d plain messages",
-				entry, sub, rpcs, batches, c.DB.Cfg.Blocks)
+		if sub, rpcs, size := m.Subqueries.Value(), m.SubqueryRPCs.Value(), m.BatchSize.Mean(); sub != int64(c.DB.Cfg.Blocks) || rpcs != sub || size != 1 {
+			t.Fatalf("%s: %d subqueries left as %d messages of %v entries on average; the 1-byte cap wants %d one-entry messages",
+				entry, sub, rpcs, size, c.DB.Cfg.Blocks)
 		}
 	}
 	// The central site cached the blocks; a minute later the same answer is

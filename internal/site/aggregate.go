@@ -43,11 +43,11 @@ type aggAnswer struct {
 }
 
 // decodeAgg is the aggregate family's payload decoder (dispatch.go).
-func decodeAgg(_ string, agg *AggPayload, truncated bool) (aggAnswer, error) {
-	if agg == nil {
+func decodeAgg(e *BatchEntry) (aggAnswer, error) {
+	if e.Agg == nil {
 		return aggAnswer{}, fmt.Errorf("aggregate answer carries no partial state")
 	}
-	return aggAnswer{partial: agg.Partial, ageMax: agg.AgeMaxSec, truncated: truncated}, nil
+	return aggAnswer{partial: e.Agg.Partial, ageMax: e.Agg.AgeMaxSec, truncated: e.Truncated}, nil
 }
 
 // handleAggregate answers a KindAggregate message. pinned has the same

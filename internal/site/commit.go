@@ -1,7 +1,6 @@
 package site
 
 import (
-	"errors"
 	"fmt"
 	"log/slog"
 	"maps"
@@ -75,9 +74,25 @@ func (c *walOp) decode() (err error) {
 	return nil
 }
 
-// errNotOwned rejects an update for a node this site does not own;
-// handleUpdate forwards on it.
-var errNotOwned = errors.New("node not owned here")
+// notOwnedError rejects an update for a node this site does not own;
+// handleUpdate forwards it to to. The target is read from the forwarding
+// table of the very transaction that rejected the update: looked up after
+// commit returns, a delegation back to this site could already have claimed
+// the node and deleted the entry. to is empty when the table has none.
+type notOwnedError struct{ to string }
+
+func (e *notOwnedError) Error() string { return "node not owned here" }
+
+// forwardIn returns the forwarding-table entry of p or of its nearest
+// delegated ancestor.
+func forwardIn(migrated map[string]string, p xmldb.IDPath) (string, bool) {
+	for q := p; len(q) > 0; q = q[:len(q)-1] {
+		if to, ok := migrated[q.Key()]; ok {
+			return to, true
+		}
+	}
+	return "", false
+}
 
 // txn is one transaction in progress: the next store version, the tables
 // published with it, and what commitLocked tells the subscribers afterwards.
@@ -241,7 +256,8 @@ func (s *Site) apply(tx *txn, c *walOp) error {
 		// Checked under wmu: an update racing a delegation is applied before
 		// the handoff or forwarded after it, never acked and left behind.
 		if c.Path = c.path.Key(); !tx.owned[c.Path] { // a path's key is its log form
-			return errNotOwned
+			to, _ := forwardIn(tx.migrated, c.path)
+			return &notOwnedError{to}
 		}
 		if err := tx.cow().ApplyUpdate(c.path, c.Fields, c.Attrs, c.TS); err != nil {
 			return fmt.Errorf("site %s: owned node %s missing from store", s.cfg.Name, c.path)

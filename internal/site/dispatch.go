@@ -14,9 +14,8 @@ import (
 
 // fetched is the outcome of one dispatched subrequest, index-aligned with the
 // requests handed to dispatch. span, when set, is a span to hang under the
-// querying hop (the remote hop's span on the single-message path, a local
-// marker on the coalesced path); batched entries leave it nil because their
-// spans travel as children of the batch span.
+// querying hop: the remote hop's span of a sent entry (a synthetic error span
+// when the send failed), or a local marker on the coalesced path.
 type fetched[T any] struct {
 	val   T
 	downs []string // remote site's unreachable paths (partial answers compose)
@@ -36,13 +35,12 @@ type rawAnswer struct {
 // tagged on the wire, what payload an answer carries, and what happens to a
 // payload once it has landed.
 type subKind[T any] struct {
-	// msgKind is the Kind of a subrequest sent alone; entryKind tags it
+	// name labels the family in error text; entryKind tags its requests
 	// inside a KindBatch message.
-	msgKind, entryKind string
-	flights            *flightGroup[fetched[T]]
-	// decode reads the payload out of an answer — a result message's fields
-	// or a batch entry's, which name them alike.
-	decode func(fragment string, agg *AggPayload, truncated bool) (T, error)
+	name, entryKind string
+	flights         *flightGroup[fetched[T]]
+	// decode reads the payload out of a healthy answer entry.
+	decode func(*BatchEntry) (T, error)
 	// landed, when set, is handed the outcomes of one upstream answer after
 	// decoding and before any of their flights retire.
 	landed func(rs ...*fetched[T])
@@ -107,17 +105,16 @@ type pendingSub struct {
 }
 
 // decodeRaw is the raw family's payload decoder: the answer fragment, parsed.
-func decodeRaw(fragment string, _ *AggPayload, _ bool) (rawAnswer, error) {
-	frag, err := xmldb.ParseString(fragment)
-	return rawAnswer{frag: frag, bytes: len(fragment)}, err
+func decodeRaw(e *BatchEntry) (rawAnswer, error) {
+	frag, err := xmldb.ParseString(e.Fragment)
+	return rawAnswer{frag: frag, bytes: len(e.Fragment)}, err
 }
 
 // cacheFetched folds the fragments of one upstream answer — every healthy
-// entry of a batch answer, or the single fragment of a plain subquery — into
-// the site cache as one merge transaction (mergeCache) before any of their
-// flights retire, so a query arriving after a flight finishes finds the data
-// cached — there is no window where a subquery neither joins the flight nor
-// hits the cache. A result whose fragment fails to merge (a "cannot happen"
+// entry of a batch answer — into the site cache as one merge transaction
+// (mergeCache) before any of their flights retire, so a query arriving after
+// a flight finishes finds the data cached — there is no window where a
+// subquery neither joins the flight nor hits the cache. A result whose fragment fails to merge (a "cannot happen"
 // path: the same validation accepts the fragment into the answer) is
 // reported failed, marking just that subtree unreachable. Results that
 // already carry an error are left alone; no-op when caching is off.
@@ -156,20 +153,21 @@ func errSpan(traceID, site, query string, err error) *trace.Span {
 
 // dispatch fetches every subrequest of one gather round concurrently and
 // returns results index-aligned with reqs, billing the wait to the hop's
-// communication stage and hanging the remote spans under the hop's. Two
-// optimizations apply on top of the plain one-message-per-subrequest path:
+// communication stage and hanging the remote spans under the hop's. Every
+// subrequest travels as an entry of a KindBatch message (sendBatch), alone
+// or with others:
 //
 //   - Coalescing (caching sites): identical in-flight subrequests share one
 //     upstream fetch through the kind's flightGroup. The first query to want
 //     a key leads the flight; concurrent queries join as followers and
 //     use the same returned payload. Followers keep their own context
 //     (a canceled waiter abandons the flight without killing it) and fall
-//     back to a private fetch when the flight itself fails, so a leader's
-//     tight deadline cannot poison its followers.
+//     back to a private one-entry batch when the flight itself fails, so a
+//     leader's tight deadline cannot poison its followers.
 //
 //   - Batching: subrequests bound for the same owner site ship as one
 //     KindBatch message (split by cfg.BatchByteCap) instead of N separate
-//     round trips, sharing one deadline, one retry budget and one span.
+//     round trips, sharing one deadline and one retry budget.
 //
 // Metrics: Subqueries counts subrequests actually sent upstream, SubqueryRPCs
 // counts network sends (so Subqueries - SubqueryRPCs is the messaging saved
@@ -181,8 +179,8 @@ func dispatch[T any](ctx context.Context, h *hop, k *subKind[T], reqs []qeg.Subq
 	tc := time.Now()
 	results := make([]fetched[T], len(reqs))
 
-	// Partition into flight leaders/singles (must fetch) and followers
-	// (wait on someone else's fetch). Keys within one dispatch call are
+	// Partition into subrequests this call sends (flight leaders, or all of
+	// them without caching) and followers (wait on someone else's fetch). Keys within one dispatch call are
 	// distinct (the gather's seen-set, or disjoint aggregate targets), so a
 	// follower's leader is always another query's goroutine.
 	var toFetch []pendingSub
@@ -212,30 +210,29 @@ func dispatch[T any](ctx context.Context, h *hop, k *subKind[T], reqs []qeg.Subq
 	}
 
 	// A leader must complete its flight on every outcome, or followers hang
-	// until their own contexts expire.
+	// until their own contexts expire. For a follower's index it is a no-op.
 	finishLeader := func(idx int) {
 		if led, ok := leaders[idx]; ok {
 			k.flights.finish(led.key, led.fl, results[idx])
 		}
 	}
-
-	var wg sync.WaitGroup
-	single := func(p pendingSub) {
-		defer wg.Done()
-		results[p.idx] = fetchOne(ctx, s, k, p, traceID)
-		finishLeader(p.idx)
-	}
-
-	// Group by resolved owner; singleton groups keep the plain single-message
-	// path (a batch of one would only add envelope overhead).
-	groups := map[string][]pendingSub{}
-	var order []string
-	for _, p := range toFetch {
+	// resolve names the owner of p's target; a failure is p's outcome.
+	resolve := func(p pendingSub) (string, bool) {
 		owner, err := s.cfg.DNS.Resolve(p.target)
 		if err != nil {
 			err = fmt.Errorf("site %s: resolving %s: %w", s.cfg.Name, p.target, err)
 			results[p.idx] = fetched[T]{err: err, span: errSpan(traceID, p.target.String(), p.entry.Query, err)}
 			finishLeader(p.idx)
+			return "", false
+		}
+		return owner, true
+	}
+
+	groups := map[string][]pendingSub{}
+	var order []string
+	for _, p := range toFetch {
+		owner, ok := resolve(p)
+		if !ok {
 			continue
 		}
 		if _, ok := groups[owner]; !ok {
@@ -243,34 +240,13 @@ func dispatch[T any](ctx context.Context, h *hop, k *subKind[T], reqs []qeg.Subq
 		}
 		groups[owner] = append(groups[owner], p)
 	}
-	var spanMu sync.Mutex
-	var batchSpans []*trace.Span
+	var wg sync.WaitGroup
 	for _, owner := range order {
-		group := groups[owner]
-		if len(group) == 1 {
-			wg.Add(1)
-			go single(group[0])
-			continue
-		}
-		for _, piece := range splitByByteCap(group, s.cfg.BatchByteCap) {
-			if len(piece) == 1 {
-				// A piece collapses to one entry when a single entry's
-				// encoded size exceeds the byte cap (or the cap leaves a
-				// remainder of one). A batch of one buys nothing, so fall
-				// back to a plain — possibly oversized — single message
-				// rather than a degenerate batch.
-				wg.Add(1)
-				go single(piece[0])
-				continue
-			}
+		for _, piece := range splitByByteCap(groups[owner], s.cfg.BatchByteCap) {
 			wg.Add(1)
 			go func(owner string, piece []pendingSub) {
 				defer wg.Done()
-				if sp := sendBatch(ctx, s, k, owner, piece, traceID, results, finishLeader); sp != nil {
-					spanMu.Lock()
-					batchSpans = append(batchSpans, sp)
-					spanMu.Unlock()
-				}
+				sendBatch(ctx, s, k, owner, piece, traceID, results, finishLeader)
 			}(owner, piece)
 		}
 	}
@@ -285,7 +261,9 @@ func dispatch[T any](ctx context.Context, h *hop, k *subKind[T], reqs []qeg.Subq
 					// The flight failed — possibly the leader's deadline,
 					// not ours. Fall back to a private fetch rather than
 					// inheriting the leader's failure.
-					results[w.p.idx] = fetchOne(ctx, s, k, w.p, traceID)
+					if owner, ok := resolve(w.p); ok {
+						sendBatch(ctx, s, k, owner, []pendingSub{w.p}, traceID, results, finishLeader)
+					}
 					return
 				}
 				s.Metrics.Coalesced.Inc()
@@ -298,7 +276,7 @@ func dispatch[T any](ctx context.Context, h *hop, k *subKind[T], reqs []qeg.Subq
 				}
 				results[w.p.idx] = r
 			case <-ctx.Done():
-				err := fmt.Errorf("site %s: awaiting coalesced %s: %w", s.cfg.Name, k.msgKind, ctx.Err())
+				err := fmt.Errorf("site %s: awaiting coalesced %s: %w", s.cfg.Name, k.name, ctx.Err())
 				results[w.p.idx] = fetched[T]{err: err, span: errSpan(traceID, s.cfg.Name, w.p.entry.Query, err)}
 			}
 		}(w)
@@ -307,7 +285,6 @@ func dispatch[T any](ctx context.Context, h *hop, k *subKind[T], reqs []qeg.Subq
 
 	h.commTime += time.Since(tc)
 	if h.span != nil {
-		h.span.Children = append(h.span.Children, batchSpans...)
 		for _, r := range results {
 			if r.span != nil {
 				h.span.Children = append(h.span.Children, r.span)
@@ -345,63 +322,17 @@ func splitByByteCap(group []pendingSub, capBytes int) [][]pendingSub {
 	return pieces
 }
 
-// fetchOne routes one subrequest to the owner of its target node, retrying
-// transient failures within the context's deadline. The result carries the
-// decoded payload, the remote site's own unreachable-path list (partial
-// answers compose across hops), and — when traceID is set — the remote
-// hop's span (a synthetic error span when the fetch failed, so the trace
-// tree still shows where a partial answer lost its subtree). CPU is
-// consumed for encode/decode; the network wait itself is not billed to
-// this site's capacity.
-func fetchOne[T any](ctx context.Context, s *Site, k *subKind[T], p pendingSub, traceID string) fetched[T] {
-	s.Metrics.Subqueries.Inc()
-	s.Metrics.SubqueryRPCs.Inc()
-	fail := func(site string, err error) fetched[T] {
-		return fetched[T]{err: err, span: errSpan(traceID, site, p.entry.Query, err)}
-	}
-	owner, err := s.cfg.DNS.Resolve(p.target)
-	if err != nil {
-		return fail(p.target.String(), fmt.Errorf("site %s: resolving %s: %w", s.cfg.Name, p.target, err))
-	}
-	var payload []byte
-	s.cpu.Do(func() {
-		m := &Message{Kind: k.msgKind, Query: p.entry.Query, TraceID: traceID}
-		m.StampDeadline(ctx)
-		payload = m.Encode()
-	})
-	respB, err := s.call.Call(ctx, owner, payload)
-	if err != nil {
-		return fail(owner, fmt.Errorf("site %s: calling %s: %w", s.cfg.Name, owner, err))
-	}
-	var out fetched[T]
-	var derr error
-	s.cpu.Do(func() {
-		var resp *Message
-		if resp, derr = DecodeMessage(respB); derr != nil {
-			return
-		}
-		if derr = resp.AsError(); derr != nil {
-			return
-		}
-		out.downs, out.span = resp.Unreachable, resp.Span
-		out.val, derr = k.decode(resp.Fragment, resp.Agg, resp.Truncated)
-	})
-	if derr != nil {
-		return fail(owner, fmt.Errorf("site %s: %s answer from %s: %w", s.cfg.Name, k.msgKind, owner, derr))
-	}
-	if k.landed != nil {
-		k.landed(&out)
-	}
-	return out
-}
-
 // sendBatch ships one KindBatch message carrying piece's subrequests to
-// owner, decodes the per-entry answers into results, hands the healthy ones
-// to the kind's landed hook together (for raw fragments: one cache merge
-// transaction), and then completes any flights those entries lead. It
-// returns the remote hop's batch span (nil without tracing); per-entry spans
-// ride as its children, so entry results carry no span of their own.
-func sendBatch[T any](ctx context.Context, s *Site, k *subKind[T], owner string, piece []pendingSub, traceID string, results []fetched[T], finishLeader func(int)) *trace.Span {
+// owner, retrying transient failures within the context's deadline, decodes
+// the per-entry answers into results, hands the healthy ones to the kind's
+// landed hook together (for raw fragments: one cache merge transaction), and
+// then completes any flights those entries lead. Each result carries the
+// remote site's unreachable-path list (partial answers compose across hops)
+// and, when traceID is set, its entry's remote hop span — a synthetic error
+// span when the whole send failed, so the trace tree still shows where a
+// partial answer lost its subtree. CPU is consumed for encode/decode; the
+// network wait itself is not billed to this site's capacity.
+func sendBatch[T any](ctx context.Context, s *Site, k *subKind[T], owner string, piece []pendingSub, traceID string, results []fetched[T], finishLeader func(int)) {
 	entries := make([]BatchEntry, len(piece))
 	for i, p := range piece {
 		entries[i] = p.entry
@@ -414,23 +345,19 @@ func sendBatch[T any](ctx context.Context, s *Site, k *subKind[T], owner string,
 	})
 	s.Metrics.Subqueries.Add(int64(len(piece)))
 	s.Metrics.SubqueryRPCs.Inc()
-	s.Metrics.Batches.Inc()
 	s.Metrics.BatchSize.Observe(float64(len(piece)))
 
-	fail := func(err error) *trace.Span {
+	fail := func(err error) {
 		for _, p := range piece {
 			results[p.idx] = fetched[T]{err: err, span: errSpan(traceID, owner, p.entry.Query, err)}
 			finishLeader(p.idx)
 		}
-		if traceID == "" {
-			return nil
-		}
-		return &trace.Span{TraceID: traceID, Site: owner, Op: "batch", Error: err.Error()}
 	}
 
 	respB, err := s.call.Call(ctx, owner, payload)
 	if err != nil {
-		return fail(fmt.Errorf("site %s: %s batch to %s: %w", s.cfg.Name, k.msgKind, owner, err))
+		fail(fmt.Errorf("site %s: %s batch to %s: %w", s.cfg.Name, k.name, owner, err))
+		return
 	}
 	var resp *Message
 	var derr error
@@ -444,28 +371,30 @@ func sendBatch[T any](ctx context.Context, s *Site, k *subKind[T], owner string,
 		derr = fmt.Errorf("%d answer entries for %d subrequests", len(resp.Entries), len(piece))
 	}
 	if derr != nil {
-		return fail(fmt.Errorf("site %s: %s batch answer from %s: %w", s.cfg.Name, k.msgKind, owner, derr))
+		fail(fmt.Errorf("site %s: %s batch answer from %s: %w", s.cfg.Name, k.name, owner, derr))
+		return
 	}
 
 	landed := make([]*fetched[T], len(piece))
 	for i, p := range piece {
-		e := resp.Entries[i]
+		e := &resp.Entries[i]
 		r := &results[p.idx]
+		*r = fetched[T]{downs: e.Unreachable, span: e.Span}
 		landed[i] = r
 		if e.Status != BatchEntryOK {
-			r.err = fmt.Errorf("site %s: %s batch entry from %s: %s", s.cfg.Name, k.msgKind, owner, e.Error)
+			r.err = fmt.Errorf("site %s: %s batch entry from %s: %s", s.cfg.Name, k.name, owner, e.Error)
 			continue
 		}
 		var val T
 		var perr error
 		s.cpu.Do(func() {
-			val, perr = k.decode(e.Fragment, e.Agg, e.Truncated)
+			val, perr = k.decode(e)
 		})
 		if perr != nil {
-			r.err = fmt.Errorf("site %s: %s batch entry from %s: %w", s.cfg.Name, k.msgKind, owner, perr)
+			r.err = fmt.Errorf("site %s: %s batch entry from %s: %w", s.cfg.Name, k.name, owner, perr)
 			continue
 		}
-		*r = fetched[T]{val: val, downs: e.Unreachable}
+		r.val = val
 	}
 	// The whole answer lands at once (for raw fragments, one cache commit),
 	// and only then do the entries' flights retire.
@@ -475,18 +404,15 @@ func sendBatch[T any](ctx context.Context, s *Site, k *subKind[T], owner string,
 	for _, p := range piece {
 		finishLeader(p.idx)
 	}
-	return resp.Span
 }
 
 // handleBatch answers a KindBatch message: every entry evaluates through the
 // normal query path against one pinned snapshot — a single atomic load, so
 // all entries of a batch answer from the same consistent version — and the
-// per-entry outcomes return in request order with individual statuses. One
-// failed entry does not fail the batch; the sender splices the others and
-// marks only the failed target unreachable, exactly as an individual
-// subquery failure would.
-func (s *Site) handleBatch(ctx context.Context, msg *Message, reqBytes int) *Message {
-	t0 := time.Now()
+// per-entry outcomes return in request order with individual statuses and
+// their own hop spans. One failed entry does not fail the batch; the sender
+// splices the others and marks only the failed target unreachable.
+func (s *Site) handleBatch(ctx context.Context, msg *Message) *Message {
 	if len(msg.Entries) == 0 {
 		return errorMessage(fmt.Errorf("site %s: empty batch", s.cfg.Name))
 	}
@@ -501,38 +427,25 @@ func (s *Site) handleBatch(ctx context.Context, msg *Message, reqBytes int) *Mes
 				em := &Message{Kind: KindAggregate, Query: query, TraceID: msg.TraceID}
 				resp := s.handleAggregate(ctx, em, len(query), snap)
 				if err := resp.AsError(); err != nil {
-					out[i] = BatchEntry{Kind: kind, Query: query, Status: BatchEntryError, Error: err.Error(),
+					out[i] = BatchEntry{Status: BatchEntryError, Error: err.Error(),
 						Span: errSpan(msg.TraceID, s.cfg.Name, query, err)}
 					return
 				}
-				out[i] = BatchEntry{Kind: kind, Query: query, Status: BatchEntryOK, Agg: resp.Agg,
+				out[i] = BatchEntry{Status: BatchEntryOK, Agg: resp.Agg,
 					Unreachable: resp.Unreachable, Truncated: resp.Truncated, Span: resp.Span}
 				return
 			}
 			em := &Message{Kind: KindQuery, Query: query, TraceID: msg.TraceID}
 			resp := s.handleQuery(ctx, em, len(query), snap)
 			if err := resp.AsError(); err != nil {
-				out[i] = BatchEntry{Query: query, Status: BatchEntryError, Error: err.Error(),
+				out[i] = BatchEntry{Status: BatchEntryError, Error: err.Error(),
 					Span: errSpan(msg.TraceID, s.cfg.Name, query, err)}
 				return
 			}
-			out[i] = BatchEntry{Query: query, Status: BatchEntryOK, Fragment: resp.Fragment,
+			out[i] = BatchEntry{Status: BatchEntryOK, Fragment: resp.Fragment,
 				Unreachable: resp.Unreachable, Span: resp.Span}
 		}(i, e.Kind, e.Query)
 	}
 	wg.Wait()
-	res := &Message{Kind: KindBatchResult, Entries: out}
-	if msg.TraceID != "" {
-		span := &trace.Span{TraceID: msg.TraceID, Site: s.cfg.Name, Op: "batch",
-			BytesIn: reqBytes, Subqueries: len(msg.Entries)}
-		for i := range out {
-			if out[i].Span != nil {
-				span.Children = append(span.Children, out[i].Span)
-				out[i].Span = nil
-			}
-		}
-		span.DurationUS = time.Since(t0).Microseconds()
-		res.Span = span
-	}
-	return res
+	return &Message{Kind: KindBatchResult, Entries: out}
 }

@@ -12,6 +12,7 @@ import (
 	"irisnet/internal/fragment"
 	"irisnet/internal/naming"
 	"irisnet/internal/qeg"
+	"irisnet/internal/trace"
 	"irisnet/internal/transport"
 	"irisnet/internal/workload"
 	"irisnet/internal/xmldb"
@@ -182,6 +183,72 @@ func TestSiteCoalescingConcurrentColdQueries(t *testing.T) {
 	}
 }
 
+// TestCoalescedFollowerFallsBack: a follower whose flight fails for the
+// leader's reasons alone (here the leader's context is canceled while its
+// fetch hangs on a partitioned owner) re-fetches on its own, as a one-entry
+// batch to the owner, and returns the full answer.
+func TestCoalescedFollowerFallsBack(t *testing.T) {
+	d := deploy(t, true)
+	cityName := "city-" + workload.CityName(0)
+	ownerName := d.assign.OwnerOf(d.db.BlockPath(0, 0, 0))
+	city := d.sites[cityName]
+	q := d.db.BlockQuery(0, 0, 0)
+	payload := (&Message{Kind: KindQuery, Query: q}).Encode()
+	d.net.Partition(ownerName)
+
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		city.Handle(leaderCtx, payload)
+	}()
+	waitFor(t, "the leader's fetch", func() bool { return city.Metrics.SubqueryRPCs.Value() == 1 })
+
+	followerDone := make(chan []byte)
+	go func() {
+		resp, _ := city.Handle(context.Background(), payload)
+		followerDone <- resp
+	}()
+	waitFor(t, "the follower's hop", func() bool { return city.Metrics.Queries.Value() == 2 })
+	// The follower's hop has begun; give it time to join the flight, which
+	// is all that stands between it and its wait.
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	<-leaderDone
+	d.net.Heal(ownerName)
+
+	resp, err := DecodeMessage(<-followerDone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := resp.AsError(); e != nil || len(resp.Unreachable) > 0 {
+		t.Fatalf("follower answer: err=%v unreachable=%v", e, resp.Unreachable)
+	}
+	frag, err := xmldb.ParseString(resp.Fragment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := extracted(t, frag, q, d.clock), centralAnswer(t, d, q); strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("follower answer:\n got %v\nwant %v", got, want)
+	}
+	if n := city.Metrics.Coalesced.Value(); n != 0 {
+		t.Fatalf("a failed flight counted %d coalesced subqueries", n)
+	}
+	if n := city.Metrics.SubqueryRPCs.Value(); n != 2 {
+		t.Fatalf("%d subquery RPCs, want the leader's and one fallback", n)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after a few seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 // TestSiteConcurrentCoalescedFetchesWithEviction races coalesced fetches
 // against sensor updates and cache eviction; run with -race. Eviction goes
 // through the copy-on-write write path exactly as a cache-pressure policy
@@ -274,8 +341,8 @@ func TestSiteConcurrentCoalescedFetchesWithEviction(t *testing.T) {
 
 // TestBatchSplittingByteIdenticalAnswer checks that three subrequests bound
 // for one owner ship as one batch message, that a destination group split by
-// the byte cap ships every entry as its own plain message (the unbatched
-// path), and that both reassemble into exactly the same answer.
+// the byte cap ships every entry as its own one-entry batch, and that both
+// reassemble into exactly the same answer.
 func TestBatchSplittingByteIdenticalAnswer(t *testing.T) {
 	cityName := "city-" + workload.CityName(0)
 	for _, k := range subrequestKinds {
@@ -295,18 +362,20 @@ func TestBatchSplittingByteIdenticalAnswer(t *testing.T) {
 
 			// The uncapped run shipped all three subrequests as one batch
 			// message; the 1-byte cap collapses every piece to a single
-			// entry, which falls back to plain per-entry messages (no
-			// degenerate batches).
-			if wc.Metrics.Subqueries.Value() != 3 || wc.Metrics.Batches.Value() != 1 || wc.Metrics.SubqueryRPCs.Value() != 1 {
-				t.Fatalf("uncapped: subqueries=%d batches=%d rpcs=%d, want 3/1/1",
-					wc.Metrics.Subqueries.Value(), wc.Metrics.Batches.Value(), wc.Metrics.SubqueryRPCs.Value())
+			// entry, so each ships as a one-entry batch.
+			if wc.Metrics.Subqueries.Value() != 3 || wc.Metrics.SubqueryRPCs.Value() != 1 {
+				t.Fatalf("uncapped: subqueries=%d rpcs=%d, want 3/1",
+					wc.Metrics.Subqueries.Value(), wc.Metrics.SubqueryRPCs.Value())
 			}
-			if sc.Metrics.Batches.Value() != 0 || sc.Metrics.SubqueryRPCs.Value() != 3 || sc.Metrics.Subqueries.Value() != 3 {
-				t.Fatalf("capped: subqueries=%d batches=%d rpcs=%d, want 3/0/3",
-					sc.Metrics.Subqueries.Value(), sc.Metrics.Batches.Value(), sc.Metrics.SubqueryRPCs.Value())
+			if sc.Metrics.SubqueryRPCs.Value() != 3 || sc.Metrics.Subqueries.Value() != 3 {
+				t.Fatalf("capped: subqueries=%d rpcs=%d, want 3/3",
+					sc.Metrics.Subqueries.Value(), sc.Metrics.SubqueryRPCs.Value())
 			}
 			if n := wc.Metrics.BatchSize.Count(); n != 1 || wc.Metrics.BatchSize.Mean() != 3 {
 				t.Fatalf("uncapped batch-size histogram: count=%d mean=%v", n, wc.Metrics.BatchSize.Mean())
+			}
+			if n := sc.Metrics.BatchSize.Count(); n != 3 || sc.Metrics.BatchSize.Mean() != 1 {
+				t.Fatalf("capped batch-size histogram: count=%d mean=%v", n, sc.Metrics.BatchSize.Mean())
 			}
 		})
 	}
@@ -383,9 +452,9 @@ func TestBatchAnswerIsOneCommit(t *testing.T) {
 	d.queryRaw(t, cityName, q)
 
 	m := &city.Metrics
-	if m.Batches.Value() != 1 || m.Subqueries.Value() != 3 {
-		t.Fatalf("test premise broken: batches=%d subqueries=%d, want one batch of 3",
-			m.Batches.Value(), m.Subqueries.Value())
+	if m.SubqueryRPCs.Value() != 1 || m.Subqueries.Value() != 3 {
+		t.Fatalf("test premise broken: rpcs=%d subqueries=%d, want one batch of 3",
+			m.SubqueryRPCs.Value(), m.Subqueries.Value())
 	}
 	if commits, frags := m.CacheMergeCommits.Value(), m.CacheMergedFragments.Value(); commits != 1 || frags != 3 {
 		t.Fatalf("merge commits=%d merged fragments=%d, want 1 commit installing 3 fragments", commits, frags)
@@ -514,6 +583,38 @@ func TestBatchReceiverPerEntryStatus(t *testing.T) {
 	if _, err := xmldb.ParseString(resp.Entries[0].Fragment); err != nil {
 		t.Fatalf("good entry fragment unparsable: %v", err)
 	}
+}
+
+// TestBatchedTraceOneSpanPerHop: a traced query whose three subrequests
+// travel as one batch has one span per hop — the city site's and one per
+// entry, hung directly under it — and every span carries stage timings.
+func TestBatchedTraceOneSpanPerHop(t *testing.T) {
+	d := deployShared(t, false, transport.SimConfig{}, nil)
+	cityName := "city-" + workload.CityName(0)
+	q := d.db.NeighborhoodPath(0, 0).String() + "/block/parkingSpace"
+	respB, err := d.net.Call(cityName, (&Message{Kind: KindQuery, Query: q, TraceID: trace.NewTraceID()}).Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := DecodeMessage(respB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rpcs := d.sites[cityName].Metrics.SubqueryRPCs.Value(); rpcs != 1 {
+		t.Fatalf("test premise broken: %d subquery RPCs, want one batch", rpcs)
+	}
+	span := resp.Span
+	if span == nil {
+		t.Fatal("no span returned")
+	}
+	if n := span.Hops(); n != 4 {
+		t.Fatalf("%d spans, want 4 (the city and three block entries):\n%s", n, trace.Render(span))
+	}
+	span.Walk(func(sp *trace.Span) {
+		if len(sp.Stages) == 0 {
+			t.Errorf("span %s@%s has no stage timings", sp.Op, sp.Site)
+		}
+	})
 }
 
 // TestSplitByByteCap checks the splitting invariants directly: order

@@ -24,11 +24,12 @@ const (
 	KindOK       = "ok"
 	KindResult   = "result"
 	KindError    = "error"
-	// KindBatch carries N subqueries bound for one destination site in a
-	// single message (Entries set); the receiver evaluates every entry
-	// against one pinned snapshot and replies with KindBatchResult carrying
-	// one entry per request entry, in order, each with its own status. The
-	// batch shares one deadline, one trace span and one retry budget.
+	// KindBatch carries the N >= 1 subrequests one site sends another in a
+	// single message (Entries set): it is the only site-to-site subrequest
+	// message. The receiver evaluates every entry against one pinned
+	// snapshot and replies with KindBatchResult carrying one entry per
+	// request entry, in order, each with its own status and hop span. The
+	// batch shares one deadline and one retry budget.
 	KindBatch       = "batch"
 	KindBatchResult = "batchResult"
 	// KindAggregate carries an aggregate query (count/sum/avg/min/max over a
@@ -78,7 +79,8 @@ type AggPayload struct {
 }
 
 // BatchEntry is one subquery inside a KindBatch request (Query set) or its
-// answer inside a KindBatchResult response (Status plus Fragment or Error).
+// answer inside a KindBatchResult response (Status plus Fragment, Agg or
+// Error). An answer does not echo Kind or Query: answers align by index.
 type BatchEntry struct {
 	// Kind distinguishes entry families inside one batch: empty or
 	// KindQuery for raw subqueries, KindAggregate for aggregate

@@ -130,14 +130,11 @@ type Metrics struct {
 	Retries        metrics.Counter // network attempts retried after failure
 	DeadlineHits   metrics.Counter // attempts that timed out
 	PartialAnswers metrics.Counter // results with unreachable subtrees
-	// SubqueryRPCs counts network sends on the subquery path: one per
-	// single-subquery message and one per batch message. Subqueries counts
-	// logical subqueries, so Subqueries - SubqueryRPCs is the messaging
-	// saved by batching.
+	// SubqueryRPCs counts network sends on the subquery path: one per batch
+	// message, whatever its entry count. Subqueries counts logical
+	// subqueries, so Subqueries - SubqueryRPCs is the messaging saved by
+	// batching.
 	SubqueryRPCs metrics.Counter
-	// Batches counts KindBatch messages sent (each covering >= 2 entries
-	// before cap-splitting).
-	Batches metrics.Counter
 	// Coalesced counts subqueries answered by joining another query's
 	// in-flight fetch instead of going upstream (caching sites only).
 	Coalesced metrics.Counter
@@ -177,7 +174,8 @@ type Metrics struct {
 	Checkpoints metrics.Counter
 	// CheckpointSeconds is the per-checkpoint wall-time distribution.
 	CheckpointSeconds *metrics.SizeHistogram
-	// BatchSize is the per-batch-message entry-count distribution.
+	// BatchSize is the entry-count distribution over subquery messages
+	// (every subrequest send is a batch message).
 	BatchSize *metrics.SizeHistogram
 	// AnswerStaleness is the per-answer maximum cached-unit age in
 	// seconds (0 for answers assembled purely from owned data) — the
@@ -213,11 +211,10 @@ func (s *Site) Register(r *metrics.Registry) {
 	r.RegisterCounter("irisnet_retries_total", "Network attempts retried after failure.", l, &m.Retries)
 	r.RegisterCounter("irisnet_deadline_hits_total", "Network attempts that ran into a deadline.", l, &m.DeadlineHits)
 	r.RegisterCounter("irisnet_partial_answers_total", "Results returned with unreachable subtrees.", l, &m.PartialAnswers)
-	r.RegisterCounter("irisnet_subquery_rpcs_total", "Network sends on the subquery path (single messages and batches).", l, &m.SubqueryRPCs)
-	r.RegisterCounter("irisnet_batches_total", "Batched subquery messages sent.", l, &m.Batches)
+	r.RegisterCounter("irisnet_subquery_rpcs_total", "Network sends on the subquery path (one per batch message).", l, &m.SubqueryRPCs)
 	r.RegisterCounter("irisnet_coalesced_subqueries_total", "Subqueries answered by joining an in-flight fetch.", l, &m.Coalesced)
 	r.RegisterCounter("irisnet_cache_evictions_total", "Cached local-information units evicted by the budget policy.", l, &m.Evictions)
-	r.RegisterCounter("irisnet_cache_merge_commits_total", "Cache-merge transactions published (one per upstream answer, batch or single).", l, &m.CacheMergeCommits)
+	r.RegisterCounter("irisnet_cache_merge_commits_total", "Cache-merge transactions published (one per upstream answer).", l, &m.CacheMergeCommits)
 	r.RegisterCounter("irisnet_cache_merged_fragments_total", "Sub-answer fragments installed by cache-merge transactions.", l, &m.CacheMergedFragments)
 	r.RegisterCounter("irisnet_aggregate_pushdowns_total", "Aggregate queries answered with decomposed partial aggregation.", l, &m.AggregatePushdowns)
 	r.RegisterCounter("irisnet_aggregate_fallbacks_total", "Aggregate queries answered via raw gather plus local aggregation.", l, &m.AggregateFallbacks)
@@ -245,7 +242,7 @@ func (s *Site) Register(r *metrics.Registry) {
 			}
 			return float64(s.summaries.Bytes())
 		})
-	r.RegisterSizeHistogram("irisnet_subquery_batch_size", "Entries per batched subquery message.", l, m.BatchSize)
+	r.RegisterSizeHistogram("irisnet_subquery_batch_size", "Entries per subquery message.", l, m.BatchSize)
 	r.RegisterSizeHistogram("irisnet_answer_staleness_seconds", "Per-answer maximum age of contributing cached units.", l, m.AnswerStaleness)
 	r.RegisterSizeHistogram("irisnet_cache_age_seconds", "Per-answer mean age of contributing cached units.", l, m.CacheAge)
 	r.RegisterSizeHistogram("irisnet_predicate_margin_seconds", "Per-answer minimum consistency-predicate margin.", l, m.PredicateMargin)
@@ -350,9 +347,9 @@ func New(cfg Config, rootName, rootID string) *Site {
 		stopPressure: make(chan struct{}),
 		subs:         map[string]*replicaSub{},
 	}
-	s.rawKind = &subKind[rawAnswer]{msgKind: KindQuery, flights: newFlightGroup[fetched[rawAnswer]](),
+	s.rawKind = &subKind[rawAnswer]{name: KindQuery, flights: newFlightGroup[fetched[rawAnswer]](),
 		decode: decodeRaw, landed: s.cacheFetched}
-	s.aggKind = &subKind[aggAnswer]{msgKind: KindAggregate, entryKind: KindAggregate,
+	s.aggKind = &subKind[aggAnswer]{name: KindAggregate, entryKind: KindAggregate,
 		flights: newFlightGroup[fetched[aggAnswer]](), decode: decodeAgg}
 	s.repl = newReplicator(s)
 	if cfg.Caching && cfg.CacheBudgetBytes > 0 {
@@ -601,7 +598,7 @@ func (s *Site) Handle(ctx context.Context, payload []byte) ([]byte, error) {
 	case KindAggregate:
 		resp = s.handleAggregate(ctx, msg, len(payload), nil)
 	case KindBatch:
-		resp = s.handleBatch(ctx, msg, len(payload))
+		resp = s.handleBatch(ctx, msg)
 	case KindUpdate:
 		resp = s.handleUpdate(ctx, msg)
 	case KindDelegate:
@@ -982,7 +979,8 @@ func finishSpan(span *trace.Span, stats *transport.CallStats) {
 
 // handleUpdate applies a sensor update to an owned node, stamping it with
 // the site clock. Updates for nodes that migrated away are forwarded to
-// the current owner (one hop; the registry is authoritative).
+// the site they were delegated to, which forwards on if it delegated them
+// again.
 func (s *Site) handleUpdate(ctx context.Context, msg *Message) *Message {
 	p, err := xmldb.ParseIDPath(msg.Path)
 	if err != nil {
@@ -1004,13 +1002,19 @@ func (s *Site) handleUpdate(ctx context.Context, msg *Message) *Message {
 		s.Metrics.Updates.Inc()
 		return &Message{Kind: KindOK}
 	}
-	if !errors.Is(err, errNotOwned) {
+	var notOwned *notOwnedError
+	if !errors.As(err, &notOwned) {
 		return errorMessage(err)
 	}
-	// Forward to the current owner per the registry (stale-DNS path after
-	// a migration).
+	// Stale-DNS path after a migration: forward by this site's own
+	// forwarding table, as for queries; the registry names the owner only
+	// of a node this site never delegated. (The site's DNS cache may still
+	// name the site itself.)
 	s.Metrics.Forwards.Inc()
-	owner, ok := s.cfg.DNS.ResolveExact(p)
+	owner, ok := notOwned.to, notOwned.to != ""
+	if !ok {
+		owner, ok = s.cfg.DNS.ResolveExact(p)
+	}
 	if !ok || owner == s.cfg.Name {
 		return errorMessage(fmt.Errorf("site %s: update for unowned node %s with no forwarding target", s.cfg.Name, p))
 	}
@@ -1045,12 +1049,7 @@ func (s *Site) forwardTarget(query string) (string, bool) {
 	if err != nil {
 		return "", false
 	}
-	for q := lca; len(q) > 0; q = q[:len(q)-1] {
-		if to, ok := st.migrated[xmldb.IDPath(q).Key()]; ok {
-			return to, true
-		}
-	}
-	return "", false
+	return forwardIn(st.migrated, lca)
 }
 
 // spin holds the caller's CPU slot for d. Sleeping (rather than busy

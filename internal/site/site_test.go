@@ -1,6 +1,7 @@
 package site
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -307,36 +308,47 @@ func TestMigrationErrors(t *testing.T) {
 	}
 }
 
+// TestUpdateForwardingAfterMigration: a sensing agent with a stale DNS cache
+// sends an update to the old owner, which must forward it to the new owner.
+// With warmDNS the old owner's own DNS cache still names the old owner, so
+// only its forwarding table knows where the node went.
 func TestUpdateForwardingAfterMigration(t *testing.T) {
-	d := deploy(t, false)
-	blockPath := d.db.BlockPath(0, 0, 0)
-	spacePath := blockPath.Child("parkingSpace", "1")
-	oldOwnerName := d.assign.OwnerOf(blockPath)
-	oldOwner := d.sites[oldOwnerName]
-	if err := oldOwner.Delegate(blockPath, "root-site"); err != nil {
-		t.Fatal(err)
-	}
-	// A sensing agent with a stale DNS cache sends the update to the old
-	// owner, which must forward it.
-	msg := &Message{Kind: KindUpdate, Path: spacePath.String(), Fields: map[string]string{"available": "fwd"}}
-	respB, err := d.net.Call(oldOwnerName, msg.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, _ := DecodeMessage(respB)
-	if e := resp.AsError(); e != nil {
-		t.Fatalf("forwarded update failed: %v", e)
-	}
-	if oldOwner.Metrics.Forwards.Value() != 1 {
-		t.Fatal("forward not counted")
-	}
-	if d.sites["root-site"].Metrics.Updates.Value() != 1 {
-		t.Fatal("new owner did not apply the forwarded update")
-	}
-	snap := d.sites["root-site"].StoreSnapshot()
-	n := snap.NodeAt(spacePath)
-	if n.ChildNamed("available").Text != "fwd" {
-		t.Fatal("forwarded value not applied")
+	for _, warmDNS := range []bool{false, true} {
+		t.Run(fmt.Sprintf("warmDNS=%v", warmDNS), func(t *testing.T) {
+			d := deploy(t, false)
+			blockPath := d.db.BlockPath(0, 0, 0)
+			spacePath := blockPath.Child("parkingSpace", "1")
+			oldOwnerName := d.assign.OwnerOf(blockPath)
+			oldOwner := d.sites[oldOwnerName]
+			if warmDNS {
+				if owner, _ := oldOwner.cfg.DNS.ResolveExact(spacePath); owner != oldOwnerName {
+					t.Fatalf("test premise broken: %s resolves to %q", spacePath, owner)
+				}
+			}
+			if err := oldOwner.Delegate(blockPath, "root-site"); err != nil {
+				t.Fatal(err)
+			}
+			msg := &Message{Kind: KindUpdate, Path: spacePath.String(), Fields: map[string]string{"available": "fwd"}}
+			respB, err := d.net.Call(oldOwnerName, msg.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, _ := DecodeMessage(respB)
+			if e := resp.AsError(); e != nil {
+				t.Fatalf("forwarded update failed: %v", e)
+			}
+			if oldOwner.Metrics.Forwards.Value() != 1 {
+				t.Fatal("forward not counted")
+			}
+			if d.sites["root-site"].Metrics.Updates.Value() != 1 {
+				t.Fatal("new owner did not apply the forwarded update")
+			}
+			snap := d.sites["root-site"].StoreSnapshot()
+			n := snap.NodeAt(spacePath)
+			if n.ChildNamed("available").Text != "fwd" {
+				t.Fatal("forwarded value not applied")
+			}
+		})
 	}
 }
 

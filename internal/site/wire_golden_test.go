@@ -21,9 +21,9 @@ const (
 	goldenPriceQ0 = goldenSpine + `/neighborhood[@id='NBHD0']/block[@id='1']/parkingSpace/price`
 	goldenPriceQ1 = goldenSpine + `/neighborhood[@id='NBHD1']/block[@id='1']/parkingSpace/price`
 
-	goldenReqQuery     = `{"kind":"query","query":"` + goldenBlockQ0 + `"}`
+	goldenReqSingle    = `{"kind":"batch","entries":[{"query":"` + goldenBlockQ0 + `"}]}`
 	goldenReqBatch     = `{"kind":"batch","entries":[{"query":"` + goldenBlockQ0 + `"},{"query":"` + goldenBlockQ1 + `"}]}`
-	goldenReqAggregate = `{"kind":"aggregate","query":"count(` + goldenPriceQ0 + `)"}`
+	goldenReqAggSingle = `{"kind":"batch","entries":[{"kindEntry":"aggregate","query":"count(` + goldenPriceQ0 + `)"}]}`
 	goldenReqAggBatch  = `{"kind":"batch","entries":[{"kindEntry":"aggregate","query":"sum(` + goldenPriceQ0 + `)"},{"kindEntry":"aggregate","query":"sum(` + goldenPriceQ1 + `)"}]}`
 )
 
@@ -39,7 +39,7 @@ func goldenBlockAnswer(nb, price string) string {
 
 // TestWireGolden pins the subrequest wire format and the decoding of the
 // answers: for a raw and an aggregate query, each with one subrequest (a
-// plain message) and with two to the same owner (one batch), the bytes the
+// one-entry batch) and with two to the same owner (one batch), the bytes the
 // dispatcher emits and the answer assembled from canned replies are compared
 // against fixed values.
 func TestWireGolden(t *testing.T) {
@@ -57,8 +57,10 @@ func TestWireGolden(t *testing.T) {
 	}{
 		{
 			name: "raw single", kind: KindQuery, query: d.db.BlockQuery(0, 0, 0),
-			wantReq: goldenReqQuery,
-			reply:   &Message{Kind: KindResult, Fragment: goldenBlockAnswer("NBHD0", "100")},
+			wantReq: goldenReqSingle,
+			reply: &Message{Kind: KindBatchResult, Entries: []BatchEntry{
+				{Status: BatchEntryOK, Fragment: goldenBlockAnswer("NBHD0", "100")},
+			}},
 			want: &Message{Kind: KindResult, Fragment: `<usRegion id="NE" status="id-complete"><state id="PA" status="id-complete">` +
 				`<county id="Allegheny" status="id-complete"><city id="City0" status="complete">` +
 				`<neighborhood id="NBHD0" zipcode="15226" status="complete"><block id="1" status="complete">` +
@@ -87,9 +89,11 @@ func TestWireGolden(t *testing.T) {
 		{
 			name: "aggregate single", kind: KindAggregate,
 			query:   "count(" + d.db.BlockPath(0, 0, 0).String() + "/parkingSpace/price)",
-			wantReq: goldenReqAggregate,
-			reply: &Message{Kind: KindAggregateResult, Agg: &AggPayload{Fn: "count", AgeMaxSec: 3,
-				Partial: qeg.AggPartial{Count: 3, Sum: 150, Min: 25, Max: 100, HasExtrema: true}}},
+			wantReq: goldenReqAggSingle,
+			reply: &Message{Kind: KindBatchResult, Entries: []BatchEntry{
+				{Status: BatchEntryOK, Agg: &AggPayload{Fn: "count", AgeMaxSec: 3,
+					Partial: qeg.AggPartial{Count: 3, Sum: 150, Min: 25, Max: 100, HasExtrema: true}}},
+			}},
 			want: &Message{Kind: KindAggregateResult, Agg: &AggPayload{Fn: "count", AgeMaxSec: 3,
 				Partial: qeg.AggPartial{Count: 3, Sum: 150, Min: 25, Max: 100, HasExtrema: true}}},
 		},

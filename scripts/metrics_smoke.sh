@@ -46,8 +46,7 @@ fi
 METRICS=$(curl -fsS "http://$ADMIN/metrics")
 for series in irisnet_queries_total irisnet_cache_hits_total irisnet_cache_misses_total \
     irisnet_retries_total irisnet_partial_answers_total irisnet_store_nodes \
-    irisnet_subquery_rpcs_total irisnet_batches_total \
-    irisnet_coalesced_subqueries_total irisnet_subquery_batch_size \
+    irisnet_subquery_rpcs_total irisnet_coalesced_subqueries_total irisnet_subquery_batch_size \
     irisnet_answer_staleness_seconds irisnet_cache_age_seconds \
     irisnet_predicate_margin_seconds irisnet_answer_cache_bytes_total \
     irisnet_answer_owned_bytes_total irisnet_answer_fetched_bytes_total \
