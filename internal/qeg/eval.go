@@ -40,7 +40,8 @@ type Result struct {
 
 // Evaluate runs the QEG program against the site store. It never mutates
 // the store. The returned fragment is rooted at the document root and
-// mergeable into any other store (conditions C1/C2 hold by construction).
+// mergeable into any other store (conditions C1/C2 hold by construction);
+// it is a fresh tree that shares no node with the store.
 func Evaluate(store *fragment.Store, plan *Plan, opts Options) (*Result, error) {
 	// Indexed fast path: sealed snapshots with an index answer indexable
 	// plans by array intersection and range scans. Any condition the index

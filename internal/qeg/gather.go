@@ -13,6 +13,8 @@ import (
 // Env is the seam between the gather loop and the site running it.
 type Env interface {
 	// Evaluate is Evaluate plus whatever cost accounting the site keeps.
+	// The result's Fragment must be built fresh for this call: Gather may
+	// adopt it as the answer.
 	Evaluate(store *fragment.Store, plan *Plan, opts Options) (*Result, error)
 	// Fetch resolves one round of subqueries against their owners and
 	// returns the outcomes index-aligned with sqs. The context carries the
@@ -54,8 +56,9 @@ const maxGatherRounds = 64
 // After a failed splice or mark, err holds the error and both are no-ops.
 type gatherer struct {
 	Gathered
-	env Env
-	err error
+	env  Env
+	root *xmldb.Node // the store's root; the answer's root has its name and id
+	err  error
 }
 
 // Gather executes the full query-evaluate-gather loop for a compiled query
@@ -67,7 +70,7 @@ type gatherer struct {
 // an unreachable placeholder of a partial answer. opts.Prov receives the
 // ledger of exactly the evaluations whose local result joins the answer.
 func Gather(ctx context.Context, store *fragment.Store, plans []*Plan, env Env, opts Options) (*Gathered, error) {
-	g := &gatherer{env: env, Gathered: Gathered{Answer: fragment.NewStore(store.Root.Name, store.Root.ID())}}
+	g := &gatherer{env: env, root: store.Root}
 	seen := map[string]bool{}
 	for _, plan := range plans {
 		// A depth-0 plan takes one fetch round: every sub-answer is complete
@@ -127,7 +130,14 @@ func Gather(ctx context.Context, store *fragment.Store, plans []*Plan, env Env, 
 				break
 			}
 		}
-		g.splice(nil, res.Fragment)
+		if len(plans) == 1 && work == nil && g.Answer == nil {
+			// The evaluation's output is all the answer holds, and Evaluate
+			// built it fresh for this call: adopt it rather than merge a
+			// copy into the empty answer, which would read the same.
+			g.Answer = fragment.RestoreStore(res.Fragment)
+		} else {
+			g.splice(nil, res.Fragment)
+		}
 		if work != nil && opts.Prov != nil {
 			opts.Prov.Merge(o.Prov)
 		}
@@ -139,6 +149,7 @@ func Gather(ctx context.Context, store *fragment.Store, plans []*Plan, env Env, 
 		}
 		g.Pending = append(g.Pending, pending...)
 	}
+	g.answer()
 	return &g.Gathered, nil
 }
 
@@ -155,7 +166,7 @@ func (g *gatherer) splice(work *fragment.Store, frag *xmldb.Node) {
 			g.err = work.MergeFragment(frag)
 		}
 		if g.err == nil {
-			g.err = g.Answer.MergeFragment(frag)
+			g.err = g.answer().MergeFragment(frag)
 		}
 	})
 }
@@ -165,11 +176,19 @@ func (g *gatherer) mark(p xmldb.IDPath) {
 	if g.err != nil {
 		return
 	}
-	g.env.Do(func() { g.err = g.Answer.MarkUnreachable(p) })
+	g.env.Do(func() { g.err = g.answer().MarkUnreachable(p) })
 	if g.Unreachable == nil {
 		g.Unreachable = map[string]bool{}
 	}
 	g.Unreachable[p.Key()] = true
+}
+
+// answer returns the answer store, created empty on first use.
+func (g *gatherer) answer() *fragment.Store {
+	if g.Answer == nil {
+		g.Answer = fragment.NewStore(g.root.Name, g.root.ID())
+	}
+	return g.Answer
 }
 
 // LCAPath extracts the ID path of a query's lowest common ancestor from

@@ -344,3 +344,140 @@ func TestPropertyAnswersAreValidFragments(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// recordEnv is the env of one top-level Gather: it records every
+// evaluation's result and counts fetch rounds, and hands the fetches to
+// the resolver, whose gathers at the owners it does not see.
+type recordEnv struct {
+	*seqEnv
+	results []*Result
+	fetches int
+}
+
+func (e *recordEnv) Evaluate(store *fragment.Store, plan *Plan, opts Options) (*Result, error) {
+	res, err := e.seqEnv.Evaluate(store, plan, opts)
+	if err == nil {
+		e.results = append(e.results, res)
+	}
+	return res, err
+}
+
+func (e *recordEnv) Fetch(ctx context.Context, sqs []Subquery) []Fetched {
+	e.fetches++
+	return e.seqEnv.Fetch(ctx, sqs)
+}
+
+// TestPropertyAdoptedAnswerMatchesMerge holds Gather's adoption of the
+// evaluation's own fragment to the merge it replaces. When the one plan is
+// not nested and nothing was fetched, the answer is that fragment, valid
+// and byte-identical to merging it into an empty store; a union, a nested
+// plan, a fetched sub-answer or an unreachable mark takes the merge. Entry
+// sites answer from owned and cached data, through the walker and, on a
+// sealed snapshot, the indexed path.
+func TestPropertyAdoptedAnswerMatchesMerge(t *testing.T) {
+	schema := randSchema()
+	// Beyond randQuery's shapes: unions and nested plans.
+	extra := []string{
+		"/region[@id='R']/city[@id='c0'] | /region[@id='R']/city[@id='c1']/block",
+		"/region[@id='R']/city/block[@id='b0'] | //spot[available='yes']",
+		"/region[@id='R']/city[block/spot/available='yes']",
+		"/region[@id='R']/city[./block[@id='b1']]/block/spot[price > 20]",
+	}
+	var adopted, union, nested, fetched, marked int
+	cfg := &quick.Config{MaxCount: 80}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		d := randDoc(r)
+		a := randAssign(r, d, 1+r.Intn(3))
+		stores, _, err := fragment.Partition(d, a)
+		if err != nil {
+			t.Logf("seed %d: partition: %v", seed, err)
+			return false
+		}
+		sites := a.Sites()
+		var prev *Gathered
+		for trial := 0; trial < 6; trial++ {
+			q := randQuery(r)
+			if trial%3 == 2 {
+				q = extra[r.Intn(len(extra))]
+			}
+			entry, down := sites[r.Intn(len(sites))], ""
+			if r.Intn(3) == 0 {
+				down = sites[r.Intn(len(sites))]
+			}
+			if prev != nil && r.Intn(2) == 0 {
+				// Cache the previous answer at the entry site.
+				if err := stores[entry].MergeFragment(prev.Answer.Root); err != nil {
+					t.Logf("seed %d: caching: %v", seed, err)
+					return false
+				}
+			}
+			at := stores[entry]
+			if r.Intn(2) == 0 {
+				at = at.Clone().Seal()
+			}
+			plans, err := CompileQuery(q, schema)
+			if err != nil {
+				t.Logf("seed %d query %q: %v", seed, q, err)
+				return false
+			}
+			env := &recordEnv{seqEnv: resolver(t, stores, a, schema, down, nil)}
+			g, err := Gather(context.Background(), at, plans, env, Options{})
+			if err != nil {
+				t.Logf("seed %d query %q: %v", seed, q, err)
+				return false
+			}
+			if err := fragment.ValidateFragment(g.Answer.Root); err != nil {
+				t.Logf("seed %d query %q: invalid answer: %v", seed, q, err)
+				return false
+			}
+			prev = g
+			last := env.results[len(env.results)-1]
+			isAdopted := false
+			for _, res := range env.results {
+				isAdopted = isAdopted || g.Answer.Root == res.Fragment
+			}
+			wantAdopted := len(plans) == 1 && plans[0].NestedIdx < 0 && env.fetches == 0
+			if isAdopted != wantAdopted {
+				t.Logf("seed %d query %q: adopted %v, want %v (plans %d, fetch rounds %d)",
+					seed, q, isAdopted, wantAdopted, len(plans), env.fetches)
+				return false
+			}
+			switch {
+			case isAdopted:
+				adopted++
+				merged := fragment.NewStore(at.Root.Name, at.Root.ID())
+				if err := merged.MergeFragment(last.Fragment); err != nil {
+					t.Logf("seed %d query %q: merge: %v", seed, q, err)
+					return false
+				}
+				if got, want := g.Answer.Root.String(), merged.Root.String(); got != want {
+					t.Logf("seed %d query %q: adopted answer\n %s\nmerged answer\n %s", seed, q, got, want)
+					return false
+				}
+				if g.Answer.Size() != merged.Size() {
+					t.Logf("seed %d query %q: adopted size %d, merged %d", seed, q, g.Answer.Size(), merged.Size())
+					return false
+				}
+			case len(plans) > 1:
+				union++
+			case plans[0].NestedIdx >= 0:
+				nested++
+			case len(g.Unreachable) > 0:
+				marked++
+			default:
+				fetched++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("adopted %d, merged: union %d, nested %d, fetched %d, unreachable-marked %d", adopted, union, nested, fetched, marked)
+	for name, n := range map[string]int{"adopted": adopted, "union": union, "nested": nested, "fetched": fetched, "unreachable-marked": marked} {
+		if n == 0 {
+			t.Errorf("the corpus produced no %s answer", name)
+		}
+	}
+}

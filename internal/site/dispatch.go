@@ -2,7 +2,6 @@ package site
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -302,13 +301,8 @@ func splitByByteCap(group []pendingSub, capBytes int) [][]pendingSub {
 	var pieces [][]pendingSub
 	var cur []pendingSub
 	size := 0
-	for _, p := range group {
-		b, err := json.Marshal(p.entry)
-		if err != nil {
-			// A BatchEntry is a plain string struct; marshaling cannot fail.
-			panic(fmt.Sprintf("site: encoding batch entry: %v", err))
-		}
-		n := len(b) + 1 // +1 for the JSON array separator
+	for i, p := range group {
+		n := len(marshal(&group[i].entry)) + 1 // +1 for the JSON array separator
 		if len(cur) > 0 && size+n > capBytes {
 			pieces = append(pieces, cur)
 			cur, size = nil, 0

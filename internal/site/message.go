@@ -8,6 +8,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"time"
 
 	"irisnet/internal/qeg"
@@ -160,15 +161,43 @@ func (m *Message) StampDeadline(ctx context.Context) {
 	}
 }
 
-// Encode marshals the message.
-func (m *Message) Encode() []byte {
-	b, err := json.Marshal(m)
-	if err != nil {
-		// Message fields are plain strings/maps; marshaling cannot fail.
-		panic(fmt.Sprintf("site: encoding message: %v", err))
+// Encode marshals the message. Fragments are XML, so the JSON is written
+// without HTML escaping: a '<' travels as one byte, not as \u003c.
+func (m *Message) Encode() []byte { return marshal(m) }
+
+// marshal is json.Marshal without HTML escaping, and allocates as little:
+// only the bytes it returns.
+func marshal(v any) []byte {
+	e := encoderPool.Get().(*wireEncoder)
+	if err := e.enc.Encode(v); err != nil {
+		// Wire values are plain strings, maps and structs of them;
+		// marshaling cannot fail.
+		panic(fmt.Sprintf("site: encoding %T: %v", v, err))
 	}
+	b := e.out[:len(e.out)-1] // json.Encoder ends every value with a newline
+	e.out = nil
+	encoderPool.Put(e)
 	return b
 }
+
+// wireEncoder is a pooled JSON encoder, HTML escaping off, that writes
+// into a fresh out slice.
+type wireEncoder struct {
+	enc *json.Encoder
+	out []byte
+}
+
+func (e *wireEncoder) Write(b []byte) (int, error) {
+	e.out = append(e.out, b...)
+	return len(b), nil
+}
+
+var encoderPool = sync.Pool{New: func() any {
+	e := &wireEncoder{}
+	e.enc = json.NewEncoder(e)
+	e.enc.SetEscapeHTML(false)
+	return e
+}}
 
 // DecodeMessage unmarshals a message payload.
 func DecodeMessage(b []byte) (*Message, error) {

@@ -167,10 +167,9 @@ func (n *Node) Root() *Node {
 // Clone returns a deep copy of the subtree rooted at n. The copy's Parent
 // is nil.
 func (n *Node) Clone() *Node {
-	c := &Node{Name: n.Name, Text: n.Text}
-	if len(n.Attrs) > 0 {
-		c.Attrs = make([]Attr, len(n.Attrs))
-		copy(c.Attrs, n.Attrs)
+	c := n.CloneShallow()
+	if len(n.Children) > 0 {
+		c.Children = make([]*Node, 0, len(n.Children))
 	}
 	for _, ch := range n.Children {
 		c.AddChild(ch.Clone())

@@ -385,58 +385,103 @@ func idDisjunction(e Expr) ([]string, bool) {
 	return nil, false
 }
 
-// StripConsistency returns a copy of the expression with every
-// consistency-class conjunct removed from step predicates. The front end
-// uses it before re-evaluating a query on an assembled answer fragment:
-// freshness was already enforced (or deliberately overridden by owners)
-// during QEG, and must not filter the final answer again.
+// StripConsistency returns the expression with every consistency-class
+// conjunct removed from step predicates. The front end uses it before
+// re-evaluating a query on an assembled answer fragment: freshness was
+// already enforced (or deliberately overridden by owners) during QEG, and
+// must not filter the final answer again. e is never mutated: a query with
+// nothing to strip comes back as e itself, and otherwise only the steps and
+// predicates that change are rebuilt while the rest is shared with e.
 func StripConsistency(e Expr) Expr {
-	cl := CloneExpr(e)
-	stripConsistencyInPlace(cl)
-	return cl
+	if !hasConsistency(e) {
+		return e
+	}
+	switch v := e.(type) {
+	case *Path:
+		steps := make([]*LocStep, len(v.Steps))
+		for i, s := range v.Steps {
+			steps[i] = s
+			for _, p := range s.Preds {
+				if predHasConsistency(p) {
+					steps[i] = &LocStep{Axis: s.Axis, Test: s.Test, Preds: stripPreds(s.Preds)}
+					break
+				}
+			}
+		}
+		return &Path{Absolute: v.Absolute, Steps: steps}
+	case *Binary:
+		return &Binary{Op: v.Op, L: StripConsistency(v.L), R: StripConsistency(v.R)}
+	case *Unary:
+		return &Unary{X: StripConsistency(v.X)}
+	case *Call:
+		args := make([]Expr, len(v.Args))
+		for i, a := range v.Args {
+			args[i] = StripConsistency(a)
+		}
+		return &Call{Name: v.Name, Args: args}
+	}
+	return e
 }
 
-func stripConsistencyInPlace(e Expr) {
+// hasConsistency reports whether some step predicate inside e, at any
+// depth, has something StripConsistency removes.
+func hasConsistency(e Expr) bool {
 	switch v := e.(type) {
 	case *Path:
 		for _, s := range v.Steps {
-			var preds []Expr
 			for _, p := range s.Preds {
-				kept := rebuildWithoutConsistency(p)
-				if kept != nil {
-					stripConsistencyInPlace(kept)
-					preds = append(preds, kept)
+				if predHasConsistency(p) {
+					return true
 				}
 			}
-			s.Preds = preds
 		}
 	case *Binary:
-		stripConsistencyInPlace(v.L)
-		stripConsistencyInPlace(v.R)
+		return hasConsistency(v.L) || hasConsistency(v.R)
 	case *Unary:
-		stripConsistencyInPlace(v.X)
+		return hasConsistency(v.X)
 	case *Call:
 		for _, a := range v.Args {
-			stripConsistencyInPlace(a)
+			if hasConsistency(a) {
+				return true
+			}
 		}
 	}
+	return false
 }
 
-// rebuildWithoutConsistency drops consistency-class conjuncts from a
-// predicate and re-folds the rest; nil means the predicate vanished.
-func rebuildWithoutConsistency(p Expr) Expr {
-	var kept []Expr
-	for _, c := range Conjuncts(p) {
-		if ClassifyPredicate(c) != PredConsistency {
-			kept = append(kept, c)
+// predHasConsistency reports whether stripping changes the predicate p: one
+// of its conjuncts is consistency-class or holds such a conjunct deeper down.
+func predHasConsistency(p Expr) bool {
+	if b, ok := p.(*Binary); ok && b.Op == TokAnd {
+		return predHasConsistency(b.L) || predHasConsistency(b.R)
+	}
+	return ClassifyPredicate(p) == PredConsistency || hasConsistency(p)
+}
+
+// stripPreds strips a step's predicate list. A predicate that changes drops
+// its consistency-class conjuncts and re-folds the stripped rest; one that
+// loses every conjunct vanishes, and the others are kept as they are.
+func stripPreds(preds []Expr) []Expr {
+	var out []Expr
+	for _, p := range preds {
+		if !predHasConsistency(p) {
+			out = append(out, p)
+			continue
 		}
-	}
-	if len(kept) == 0 {
-		return nil
-	}
-	out := kept[0]
-	for _, c := range kept[1:] {
-		out = &Binary{Op: TokAnd, L: out, R: c}
+		var kept Expr
+		for _, c := range Conjuncts(p) {
+			if ClassifyPredicate(c) == PredConsistency {
+				continue
+			}
+			if c = StripConsistency(c); kept == nil {
+				kept = c
+			} else {
+				kept = &Binary{Op: TokAnd, L: kept, R: c}
+			}
+		}
+		if kept != nil {
+			out = append(out, kept)
+		}
 	}
 	return out
 }

@@ -289,3 +289,49 @@ func TestSchemaDescendantTags(t *testing.T) {
 		t.Errorf("descendants should exclude self and ancestors: %v", keys(d))
 	}
 }
+
+func TestStripConsistency(t *testing.T) {
+	// want is each query's stripped String() as the clone-and-refold
+	// implementation printed it: a predicate that changes re-folds its kept
+	// conjuncts left to right.
+	for _, tc := range []struct{ q, want string }{
+		{"/a[@id='1']/b[@ts > now() - 30]/c[x='1']", `/a[(@id = "1")]/b/c[(x = "1")]`},
+		{"/a/b[@ts >= now() - 5 and available='yes']", `/a/b[(available = "yes")]`},
+		{"/a/b[c[@ts > now() - 2] and @id='x']/d", `/a/b[(c and (@id = "x"))]/d`},
+		{"/a/b[@id='1' or @id='2'][@ts > now() - 1]", `/a/b[((@id = "1") or (@id = "2"))]`},
+		{"/a/b[count(c[@ts > now() - 2]) > 0]", `/a/b[(count(c) > 0)]`},
+		{"/a/b[@ts > now() - 1] | /a/c[@ts > now() - 2 and x='y']", `(/a/b | /a/c[(x = "y")])`},
+		{"/a/b[x='1' and (y='2' and @ts > now() - 3)]", `/a/b[((x = "1") and (y = "2"))]`},
+		{"/a[@id='1']/b[(p='1' and q='2') and r='3']/c[@ts > now() - 4]", `/a[(@id = "1")]/b[(((p = "1") and (q = "2")) and (r = "3"))]/c`},
+	} {
+		e, err := Parse(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := e.String()
+		got := StripConsistency(e)
+		if got.String() != tc.want {
+			t.Errorf("%s: stripped to %s, want %s", tc.q, got, tc.want)
+		}
+		if got == e {
+			t.Errorf("%s: nothing stripped", tc.q)
+		}
+		if e.String() != before {
+			t.Errorf("%s: input mutated to %s", tc.q, e)
+		}
+	}
+
+	// A query without consistency conjuncts comes back as the same pointer.
+	for _, q := range []string{
+		"/usRegion[@id='NE']/state[@id='PA']/block[@id='1']/parkingSpace[available='yes']",
+		"/a/b[x='1' and (y='2' and z='3')] | //c[count(d[e > 2]) > 0]",
+	} {
+		e, err := Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := StripConsistency(e); got != e {
+			t.Errorf("%s: copied to %s though nothing is stripped", q, got)
+		}
+	}
+}

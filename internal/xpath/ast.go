@@ -214,37 +214,3 @@ func (n *Number) String() string {
 	}
 	return fmt.Sprintf("%g", n.Value)
 }
-
-// CloneExpr returns a deep copy of an expression tree.
-func CloneExpr(e Expr) Expr {
-	switch v := e.(type) {
-	case nil:
-		return nil
-	case *Path:
-		steps := make([]*LocStep, len(v.Steps))
-		for i, s := range v.Steps {
-			preds := make([]Expr, len(s.Preds))
-			for j, p := range s.Preds {
-				preds[j] = CloneExpr(p)
-			}
-			steps[i] = &LocStep{Axis: s.Axis, Test: s.Test, Preds: preds}
-		}
-		return &Path{Absolute: v.Absolute, Steps: steps}
-	case *Binary:
-		return &Binary{Op: v.Op, L: CloneExpr(v.L), R: CloneExpr(v.R)}
-	case *Unary:
-		return &Unary{X: CloneExpr(v.X)}
-	case *Call:
-		args := make([]Expr, len(v.Args))
-		for i, a := range v.Args {
-			args[i] = CloneExpr(a)
-		}
-		return &Call{Name: v.Name, Args: args}
-	case *Literal:
-		return &Literal{Value: v.Value}
-	case *Number:
-		return &Number{Value: v.Value}
-	default:
-		panic(fmt.Sprintf("xpath: CloneExpr: unknown node %T", e))
-	}
-}

@@ -1,7 +1,6 @@
 package xpath
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -300,23 +299,6 @@ func TestStringRoundTrip(t *testing.T) {
 		if e2.String() != printed {
 			t.Errorf("print not stable:\n  1: %s\n  2: %s", printed, e2.String())
 		}
-	}
-}
-
-func TestCloneExprDeep(t *testing.T) {
-	q := `/a[@id='x' and price > 5]/b[count(./c)=2]`
-	e, err := Parse(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := CloneExpr(e)
-	if cl.String() != e.String() {
-		t.Fatalf("clone differs: %s vs %s", cl, e)
-	}
-	// Mutate the clone; original must not change.
-	cl.(*Path).Steps[0].Preds[0] = &Literal{Value: "mutated"}
-	if strings.Contains(e.String(), "mutated") {
-		t.Fatal("CloneExpr is shallow")
 	}
 }
 

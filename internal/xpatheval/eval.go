@@ -50,6 +50,13 @@ func Select(e xpath.Expr, ctx *Context, root *xmldb.Node) (NodeSet, error) {
 
 type evaluator struct {
 	ctx *Context
+	// fast holds each location step's predicates in their fast form (a nil
+	// entry has none), compiled the first time the step runs, so one Select
+	// compiles each step once however many context nodes reach it.
+	fast map[*xpath.LocStep][]*FastPred
+	// slow sends every predicate through eval, never its fast form: the
+	// reference the differential tests hold the fast forms to.
+	slow bool
 }
 
 func (ev *evaluator) eval(e xpath.Expr, n *xmldb.Node) (Value, error) {
@@ -321,7 +328,7 @@ func (ev *evaluator) applyStepToRootElement(s *xpath.LocStep, root *xmldb.Node) 
 	if !matchTest(s.Test, root) {
 		return nil, nil
 	}
-	ok, err := ev.passesPreds(s.Preds, root)
+	ok, err := ev.passesPreds(s.Preds, ev.fastPreds(s), root)
 	if err != nil {
 		return nil, err
 	}
@@ -334,24 +341,33 @@ func (ev *evaluator) applyStepToRootElement(s *xpath.LocStep, root *xmldb.Node) 
 func (ev *evaluator) applySteps(steps []*xpath.LocStep, cur NodeSet) (Value, error) {
 	for _, s := range steps {
 		var next NodeSet
-		seen := map[*xmldb.Node]bool{}
-		for _, c := range cur {
-			cands, err := ev.stepCandidates(s, c)
-			if err != nil {
-				return nil, err
+		// cur holds distinct nodes, and the child, attribute and self axes
+		// reach distinct candidates from distinct context nodes (a node has
+		// one parent; attribute and text nodes are built fresh per visit), so
+		// only the other axes, from more than one context node, need the
+		// duplicate check.
+		var seen map[*xmldb.Node]bool
+		if len(cur) > 1 && s.Axis != xpath.AxisChild && s.Axis != xpath.AxisAttribute && s.Axis != xpath.AxisSelf {
+			seen = map[*xmldb.Node]bool{}
+		}
+		fast := ev.fastPreds(s)
+		keep := func(cand *xmldb.Node) error {
+			if seen[cand] {
+				return nil
 			}
-			for _, cand := range cands {
-				if seen[cand] {
-					continue
-				}
-				ok, err := ev.passesPreds(s.Preds, cand)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					seen[cand] = true
-					next = append(next, cand)
-				}
+			ok, err := ev.passesPreds(s.Preds, fast, cand)
+			if err != nil || !ok {
+				return err
+			}
+			if seen != nil {
+				seen[cand] = true
+			}
+			next = append(next, cand)
+			return nil
+		}
+		for _, c := range cur {
+			if err := eachCandidate(s, c, keep); err != nil {
+				return nil, err
 			}
 		}
 		cur = next
@@ -362,8 +378,41 @@ func (ev *evaluator) applySteps(steps []*xpath.LocStep, cur NodeSet) (Value, err
 	return cur, nil
 }
 
-func (ev *evaluator) passesPreds(preds []xpath.Expr, n *xmldb.Node) (bool, error) {
-	for _, p := range preds {
+// fastPreds returns s's predicates in their fast form, index-aligned with
+// s.Preds (a nil entry has none), compiled on the step's first use; nil
+// sends every predicate through eval.
+func (ev *evaluator) fastPreds(s *xpath.LocStep) []*FastPred {
+	if ev.slow || len(s.Preds) == 0 {
+		return nil
+	}
+	fast, ok := ev.fast[s]
+	if !ok {
+		fast = make([]*FastPred, len(s.Preds))
+		for i, p := range s.Preds {
+			fast[i] = CompileFastPred(p)
+		}
+		if ev.fast == nil {
+			ev.fast = map[*xpath.LocStep][]*FastPred{}
+		}
+		ev.fast[s] = fast
+	}
+	return fast
+}
+
+// passesPreds reports whether n satisfies every predicate. One with a fast
+// form is decided by it, allocation-free, unless the form declines
+// (ok=false); the rest go through eval. FastPred.Eval has the full
+// evaluator's semantics, so the route never changes the answer.
+func (ev *evaluator) passesPreds(preds []xpath.Expr, fast []*FastPred, n *xmldb.Node) (bool, error) {
+	for i, p := range preds {
+		if fast != nil && fast[i] != nil {
+			if r, ok := fast[i].Eval(n); ok {
+				if !r {
+					return false, nil
+				}
+				continue
+			}
+		}
 		v, err := ev.eval(p, n)
 		if err != nil {
 			return false, err
@@ -375,76 +424,72 @@ func (ev *evaluator) passesPreds(preds []xpath.Expr, n *xmldb.Node) (bool, error
 	return true, nil
 }
 
-// stepCandidates returns the nodes on the step's axis from c that match the
-// node test, before predicates.
-func (ev *evaluator) stepCandidates(s *xpath.LocStep, c *xmldb.Node) ([]*xmldb.Node, error) {
+// eachCandidate calls keep on every node on the step's axis from c that
+// matches the node test, before predicates, and stops at keep's first error.
+func eachCandidate(s *xpath.LocStep, c *xmldb.Node, keep func(*xmldb.Node) error) error {
 	switch s.Axis {
 	case xpath.AxisChild:
-		var out []*xmldb.Node
 		if s.Test.Text {
 			if c.Text != "" {
-				out = append(out, textNode(c))
+				return keep(textNode(c))
 			}
-			return out, nil
+			return nil
 		}
 		for _, ch := range c.Children {
 			if matchTest(s.Test, ch) {
-				out = append(out, ch)
+				if err := keep(ch); err != nil {
+					return err
+				}
 			}
 		}
-		return out, nil
 	case xpath.AxisAttribute:
-		var out []*xmldb.Node
 		for _, a := range c.Attrs {
 			if s.Test.Name == "*" || s.Test.Name == a.Name {
-				out = append(out, attrNode(c, a.Name, a.Value))
+				if err := keep(attrNode(c, a.Name, a.Value)); err != nil {
+					return err
+				}
 			}
 		}
-		return out, nil
 	case xpath.AxisSelf:
 		if matchTest(s.Test, c) {
-			return []*xmldb.Node{c}, nil
+			return keep(c)
 		}
-		return nil, nil
 	case xpath.AxisParent:
-		p := c.Parent
-		if p != nil && matchTest(s.Test, p) {
-			return []*xmldb.Node{p}, nil
+		if p := c.Parent; p != nil && matchTest(s.Test, p) {
+			return keep(p)
 		}
-		return nil, nil
 	case xpath.AxisAncestor, xpath.AxisAncestorOrSelf:
-		var out []*xmldb.Node
 		start := c.Parent
 		if s.Axis == xpath.AxisAncestorOrSelf {
 			start = c
 		}
 		for a := start; a != nil; a = a.Parent {
 			if matchTest(s.Test, a) {
-				out = append(out, a)
+				if err := keep(a); err != nil {
+					return err
+				}
 			}
 		}
-		return out, nil
 	case xpath.AxisDescendant, xpath.AxisDescendantOrSelf:
-		var out []*xmldb.Node
+		var err error
 		c.Walk(func(x *xmldb.Node) bool {
-			if s.Test.Text {
-				if x.Text != "" && !(x == c && s.Axis == xpath.AxisDescendant) {
-					out = append(out, textNode(x))
+			self := x == c && s.Axis == xpath.AxisDescendant
+			switch {
+			case err != nil:
+			case s.Test.Text:
+				if x.Text != "" && !self {
+					err = keep(textNode(x))
 				}
-				return true
+			case !self && matchTest(s.Test, x):
+				err = keep(x)
 			}
-			if x == c && s.Axis == xpath.AxisDescendant {
-				return true
-			}
-			if matchTest(s.Test, x) {
-				out = append(out, x)
-			}
-			return true
+			return err == nil
 		})
-		return out, nil
+		return err
 	default:
-		return nil, fmt.Errorf("xpatheval: unsupported axis %v", s.Axis)
+		return fmt.Errorf("xpatheval: unsupported axis %v", s.Axis)
 	}
+	return nil
 }
 
 func matchTest(t xpath.NodeTest, n *xmldb.Node) bool {

@@ -8,10 +8,13 @@ import (
 // Fast predicates: an allocation-free compiled form for the predicate
 // shapes that dominate sensor workloads — comparisons of a one-step
 // relative path (a field child or an attribute) against a literal, and
-// conjunctions of those. The indexed query path (internal/qeg) evaluates
-// one per candidate node; anything outside the supported shapes falls back
-// to the full evaluator, so a FastPred never changes a result, only the
-// cost of computing it.
+// conjunctions and disjunctions of those. Two evaluators use them per
+// candidate node: the indexed query path (internal/qeg), which compiles
+// them with the plan, and this package's own Select, which compiles each
+// location step's predicates once per call (evaluator.fastPreds). Anything
+// outside the supported shapes, or a term Eval declines, falls back to the
+// full evaluator, so a FastPred never changes a result, only the cost of
+// computing it.
 
 // Term operators. Relational terms always compare numerically, mirroring
 // compareRelational; equality terms compare strings or numbers depending
@@ -35,27 +38,60 @@ type fastTerm struct {
 	numeric bool
 }
 
-// FastPred is one compiled predicate: a conjunction of fast terms.
+// FastPred is one compiled predicate: a conjunction of fast terms and of
+// disjunctions, each of which holds when one of its FastPreds does.
 type FastPred struct {
 	terms []fastTerm
+	ors   [][]*FastPred
 }
 
 // CompileFastPred compiles e into its fast form, or returns nil when e
 // falls outside the supported shapes.
 func CompileFastPred(e xpath.Expr) *FastPred {
-	var terms []fastTerm
-	if !compileFastTerms(e, &terms) {
+	p := &FastPred{}
+	if !p.compile(e) {
 		return nil
 	}
-	return &FastPred{terms: terms}
+	return p
 }
 
-func compileFastTerms(e xpath.Expr, out *[]fastTerm) bool {
+// compile adds e to the conjunction p.
+func (p *FastPred) compile(e xpath.Expr) bool {
+	if v, ok := e.(*xpath.Binary); ok {
+		switch v.Op {
+		case xpath.TokAnd:
+			return p.compile(v.L) && p.compile(v.R)
+		case xpath.TokOr:
+			var alts []*FastPred
+			if !compileAlts(v, &alts) {
+				return false
+			}
+			p.ors = append(p.ors, alts)
+			return true
+		}
+	}
+	t, ok := compileTerm(e)
+	if ok {
+		p.terms = append(p.terms, t)
+	}
+	return ok
+}
+
+// compileAlts appends the fast form of each alternative of e, a chain of
+// or, to alts.
+func compileAlts(e xpath.Expr, alts *[]*FastPred) bool {
+	if b, ok := e.(*xpath.Binary); ok && b.Op == xpath.TokOr {
+		return compileAlts(b.L, alts) && compileAlts(b.R, alts)
+	}
+	alt := CompileFastPred(e)
+	*alts = append(*alts, alt)
+	return alt != nil
+}
+
+// compileTerm compiles one comparison or bare path.
+func compileTerm(e xpath.Expr) (fastTerm, bool) {
 	switch v := e.(type) {
 	case *xpath.Binary:
-		if v.Op == xpath.TokAnd {
-			return compileFastTerms(v.L, out) && compileFastTerms(v.R, out)
-		}
 		var op uint8
 		switch v.Op {
 		case xpath.TokEq:
@@ -71,7 +107,7 @@ func compileFastTerms(e xpath.Expr, out *[]fastTerm) bool {
 		case xpath.TokGe:
 			op = feGe
 		default:
-			return false
+			return fastTerm{}, false
 		}
 		attr, name, ok := fastLHS(v.L)
 		str, num, isNum, lok := fastRHS(v.R)
@@ -80,7 +116,7 @@ func compileFastTerms(e xpath.Expr, out *[]fastTerm) bool {
 			attr, name, ok = fastLHS(v.R)
 			str, num, isNum, lok = fastRHS(v.L)
 			if !ok || !lok {
-				return false
+				return fastTerm{}, false
 			}
 			op = mirrorOp(op)
 		}
@@ -101,17 +137,12 @@ func compileFastTerms(e xpath.Expr, out *[]fastTerm) bool {
 				t.num = stringToNumber(str)
 			}
 		}
-		*out = append(*out, t)
-		return true
+		return t, true
 	case *xpath.Path:
 		attr, name, ok := fastLHS(v)
-		if !ok {
-			return false
-		}
-		*out = append(*out, fastTerm{op: feExists, attr: attr, name: name})
-		return true
+		return fastTerm{op: feExists, attr: attr, name: name}, ok
 	}
-	return false
+	return fastTerm{}, false
 }
 
 // fastLHS recognizes a one-step relative path: child::name or @name, with
@@ -163,8 +194,9 @@ func mirrorOp(op uint8) uint8 {
 
 // Eval evaluates the predicate against n with the full evaluator's
 // semantics. ok is false when a matched child's string-value would need a
-// subtree walk (the child has element children) — the caller must fall
-// back to EvalBool then. The success path performs no allocations.
+// subtree walk (the child has element children) and that decides the
+// result — the caller must fall back to EvalBool then. The success path
+// performs no allocations.
 func (p *FastPred) Eval(n *xmldb.Node) (result, ok bool) {
 	for i := range p.terms {
 		r, o := p.terms[i].eval(n)
@@ -173,6 +205,22 @@ func (p *FastPred) Eval(n *xmldb.Node) (result, ok bool) {
 		}
 		if !r {
 			return false, true
+		}
+	}
+	for _, alts := range p.ors {
+		// One alternative that holds decides the disjunction, whatever the
+		// others would say; otherwise one that declined leaves it open.
+		held, declined := false, false
+		for _, a := range alts {
+			r, o := a.Eval(n)
+			if o && r {
+				held = true
+				break
+			}
+			declined = declined || !o
+		}
+		if !held {
+			return false, !declined
 		}
 	}
 	return true, true
