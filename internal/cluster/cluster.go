@@ -203,21 +203,6 @@ func (c *Cluster) startSite(sc site.Config, store *fragment.Store, owned []xmldb
 	return s, nil
 }
 
-// AddReplicaSite starts an empty site (owning nothing) wired into the
-// cluster's network, registry and metrics, ready to subscribe as a read
-// replica via owner.AddReadReplica. The site appears in c.Sites so Close
-// stops it.
-func (c *Cluster) AddReplicaSite(name string) (*site.Site, error) {
-	if _, ok := c.Sites[name]; ok {
-		return nil, fmt.Errorf("cluster: site %q already exists", name)
-	}
-	sc := c.siteConfig(name)
-	// A replica serves what its owner pushes: it caches nothing of its own,
-	// and bypass would make it ignore the copy it exists to serve.
-	sc.Caching, sc.CacheBypass = false, false
-	return c.startSite(sc, nil, nil)
-}
-
 // Close stops all sites.
 func (c *Cluster) Close() {
 	for _, s := range c.Sites {

@@ -1,30 +1,23 @@
 package cluster
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"irisnet/internal/fragment"
-	"irisnet/internal/service"
 	"irisnet/internal/site"
 	"irisnet/internal/workload"
 	"irisnet/internal/xmldb"
 )
 
 // The tests in this file hold the properties the retired irisbench
-// experiments (aggregates, cache-pressure, replication; docs/history) were
-// built to show, as invariants: one sequential client, an injected clock,
-// SimNet's byte counters, and no comparison of wall-clock times.
+// experiments (aggregates, cache-pressure; docs/history) were built to show,
+// as invariants: one sequential client, an injected clock, SimNet's byte
+// counters, and no comparison of wall-clock times.
 
 // stepClock is an injected cluster clock the test advances by hand, so
-// update timestamps, cache recency and replication watermarks are the same
-// on every run.
+// update timestamps and cache recency are the same on every run.
 type stepClock struct{ sec atomic.Int64 }
 
 func newStepClock() *stepClock {
@@ -179,263 +172,4 @@ func TestCacheBudgetBoundsBytesAndHitRateDeclinesInOrder(t *testing.T) {
 		}
 		prev = rate
 	}
-}
-
-// replicatedCluster is a hierarchy whose hot neighborhood (0,0) streams to
-// the given number of read replicas. Name lookups are never cached, so a
-// promotion repoints every resolver at once.
-type replicatedCluster struct {
-	*Cluster
-	clock    *stepClock
-	hot      xmldb.IDPath
-	owner    string
-	replicas []string
-	spaces   []xmldb.IDPath    // the hot neighborhood's parking spaces
-	seq      int               // last update value written
-	acked    map[string]string // space path -> last acknowledged price
-}
-
-func newReplicatedCluster(t *testing.T, replicas int) *replicatedCluster {
-	t.Helper()
-	clock := newStepClock()
-	c, err := New(Hierarchical, Config{
-		DB:           tinyDB(),
-		DNSTTL:       time.Nanosecond,
-		QueryTimeout: 2 * time.Second,
-		Site: site.Config{
-			Clock:                clock.now,
-			ReplicaFlushInterval: time.Millisecond,
-			CallTimeout:          250 * time.Millisecond,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	r := &replicatedCluster{Cluster: c, clock: clock, hot: c.DB.NeighborhoodPath(0, 0), owner: NBSiteName(0, 0),
-		acked: map[string]string{}}
-	for i := 1; i <= replicas; i++ {
-		name := fmt.Sprintf("replica-%d", i)
-		if _, err := c.AddReplicaSite(name); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Sites[r.owner].AddReadReplica(r.hot, name, 3600); err != nil {
-			t.Fatal(err)
-		}
-		r.replicas = append(r.replicas, name)
-	}
-	prefix := r.hot.Key() + "/"
-	for _, p := range c.DB.SpacePaths {
-		if strings.HasPrefix(p.Key(), prefix) {
-			r.spaces = append(r.spaces, p)
-		}
-	}
-	return r
-}
-
-// update writes the next sequence number as the price of one hot space, at
-// a clock second of its own, and records the acknowledged value.
-func (r *replicatedCluster) update(t *testing.T, fe *service.Frontend) {
-	t.Helper()
-	r.seq++
-	p := r.spaces[r.seq%len(r.spaces)]
-	v := strconv.Itoa(r.seq)
-	r.clock.tick()
-	if err := fe.Update(p, map[string]string{"available": "yes", "price": v}, nil); err != nil {
-		t.Fatalf("update %d: %v", r.seq, err)
-	}
-	r.acked[p.String()] = v
-}
-
-// drain waits until each named replica has applied every commit made so
-// far. A batch's watermark is the owner clock read when the batch was cut,
-// so the clock moves on first: a watermark at the new second belongs to a
-// batch cut after every earlier commit.
-func (r *replicatedCluster) drain(t *testing.T, replicas []string) {
-	t.Helper()
-	mark := r.clock.tick()
-	deadline := time.Now().Add(5 * time.Second)
-	for _, name := range replicas {
-		for {
-			if w, ok := r.Sites[name].ReplicaWatermark(r.hot); ok && w >= mark {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s never drained to watermark %v", name, mark)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-}
-
-// canonAnswer renders a query's answer as sorted canonical XML.
-func canonAnswer(t *testing.T, fe *service.Frontend, q string) string {
-	t.Helper()
-	nodes, err := fe.Query(q)
-	if err != nil {
-		t.Fatalf("%q: %v", q, err)
-	}
-	out := make([]string, 0, len(nodes))
-	for _, n := range nodes {
-		out = append(out, n.Canonical())
-	}
-	sort.Strings(out)
-	return strings.Join(out, "\n")
-}
-
-// TestReplicaRoutingAndByteIdentity: with read replicas registered, a query
-// whose freshness conjunct tolerates no staleness routes to the owner and a
-// tolerant one to a replica, and each answers byte for byte what a cluster
-// with no replicas answers after the same updates.
-func TestReplicaRoutingAndByteIdentity(t *testing.T) {
-	withReps := newReplicatedCluster(t, 3)
-	ownerOnly := newReplicatedCluster(t, 0)
-	fe, feRef := withReps.NewFrontend(), ownerOnly.NewFrontend()
-	for i := 0; i < 2*len(withReps.spaces); i++ {
-		withReps.update(t, fe)
-		ownerOnly.update(t, feRef)
-	}
-	withReps.drain(t, withReps.replicas)
-
-	isReplica := map[string]bool{}
-	for _, name := range withReps.replicas {
-		isReplica[name] = true
-	}
-	served := func() (n int64) {
-		for _, name := range withReps.replicas {
-			n += withReps.Sites[name].Metrics.Queries.Value()
-		}
-		return n
-	}
-	for b := 0; b < withReps.DB.Cfg.Blocks; b++ {
-		tolerant := withReps.DB.BlockQuery(0, 0, b)
-		// @ts against an absolute time is outside the time-invariant subset:
-		// tolerance 0, owner only.
-		strict := tolerant + "[@ts >= 0]"
-		if entry, _, err := fe.RouteOf(strict); err != nil || entry != withReps.owner {
-			t.Fatalf("strict %q routed to %q (%v), want the owner %s", strict, entry, err, withReps.owner)
-		}
-		if entry, _, err := fe.RouteOf(tolerant); err != nil || !isReplica[entry] {
-			t.Fatalf("tolerant %q routed to %q (%v), want a replica", tolerant, entry, err)
-		}
-		before := served()
-		if got, want := canonAnswer(t, fe, strict), canonAnswer(t, feRef, strict); got != want {
-			t.Fatalf("strict %q differs from the owner-only cluster:\n got %s\nwant %s", strict, got, want)
-		}
-		if served() != before {
-			t.Fatalf("strict %q was served by a replica", strict)
-		}
-		if got, want := canonAnswer(t, fe, tolerant), canonAnswer(t, feRef, tolerant); got != want {
-			t.Fatalf("tolerant %q differs from the owner-only cluster:\n got %s\nwant %s", tolerant, got, want)
-		}
-		if served() != before+1 {
-			t.Fatalf("tolerant %q was not served by a replica", tolerant)
-		}
-	}
-}
-
-// TestFailoverLosesNoAckedUpdate: a client interleaves updates to the hot
-// neighborhood with replica-served queries over it. One replica is cut off
-// and falls behind, the owner is partitioned away and stopped, and the
-// replica with the highest watermark is promoted. Every update acknowledged
-// before the kill is at the new owner, the load carries on against it, and
-// no answer the client sees is older than one it saw before for the same
-// query and space.
-func TestFailoverLosesNoAckedUpdate(t *testing.T) {
-	r := newReplicatedCluster(t, 3)
-	fe := r.NewFrontend()
-	lastTS := map[string]float64{} // query|space id -> newest ts seen
-	query := func(i int) {
-		t.Helper()
-		q := r.DB.BlockQuery(0, 0, i%r.DB.Cfg.Blocks)
-		nodes, err := fe.Query(q)
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-		for _, sp := range nodes {
-			text, ok := sp.Attr(xmldb.AttrTimestamp)
-			if !ok {
-				continue
-			}
-			ts, err := strconv.ParseFloat(text, 64)
-			if err != nil {
-				t.Fatalf("query %d: bad ts %q", i, text)
-			}
-			k := q + "|" + sp.ID()
-			if ts < lastTS[k] {
-				t.Fatalf("query %d: %s went back in time: ts %v after %v", i, k, ts, lastTS[k])
-			}
-			lastTS[k] = ts
-		}
-	}
-	verifyAcked := func(at string) {
-		t.Helper()
-		feOwner := r.NewFrontend()
-		feOwner.ForceEntry = at
-		for path, want := range r.acked {
-			nodes, err := feOwner.Query(path)
-			if err != nil || len(nodes) != 1 {
-				t.Fatalf("acked update of %s lost at %s: %d nodes, err %v", path, at, len(nodes), err)
-			}
-			if price := nodes[0].ChildNamed("price"); price == nil || price.Text != want {
-				t.Fatalf("acked update of %s lost at %s: price %v, want %s", path, at, price, want)
-			}
-		}
-	}
-
-	const load = 60
-	for i := 0; i < load; i++ {
-		r.update(t, fe)
-		query(i)
-	}
-	var replicaServed int64
-	for _, name := range r.replicas {
-		replicaServed += r.Sites[name].Metrics.Queries.Value()
-	}
-	if replicaServed == 0 {
-		t.Fatal("no query of the load was served by a replica")
-	}
-
-	// The last replica stops hearing from the owner; the updates after that
-	// reach only the other two.
-	laggard := r.replicas[len(r.replicas)-1]
-	r.Net.Partition(laggard)
-	for i := 0; i < len(r.spaces); i++ {
-		r.update(t, fe)
-	}
-	r.drain(t, r.replicas[:len(r.replicas)-1])
-
-	r.Net.Partition(r.owner)
-	r.Sites[r.owner].Stop()
-	r.Net.Heal(laggard)
-	promoted, best := "", -1.0
-	for _, name := range r.replicas {
-		if w, ok := r.Sites[name].ReplicaWatermark(r.hot); ok && w > best {
-			promoted, best = name, w
-		}
-	}
-	if promoted == laggard {
-		t.Fatalf("the cut-off replica %s has the highest watermark %v", laggard, best)
-	}
-	newOwner := r.Sites[promoted]
-	if err := newOwner.Promote(r.hot); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range r.replicas {
-		if name != promoted {
-			if err := newOwner.AddReadReplica(r.hot, name, 3600); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	verifyAcked(promoted)
-
-	for i := load; i < 2*load; i++ {
-		r.update(t, fe)
-		query(i)
-	}
-	if got := newOwner.Metrics.Updates.Value(); got < load {
-		t.Fatalf("promoted owner %s applied %d updates after the failover, want %d", promoted, got, load)
-	}
-	verifyAcked(promoted)
 }

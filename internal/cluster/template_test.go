@@ -43,12 +43,11 @@ func (b *lockedBuffer) records(t *testing.T) []map[string]any {
 }
 
 // TestSiteTemplateReachesEverySite: options set once on Config.Site govern
-// every site of the cluster, a replica site added later included. Each site
-// logs to the template's logger under its own "site" attribute, a caching
-// site warns about an answer older than the template's StaleAnswerThreshold,
-// and with a one-byte BatchByteCap three subqueries bound for one site leave
-// as three one-entry messages, not one batch of three, from the central site
-// and the replica alike.
+// every site of the cluster. Each site logs to the template's logger under
+// its own "site" attribute, a caching site warns about an answer older than
+// the template's StaleAnswerThreshold, and with a one-byte BatchByteCap three
+// subqueries bound for one site leave as three one-entry messages, not one
+// batch of three.
 func TestSiteTemplateReachesEverySite(t *testing.T) {
 	var logs lockedBuffer
 	clock := newStepClock()
@@ -69,35 +68,23 @@ func TestSiteTemplateReachesEverySite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	const replica = "replica-1"
-	nb := c.DB.NeighborhoodPath(0, 0)
-	if _, err := c.AddReplicaSite(replica); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Sites[CentralSite].AddReadReplica(nb, replica, 3600); err != nil {
-		t.Fatal(err)
-	}
-
 	fe := c.NewFrontend()
 	if err := fe.Update(c.DB.SpacePaths[0], map[string]string{"available": "yes"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	q := nb.String() + "/block/parkingSpace"
-	for _, entry := range []string{CentralSite, replica} {
-		fe.ForceEntry = entry
-		if _, err := fe.Query(q); err != nil {
-			t.Fatalf("query at %s: %v", entry, err)
-		}
-		m := &c.Sites[entry].Metrics
-		if sub, rpcs, size := m.Subqueries.Value(), m.SubqueryRPCs.Value(), m.BatchSize.Mean(); sub != int64(c.DB.Cfg.Blocks) || rpcs != sub || size != 1 {
-			t.Fatalf("%s: %d subqueries left as %d messages of %v entries on average; the 1-byte cap wants %d one-entry messages",
-				entry, sub, rpcs, size, c.DB.Cfg.Blocks)
-		}
+	q := c.DB.NeighborhoodPath(0, 0).String() + "/block/parkingSpace"
+	fe.ForceEntry = CentralSite
+	if _, err := fe.Query(q); err != nil {
+		t.Fatalf("query at %s: %v", CentralSite, err)
+	}
+	m := &c.Sites[CentralSite].Metrics
+	if sub, rpcs, size := m.Subqueries.Value(), m.SubqueryRPCs.Value(), m.BatchSize.Mean(); sub != int64(c.DB.Cfg.Blocks) || rpcs != sub || size != 1 {
+		t.Fatalf("%d subqueries left as %d messages of %v entries on average; the 1-byte cap wants %d one-entry messages",
+			sub, rpcs, size, c.DB.Cfg.Blocks)
 	}
 	// The central site cached the blocks; a minute later the same answer is
 	// older than the threshold.
 	clock.sec.Add(60)
-	fe.ForceEntry = CentralSite
 	if _, err := fe.Query(q); err != nil {
 		t.Fatal(err)
 	}

@@ -131,14 +131,10 @@ func (t *Topology) network() *transport.TCPNet {
 
 // registryMsg is the wire form of registry operations.
 type registryMsg struct {
-	Op   string `json:"op"` // "lookup" | "set" | "replicas" | "add-replica" | "remove-replica"
+	Op   string `json:"op"` // "lookup" | "set"
 	Name string `json:"name"`
 	Site string `json:"site,omitempty"`
 	OK   bool   `json:"ok,omitempty"`
-	// MaxLagSec carries the replica's lag bound on "add-replica"; Replicas
-	// carries the replica set back on "replicas".
-	MaxLagSec float64              `json:"maxLagSec,omitempty"`
-	Replicas  []naming.ReplicaInfo `json:"replicas,omitempty"`
 }
 
 // ServeRegistry hosts the in-memory registry on the topology's registry
@@ -158,14 +154,6 @@ func ServeRegistry(t *Topology, net *transport.TCPNet) (*naming.Registry, func()
 		case "set":
 			reg.Set(m.Name, m.Site)
 			return json.Marshal(registryMsg{Op: "set", OK: true})
-		case "replicas":
-			return json.Marshal(registryMsg{Op: "replicas", Name: m.Name, OK: true, Replicas: reg.LookupReplicas(m.Name)})
-		case "add-replica":
-			reg.AddReplica(m.Name, naming.ReplicaInfo{Site: m.Site, MaxLagSec: m.MaxLagSec})
-			return json.Marshal(registryMsg{Op: "add-replica", OK: true})
-		case "remove-replica":
-			reg.RemoveReplica(m.Name, m.Site)
-			return json.Marshal(registryMsg{Op: "remove-replica", OK: true})
 		default:
 			return nil, fmt.Errorf("deploy: unknown registry op %q", m.Op)
 		}
@@ -185,10 +173,6 @@ type RemoteRegistry struct {
 func NewRemoteRegistry(net transport.Network) *RemoteRegistry {
 	return &RemoteRegistry{net: net}
 }
-
-// RemoteRegistry speaks the full replica-set protocol, so deployed sites
-// can register read replicas just like simulated ones.
-var _ naming.ReplicaStore = (*RemoteRegistry)(nil)
 
 // Lookup implements naming.Store.
 func (r *RemoteRegistry) Lookup(name string) (string, bool) {
@@ -215,42 +199,6 @@ func (r *RemoteRegistry) Set(name, siteName string) {
 	}
 	// Best effort: registry writes only happen during migrations, whose
 	// initiator verifies via subsequent lookups.
-	_, _ = r.net.Call(registryEndpoint, b)
-}
-
-// LookupReplicas implements naming.ReplicaStore.
-func (r *RemoteRegistry) LookupReplicas(name string) []naming.ReplicaInfo {
-	b, err := json.Marshal(registryMsg{Op: "replicas", Name: name})
-	if err != nil {
-		return nil
-	}
-	resp, err := r.net.Call(registryEndpoint, b)
-	if err != nil {
-		return nil
-	}
-	var m registryMsg
-	if err := json.Unmarshal(resp, &m); err != nil {
-		return nil
-	}
-	return m.Replicas
-}
-
-// AddReplica implements naming.ReplicaStore. Best effort, like Set: the
-// owner driving replication verifies via the stream handshake.
-func (r *RemoteRegistry) AddReplica(name string, rep naming.ReplicaInfo) {
-	b, err := json.Marshal(registryMsg{Op: "add-replica", Name: name, Site: rep.Site, MaxLagSec: rep.MaxLagSec})
-	if err != nil {
-		return
-	}
-	_, _ = r.net.Call(registryEndpoint, b)
-}
-
-// RemoveReplica implements naming.ReplicaStore.
-func (r *RemoteRegistry) RemoveReplica(name, siteName string) {
-	b, err := json.Marshal(registryMsg{Op: "remove-replica", Name: name, Site: siteName})
-	if err != nil {
-		return
-	}
 	_, _ = r.net.Call(registryEndpoint, b)
 }
 

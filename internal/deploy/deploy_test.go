@@ -128,7 +128,7 @@ func TestStartSiteBuildsFromTemplate(t *testing.T) {
 		CacheBudgetBytes:     4096,
 		BatchByteCap:         512,
 		CallTimeout:          70 * time.Millisecond,
-		ReplicaFlushInterval: 3 * time.Millisecond,
+		StaleAnswerThreshold: 3 * time.Second,
 		DataDir:              dataDir,
 	}
 	node, err := StartSite(topo, "root-site", SiteOptions{HostRegistry: true, Site: tmpl})

@@ -7,15 +7,34 @@ import (
 	"irisnet/internal/xmldb"
 )
 
-// replicaOf seeds a fresh store from a sync fragment of snap, as a new
-// replica does before its delta stream starts.
+// subtreeDelta is BuildDelta over every node at or below root in snap. When
+// snap holds local information for the whole subtree, as an owner's store
+// does, it is the subtree's answer fragment: ancestors' local ID information,
+// then every unit complete.
+func subtreeDelta(tb testing.TB, snap *Store, root xmldb.IDPath) *Store {
+	tb.Helper()
+	var paths []xmldb.IDPath
+	var walk func(n *xmldb.Node, p xmldb.IDPath)
+	walk = func(n *xmldb.Node, p xmldb.IDPath) {
+		paths = append(paths, p)
+		for _, c := range n.IDableChildren() {
+			walk(c, p.Child(c.Name, c.ID()))
+		}
+	}
+	walk(snap.NodeAt(root), root)
+	frag, err := BuildDelta(snap, paths)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return frag
+}
+
+// replicaOf seeds a fresh store with the subtree delta of root in snap,
+// merged the way a new owner merges its transfer fragment.
 func replicaOf(t testing.TB, snap *Store, root xmldb.IDPath) *Store {
 	t.Helper()
-	sync, err := BuildSync(snap, root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire, err := xmldb.ParseString(sync.Root.StringSized(sync.Size()))
+	seed := subtreeDelta(t, snap, root)
+	wire, err := xmldb.ParseString(seed.Root.StringSized(seed.Size()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,40 +43,6 @@ func replicaOf(t testing.TB, snap *Store, root xmldb.IDPath) *Store {
 		t.Fatal(err)
 	}
 	return rep.Seal()
-}
-
-func TestBuildSyncSeedsReplica(t *testing.T) {
-	base, owned := buildStore(t)
-	// Give the data timestamps and owned status, like a live site store.
-	for _, p := range owned {
-		if err := base.InstallLocalInfo(p, base.NodeAt(p), StatusOwned); err != nil {
-			t.Fatal(err)
-		}
-		SetTimestamp(base.NodeAt(p), 100)
-	}
-	base.Seal()
-
-	root := spath("city", "a")
-	rep := replicaOf(t, base, root)
-	// Every node under the sync root is a complete cached copy carrying
-	// the owner's timestamp; nothing is owned.
-	n := rep.NodeAt(spath("city", "a", "block", "1", "parkingSpace", "1"))
-	if n == nil {
-		t.Fatal("replica missing synced node")
-	}
-	if st := StatusOf(n); st != StatusComplete {
-		t.Fatalf("replica node status = %v, want complete", st)
-	}
-	if ts, ok := Timestamp(n); !ok || ts != 100 {
-		t.Fatalf("replica node ts = %v, %v", ts, ok)
-	}
-	if n.ChildNamed("available") == nil || n.ChildNamed("available").Text != "yes" {
-		t.Fatal("replica node lost its field child")
-	}
-	// The other city stays a bare spine: the sync covered only city a.
-	if other := rep.NodeAt(spath("city", "b", "block", "1")); other != nil && StatusOf(other).HasLocalInfo() {
-		t.Fatal("sync leaked data outside its root")
-	}
 }
 
 func TestBuildDeltaRoundTrip(t *testing.T) {
@@ -150,9 +135,9 @@ func TestBuildDeltaSkipsDepartedNodes(t *testing.T) {
 	}
 }
 
-// BenchmarkReplicaApplyDelta measures the replica-side apply path — parse,
-// COW merge, commit — for a batch of deltas against a realistic store, the
-// per-batch cost that bounds sustainable replication throughput.
+// BenchmarkReplicaApplyDelta measures applying one BuildDelta fragment —
+// parse, COW merge, commit — to a realistic store: the path a take (an
+// ownership transfer's receiving end) runs on its transfer fragment.
 func BenchmarkReplicaApplyDelta(b *testing.B) {
 	doc := xmldb.NewElem("usRegion", "NE")
 	for c := 0; c < 4; c++ {
@@ -181,8 +166,8 @@ func BenchmarkReplicaApplyDelta(b *testing.B) {
 	root := xmldb.IDPath{{Name: "usRegion", ID: "NE"}, {Name: "city", ID: "c0"}}
 	rep := replicaOf(b, base, root)
 
-	// One batch: 16 block updates committed by the owner under the
-	// replicated city, encoded as a single delta fragment.
+	// One batch: 16 block updates committed by the owner under the seeded
+	// city, encoded as a single delta fragment.
 	var batch []xmldb.IDPath
 	for k := 0; k < 16; k++ {
 		batch = append(batch, xmldb.IDPath{

@@ -14,7 +14,7 @@ import (
 // never-clobber-owned rules, the I2 check, and the node and cached-byte
 // accounting therefore exist once too. The editor runs in one of two modes:
 //
-//   - on a mutable store (answer assembly, partitions, replication deltas)
+//   - on a mutable store (answer assembly, partitions, transfer deltas)
 //     it writes the store's own nodes in place;
 //   - in a copy-on-write transaction (COW, snapshot.go) it writes the next
 //     version of a sealed store, path-copying each node before writing it.

@@ -42,10 +42,7 @@ func recordedAnswers(tb testing.TB, n int) []*xmldb.Node {
 	snap := stores["solo"].Seal()
 	var out []*xmldb.Node
 	for _, p := range db.BlockPaths[:n] {
-		ans, err := BuildSync(snap, p)
-		if err != nil {
-			tb.Fatal(err)
-		}
+		ans := subtreeDelta(tb, snap, p)
 		wire, err := xmldb.ParseString(ans.Root.StringSized(ans.Size()))
 		if err != nil {
 			tb.Fatal(err)

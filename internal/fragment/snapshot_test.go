@@ -222,10 +222,7 @@ func cutFragment(t *testing.T, r *rand.Rand, db *workload.DB, source *Store) (*x
 	if r.Intn(2) == 0 {
 		p = p.Child("parkingSpace", fmt.Sprint(1+r.Intn(db.Cfg.Spaces)))
 	}
-	ans, err := BuildSync(source, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ans := subtreeDelta(t, source, p)
 	ans.Root.Walk(func(n *xmldb.Node) bool {
 		if StatusOf(n) != StatusComplete {
 			return true

@@ -7,11 +7,6 @@
 // A key property carried over from the paper: names are constructed purely
 // from the query (or from the site's own fragment), never from global
 // state.
-//
-// Names may additionally carry a *replica set*: read replicas that an
-// owner streams committed deltas to. Resolve still returns the owner (the
-// only site that accepts writes); ResolveRead spreads freshness-tolerant
-// reads across the replica set by rendezvous hashing.
 package naming
 
 import (
@@ -100,41 +95,17 @@ type Store interface {
 	Set(name, site string)
 }
 
-// ReplicaInfo describes one read replica of a name: the site serving it
-// and the replication-lag bound (seconds) it promises to stay within.
-// Routing treats the bound as advisory — replicas also enforce freshness
-// locally via the QEG freshness predicates, so a bound that turns out
-// optimistic costs a refresh subquery, never a wrong answer.
-type ReplicaInfo struct {
-	Site      string  `json:"site"`
-	MaxLagSec float64 `json:"maxLagSec"`
-}
-
-// ReplicaStore extends Store with replica-set registration. The slices
-// returned by LookupReplicas are immutable: callers must not modify them.
-type ReplicaStore interface {
-	Store
-	// LookupReplicas returns the registered replica set for a name
-	// (nil when the name is unreplicated).
-	LookupReplicas(name string) []ReplicaInfo
-	// AddReplica registers (or refreshes) one replica of a name.
-	AddReplica(name string, rep ReplicaInfo)
-	// RemoveReplica deregisters one replica of a name.
-	RemoveReplica(name, site string)
-}
-
 // Registry is the authoritative name-to-site mapping (the DNS server role).
 type Registry struct {
-	mu       sync.RWMutex
-	entries  map[string]string
-	replicas map[string][]ReplicaInfo
-	lookups  int64
-	updates  int64
+	mu      sync.RWMutex
+	entries map[string]string
+	lookups int64
+	updates int64
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{entries: map[string]string{}, replicas: map[string][]ReplicaInfo{}}
+	return &Registry{entries: map[string]string{}}
 }
 
 // Set points a name at a site (registering or re-pointing on migration).
@@ -154,57 +125,11 @@ func (r *Registry) Lookup(name string) (string, bool) {
 	return s, ok
 }
 
-// Delete removes a name and its replica set.
+// Delete removes a name.
 func (r *Registry) Delete(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.entries, name)
-	delete(r.replicas, name)
-}
-
-// AddReplica registers (or refreshes) one read replica of a name. The
-// stored slice is replaced, never mutated, so slices handed out by
-// LookupReplicas stay valid for concurrent readers.
-func (r *Registry) AddReplica(name string, rep ReplicaInfo) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := r.replicas[name]
-	next := make([]ReplicaInfo, 0, len(old)+1)
-	for _, e := range old {
-		if e.Site != rep.Site {
-			next = append(next, e)
-		}
-	}
-	next = append(next, rep)
-	r.replicas[name] = next
-	r.updates++
-}
-
-// RemoveReplica deregisters one replica of a name (promotion, shutdown).
-func (r *Registry) RemoveReplica(name, site string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := r.replicas[name]
-	var next []ReplicaInfo
-	for _, e := range old {
-		if e.Site != site {
-			next = append(next, e)
-		}
-	}
-	if len(next) == 0 {
-		delete(r.replicas, name)
-	} else {
-		r.replicas[name] = next
-	}
-	r.updates++
-}
-
-// LookupReplicas returns the replica set registered for a name. The
-// returned slice is immutable; callers must not modify it.
-func (r *Registry) LookupReplicas(name string) []ReplicaInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.replicas[name]
 }
 
 // Stats returns (lookups served, updates applied).
@@ -245,20 +170,14 @@ type Client struct {
 	ttl     time.Duration
 	now     func() time.Time
 
-	mu     sync.Mutex
-	cache  map[string]cacheEntry
-	rcache map[string]replicaEntry
-	hits   int64
-	miss   int64
+	mu    sync.Mutex
+	cache map[string]cacheEntry
+	hits  int64
+	miss  int64
 }
 
 type cacheEntry struct {
 	site    string
-	expires time.Time
-}
-
-type replicaEntry struct {
-	reps    []ReplicaInfo
 	expires time.Time
 }
 
@@ -270,72 +189,26 @@ func NewClient(reg Store, service string, ttl time.Duration, now func() time.Tim
 	}
 	return &Client{
 		reg: reg, service: service, ttl: ttl, now: now,
-		cache:  map[string]cacheEntry{},
-		rcache: map[string]replicaEntry{},
+		cache: map[string]cacheEntry{},
 	}
 }
 
 // Resolve returns the site owning the IDable node at the path, walking up
 // the hierarchy (longest-prefix, like DNS) when the exact name has no
 // entry — the paper's architectures 1 and 2 register only high-level nodes.
+// The full DNS name is built exactly once; each shorter prefix's name is a
+// suffix of it, indexed by the offsets appendName records.
 func (c *Client) Resolve(p xmldb.IDPath) (string, error) {
-	site, _, err := c.resolveOwner(p)
-	return site, err
-}
-
-// resolveOwner runs the longest-prefix walk and returns the owning site
-// together with the registry name that matched (the replication root's
-// name). The full DNS name is built exactly once; each shorter prefix's
-// name is a suffix of it, indexed by the offsets appendName records.
-func (c *Client) resolveOwner(p xmldb.IDPath) (string, string, error) {
 	var b strings.Builder
 	var offs [16]int
 	starts := appendName(&b, p, c.service, offs[:0])
 	full := b.String()
 	for _, off := range starts {
-		name := full[off:]
-		if site, ok := c.resolveName(name); ok {
-			return site, name, nil
+		if site, ok := c.resolveName(full[off:]); ok {
+			return site, nil
 		}
 	}
-	return "", "", fmt.Errorf("naming: no site found for %s (service %s)", p, c.service)
-}
-
-// ResolveRead resolves a read target for the node at the path. A
-// freshness-tolerant query (tolSec strictly wider than a replica's lag
-// bound) may be served by a read replica, chosen by rendezvous hashing on
-// key so a given query key sticks to one replica (monotonic reads per
-// key); freshness-strict queries (tolSec <= 0) and unreplicated names go
-// to the owner. exclude drops one site (the caller itself) from the
-// candidates, preventing replica-to-replica forwarding loops. The bool
-// reports whether a replica, rather than the owner, was chosen.
-func (c *Client) ResolveRead(p xmldb.IDPath, tolSec float64, key, exclude string) (string, bool, error) {
-	owner, name, err := c.resolveOwner(p)
-	if err != nil {
-		return "", false, err
-	}
-	if tolSec <= 0 {
-		return owner, false, nil
-	}
-	rs, ok := c.reg.(ReplicaStore)
-	if !ok {
-		return owner, false, nil
-	}
-	best := ""
-	var bestHash uint64
-	for _, rep := range c.lookupReplicas(rs, name) {
-		if rep.Site == exclude || rep.Site == owner || rep.MaxLagSec >= tolSec {
-			continue
-		}
-		h := rendezvous(rep.Site, key)
-		if best == "" || h > bestHash || (h == bestHash && rep.Site > best) {
-			best, bestHash = rep.Site, h
-		}
-	}
-	if best == "" {
-		return owner, false, nil
-	}
-	return best, true, nil
+	return "", fmt.Errorf("naming: no site found for %s (service %s)", p, c.service)
 }
 
 // ResolveExact resolves the node's own name with no prefix fallback.
@@ -367,55 +240,12 @@ func (c *Client) resolveName(name string) (string, bool) {
 	return site, true
 }
 
-// lookupReplicas fetches a name's replica set through the same TTL cache
-// discipline as owner entries.
-func (c *Client) lookupReplicas(rs ReplicaStore, name string) []ReplicaInfo {
-	if c.ttl > 0 {
-		c.mu.Lock()
-		e, ok := c.rcache[name]
-		if ok && c.now().Before(e.expires) {
-			c.mu.Unlock()
-			return e.reps
-		}
-		c.mu.Unlock()
-	}
-	reps := rs.LookupReplicas(name)
-	if c.ttl > 0 {
-		c.mu.Lock()
-		c.rcache[name] = replicaEntry{reps: reps, expires: c.now().Add(c.ttl)}
-		c.mu.Unlock()
-	}
-	return reps
-}
-
-// rendezvous is FNV-64a over "site/key" — highest hash wins, so each key
-// pins to one replica and replica membership changes only remap the keys
-// that hashed to the departed site.
-func rendezvous(site, key string) uint64 {
-	const offset64 = 14695981039346656037
-	const prime64 = 1099511628211
-	h := uint64(offset64)
-	for i := 0; i < len(site); i++ {
-		h ^= uint64(site[i])
-		h *= prime64
-	}
-	h ^= '/'
-	h *= prime64
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return h
-}
-
-// Invalidate drops a cached name (tests and migration drills), including
-// its cached replica set.
+// Invalidate drops a cached name (tests and migration drills).
 func (c *Client) Invalidate(p xmldb.IDPath) {
 	name := DNSName(p, c.service)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.cache, name)
-	delete(c.rcache, name)
 }
 
 // CacheStats returns (hits, misses).

@@ -1,6 +1,8 @@
 package naming
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -149,5 +151,116 @@ func TestClientTTLCache(t *testing.T) {
 	c.Invalidate(p)
 	if s, _ := c.ResolveExact(p); s != "siteC" {
 		t.Fatal("invalidate did not drop the entry")
+	}
+}
+
+// TestRegistryConcurrentAccess hammers register/repoint/delete and lookup
+// from many goroutines; run under -race this is the repoint primitive's
+// safety net.
+func TestRegistryConcurrentAccess(t *testing.T) {
+	r := NewRegistry()
+	const names = 8
+	name := func(i int) string { return fmt.Sprintf("n%d.svc", i%names) }
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r.Set(name(i), fmt.Sprintf("site-%d-%d", g, i%3))
+				if i%7 == 0 {
+					r.Delete(name(i))
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r.Lookup(name(i))
+				r.Len()
+				r.Stats()
+			}
+		}()
+	}
+	time.Sleep(50 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+}
+
+// TestRepointDuringResolve repoints a name while clients resolve through
+// it — the migration move. Every resolve must land on one of the two legal
+// owners, never fail, never see a torn value.
+func TestRepointDuringResolve(t *testing.T) {
+	r := NewRegistry()
+	p := path(t, pgh)
+	name := DNSName(p, "svc")
+	r.Set(name, "old-owner")
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	var mu sync.Mutex
+	bad := ""
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := NewClient(r, "svc", 0, nil)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				site, err := c.Resolve(p)
+				if err != nil || (site != "old-owner" && site != "new-owner") {
+					mu.Lock()
+					bad = fmt.Sprintf("Resolve = %q, %v", site, err)
+					mu.Unlock()
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		r.Set(name, "new-owner")
+		r.Set(name, "old-owner")
+	}
+	close(stop)
+	wg.Wait()
+	if bad != "" {
+		t.Fatal(bad)
+	}
+}
+
+// BenchmarkResolve measures the longest-prefix walk on a deep path whose
+// entry sits at the top of the hierarchy — the worst case for the walk,
+// and the hot path for every subquery dispatch.
+func BenchmarkResolve(b *testing.B) {
+	r := NewRegistry()
+	r.Set("ne.svc", "central")
+	c := NewClient(r, "svc", 0, nil)
+	p, err := xmldb.ParseIDPath(pgh + "/neighborhood[@id='Oakland']/block[@id='1']/parkingSpace[@id='7']")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Resolve(p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -251,18 +251,13 @@ func fetchPeerCluster(ctx context.Context, addr string) (ClusterView, error) {
 }
 
 func writeClusterText(w http.ResponseWriter, view *ClusterView) {
-	fmt.Fprintf(w, "%-20s %-14s %10s %8s %12s %8s %9s %9s %10s %12s %11s\n",
-		"SITE", "ROLE", "NODES", "CACHED", "CACHE-BYTES", "OWNED", "QUERIES", "HITS", "MISSES", "MAX-STALE-S", "REPL-LAG-S")
+	fmt.Fprintf(w, "%-20s %10s %8s %12s %8s %9s %9s %10s %12s\n",
+		"SITE", "NODES", "CACHED", "CACHE-BYTES", "OWNED", "QUERIES", "HITS", "MISSES", "MAX-STALE-S")
 	for _, sv := range view.Sites {
-		role := sv.Role
-		if role == "" {
-			role = "-"
-		}
-		fmt.Fprintf(w, "%-20s %-14s %10d %8d %12d %8d %9d %9d %10d %12s %11s\n",
-			sv.Site, role, sv.StoreNodes, sv.CachedFragments, sv.CacheBytes, len(sv.Owned),
+		fmt.Fprintf(w, "%-20s %10d %8d %12d %8d %9d %9d %10d %12s\n",
+			sv.Site, sv.StoreNodes, sv.CachedFragments, sv.CacheBytes, len(sv.Owned),
 			sv.Stats.Queries, sv.Stats.CacheHits, sv.Stats.CacheMisses,
-			strconv.FormatFloat(sv.Stats.MaxStalenessSec, 'f', 1, 64),
-			strconv.FormatFloat(sv.Stats.ReplicaLagSec, 'f', 3, 64))
+			strconv.FormatFloat(sv.Stats.MaxStalenessSec, 'f', 1, 64))
 	}
 	for name, st := range view.Peers {
 		if st.Error != "" {

@@ -103,14 +103,9 @@ func (f *Frontend) withDeadline(ctx context.Context) (context.Context, context.C
 	return ctx, func() {}
 }
 
-// RouteOf returns the site a query would be sent to, without sending it.
-// Strict queries — any freshness conjunct outside the time-invariant
-// compiled subset, tolerance 0 — go to the owner of the query's LCA node.
-// Freshness-tolerant queries may route to a registered read replica whose
-// lag bound fits inside the query's tolerance; rendezvous hashing on the
-// query text pins repeats of the same query to the same replica, which
-// (with in-order replication apply) keeps each query stream's answers
-// monotone. Exposed for tests and the harness.
+// RouteOf returns the site a query would be sent to, without sending it:
+// the owner of the query's LCA node, which answers it or caches on the way.
+// Exposed for tests and the harness.
 func (f *Frontend) RouteOf(query string) (string, xmldb.IDPath, error) {
 	if f.ForceEntry != "" {
 		return f.ForceEntry, nil, nil
@@ -132,7 +127,7 @@ func (f *Frontend) routeParsed(query string, expr xpath.Expr) (string, xmldb.IDP
 	if err != nil {
 		return "", nil, err
 	}
-	entry, _, err := f.DNS.ResolveRead(lca, xpath.FreshnessTolerance(expr), query, "")
+	entry, err := f.DNS.Resolve(lca)
 	if err != nil {
 		return "", nil, err
 	}

@@ -95,23 +95,22 @@ func forwardIn(migrated map[string]string, p xmldb.IDPath) (string, bool) {
 }
 
 // txn is one transaction in progress: the next store version, the tables
-// published with it, and what commitLocked tells the subscribers afterwards.
+// published with it, and what commitLocked tells the summary cache afterwards.
 type txn struct {
 	store    *fragment.Store // the published version, until a command writes it
 	w        *fragment.COW   // nil until then
 	owned    map[string]bool
 	migrated map[string]string
 	private  bool // owned and migrated are this transaction's copies
-	// touched lists the owned nodes whose local information changed:
-	// replication streams covering them re-ship them and aggregate summaries
-	// over them are stale. reshaped marks an ownership or structure change,
-	// after which no cached summary can be trusted.
+	// touched lists the owned nodes whose local information changed, so
+	// aggregate summaries over them are stale. reshaped marks an ownership or
+	// structure change, after which no cached summary can be trusted.
 	touched  []xmldb.IDPath
 	reshaped bool
 }
 
 // cow returns the copy-on-write transaction on the published version,
-// beginning it at the first store write: a watermark heartbeat commits
+// beginning it at the first store write: a replayed mark record commits
 // without making a store version.
 func (tx *txn) cow() *fragment.COW {
 	if tx.w == nil {
@@ -158,9 +157,8 @@ func keyUnder(key, root string) bool {
 func (s *Site) commit(cmds ...walOp) (uint64, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	// New commands take the commit clock, read under wmu: the replication
-	// watermark's proof (§15) rests on a timestamp taken inside the hold that
-	// publishes it never being older than a watermark captured in an earlier one.
+	// New commands take the commit clock, read under wmu, so timestamps
+	// follow commit order.
 	now := s.cfg.Clock()
 	for i := range cmds {
 		switch c := &cmds[i]; {
@@ -176,7 +174,7 @@ func (s *Site) commit(cmds ...walOp) (uint64, error) {
 // commitLocked is the site's one commit point. With wmu held it opens a
 // transaction on the published version, applies the commands,
 // appends their single WAL record, publishes the next version, and tells the
-// subscribers what it touched. Append and publish share the one wmu hold,
+// summary cache what it touched. Append and publish share the one wmu hold,
 // which is the whole of the checkpoint consistency invariant (durable.go).
 //
 // replayOf is the LSN of the record being replayed during recovery, 0 on a
@@ -222,28 +220,28 @@ func (s *Site) commitLocked(cmds []walOp, replayOf uint64) (uint64, error) {
 	}
 	lsn := s.walAppend(cmds)
 	s.publishLocked(&siteState{store: tx.store, owned: tx.owned, migrated: tx.migrated})
-	for _, p := range tx.touched {
-		// The flusher re-reads the node's post-commit state at ship time.
-		s.repl.observeLocked(p)
-		if s.summaries != nil {
+	if s.summaries != nil {
+		for _, p := range tx.touched {
 			s.summaries.invalidate(p)
 		}
-	}
-	if tx.reshaped && s.summaries != nil {
-		s.summaries.flush()
+		if tx.reshaped {
+			s.summaries.flush()
+		}
 	}
 	return lsn, nil
 }
 
 // apply performs one command on the transaction: its store, ownership and
-// forwarding-table, subscription and residency mutations. It is the only
-// implementation of each op, live and on replay. Checks that can fail come
-// before mutations outside the transaction (the subscription table), so an
-// abandoned transaction leaves those untouched.
+// forwarding-table and residency mutations. It is the only implementation of
+// each op, live and on replay. Checks that can fail come before mutations
+// outside the transaction (the residency policy), so an abandoned transaction
+// leaves those untouched.
 func (s *Site) apply(tx *txn, c *walOp) error {
 	if c.Op == opMerge || c.Op == opSync || c.Op == opTake {
 		// The ops that carry a fragment install it the same way. Validation
 		// precedes any edit, so a rejected fragment leaves tx unchanged.
+		// A replayed sync record needs nothing more: its fragment is a
+		// cached copy, merged like any other.
 		if c.frag == nil {
 			return fmt.Errorf("%s without a fragment", c.Op)
 		}
@@ -282,24 +280,10 @@ func (s *Site) apply(tx *txn, c *walOp) error {
 				s.cache.forget(k)
 			}
 		}
-	case opSync:
-		s.subMu.Lock()
-		s.subs[c.path.Key()] = &replicaSub{root: c.path, owner: c.Owner, ownedPaths: c.paths, ownerClock: c.Clock}
-		s.subMu.Unlock()
-	case opMark:
-		// Seq and watermark only ever advance: a late or redelivered batch
-		// must not make the replica claim less than it acknowledged.
-		s.subMu.Lock()
-		defer s.subMu.Unlock()
-		sub := s.subs[c.path.Key()]
-		if sub == nil {
-			return fmt.Errorf("not a replica of %s", c.path)
-		}
-		sub.seq = max(sub.seq, c.Seq)
-		sub.ownerClock = max(sub.ownerClock, c.Clock)
-	case opTake:
+	case opSync, opMark:
+	case opTake, opPromote:
 		if p := tx.claim(c.paths); p != nil {
-			return fmt.Errorf("site %s: transferred node %s missing after merge", s.cfg.Name, p)
+			return fmt.Errorf("site %s: transferred node %s missing", s.cfg.Name, p)
 		}
 	case opDelegate:
 		owned, migrated := tx.tables()
@@ -310,13 +294,6 @@ func (s *Site) apply(tx *txn, c *walOp) error {
 			// even though there is nothing to downgrade.
 			_ = tx.cow().SetStatusAt(p, fragment.StatusComplete)
 		}
-	case opPromote:
-		if p := tx.claim(c.paths); p != nil {
-			return fmt.Errorf("site %s: promoting %s: replicated node %s missing", s.cfg.Name, c.path, p)
-		}
-		s.subMu.Lock()
-		delete(s.subs, c.path.Key())
-		s.subMu.Unlock()
 	default:
 		return fmt.Errorf("unknown wal op %q", c.Op)
 	}

@@ -19,23 +19,22 @@ import (
 	"irisnet/internal/xmldb"
 )
 
-// Per-site durability (DESIGN.md §16). When Config.DataDir is set, every
+// Per-site durability (DESIGN.md §15). When Config.DataDir is set, every
 // commit (commit.go) appends its commands as one CRC-framed record to a
 // write-ahead log in the wmu hold that publishes it, and a background loop
 // periodically checkpoints the current sealed snapshot — the store XML plus
-// the ownership/forwarding tables, replica subscriptions with their
-// watermarks, and the cache policy's residency metadata — then truncates
-// the log prefix the checkpoint covers. Restart recovers by installing the
-// newest parseable checkpoint and running the log tail, record by record,
-// through the same commit point the live site uses, so a recovered site is
-// byte-identical to the state whose acked commits reached the log, rejoins
-// with a warm cache (trimmed to CacheBudgetBytes, coldest first), and
+// the ownership/forwarding tables and the cache policy's residency metadata —
+// then truncates the log prefix the checkpoint covers. Restart recovers by
+// installing the newest parseable checkpoint and running the log tail, record
+// by record, through the same commit point the live site uses, so a recovered
+// site is byte-identical to the state whose acked commits reached the log,
+// rejoins with a warm cache (trimmed to CacheBudgetBytes, coldest first), and
 // re-registers its recovered ownership with naming.
 //
 // Consistency invariant: a checkpoint rotates the log and captures the state
-// and the subscription table in one wmu hold, and every commit appends and
-// publishes in one wmu hold, so the captured state reflects exactly the
-// records with LSN <= the rotation boundary.
+// in one wmu hold, and every commit appends and publishes in one wmu hold, so
+// the captured state reflects exactly the records with LSN <= the rotation
+// boundary.
 
 // DefaultCheckpointInterval is the checkpoint cadence when
 // Config.CheckpointInterval is zero and a DataDir is set.
@@ -55,8 +54,8 @@ const (
 // as text when that is how it arrived — and encode and decode supply the other
 // side when the command is logged or read back, so the live path neither
 // re-parses nor re-serializes anything. A walRecord groups the commands that
-// committed together (a cache merge plus the evictions it forced, a
-// replicated batch plus its watermark) so replay commits them together too.
+// committed together (a cache merge plus the evictions it forced) so replay
+// commits them together too.
 type walOp struct {
 	Op       string            `json:"op"`
 	Path     string            `json:"path,omitempty"`
@@ -67,7 +66,6 @@ type walOp struct {
 	Paths    []string          `json:"paths,omitempty"`
 	Owner    string            `json:"owner,omitempty"`
 	SchemaOp string            `json:"schemaOp,omitempty"`
-	Seq      uint64            `json:"seq,omitempty"`
 	Clock    float64           `json:"clock,omitempty"`
 	// Cached marks a merge that entered through the caching path, so replay
 	// re-registers its units with the residency policy at Clock.
@@ -81,29 +79,24 @@ type walOp struct {
 // Op values. Each names the writer that builds it and the fields it carries.
 const (
 	opUpdate   = "update"   // handleUpdate: Path, Fields, Attrs, TS
-	opMerge    = "merge"    // commitMerge / handleReplicate: Frag, Clock, Cached
+	opMerge    = "merge"    // commitMerge: Frag, Clock, Cached
 	opEvict    = "evict"    // budget eviction: Paths (unit keys)
-	opSync     = "sync"     // handleSync: Path (root), Frag, Owner, Paths, Clock
-	opMark     = "mark"     // handleReplicate watermark: Path (root), Seq, Clock
 	opTake     = "take"     // handleTake: Frag, Paths
 	opDelegate = "delegate" // Delegate: Paths, Owner
-	opPromote  = "promote"  // Promote: Path (root), Paths
 	opSchema   = "schema"   // SchemaChange: SchemaOp, Path, Fields (args), TS
+)
+
+// Replay-only op values: read replicas wrote them into logs, and no live
+// path builds them any more. A sync record replays as a cached merge of its
+// Frag, a mark record as nothing, a promote record as a claim of its Paths.
+const (
+	opSync    = "sync"
+	opMark    = "mark"
+	opPromote = "promote"
 )
 
 type walRecord struct {
 	Ops []walOp `json:"ops"`
-}
-
-// ckptSub persists one replica subscription with its watermark, so a
-// restarted replica (or a replica promoted after restart) does not regress
-// Seq or serve at a stale watermark.
-type ckptSub struct {
-	Root       string   `json:"root"`
-	Owner      string   `json:"owner"`
-	OwnedPaths []string `json:"ownedPaths"`
-	Seq        uint64   `json:"seq"`
-	OwnerClock float64  `json:"ownerClock"`
 }
 
 // ckptUnit persists one cached unit's residency metadata, so the restarted
@@ -120,7 +113,6 @@ type checkpointFile struct {
 	Clock    float64             `json:"clock"`
 	Owned    []string            `json:"owned"`
 	Migrated map[string]string   `json:"migrated,omitempty"`
-	Subs     []ckptSub           `json:"subs,omitempty"`
 	Cache    map[string]ckptUnit `json:"cache,omitempty"`
 	// Store is the serialized document fragment (the same XML wire form
 	// fragments travel in).
@@ -282,8 +274,8 @@ func (s *Site) Recover(store *fragment.Store, owned []xmldb.IDPath) (bool, error
 }
 
 // restore is Load from a checkpoint: it installs the store (doc is its parsed
-// XML), the ownership and forwarding tables, the subscriptions with their
-// watermarks, and the residency metadata.
+// XML), the ownership and forwarding tables, and the residency metadata. The
+// read-replica subscriptions older checkpoints carry under "subs" are ignored.
 func (s *Site) restore(cf *checkpointFile, doc *xmldb.Node) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -299,17 +291,6 @@ func (s *Site) restore(cf *checkpointFile, doc *xmldb.Node) {
 		st.migrated = map[string]string{}
 	}
 	s.state.Store(st)
-	s.subMu.Lock()
-	for _, cs := range cf.Subs {
-		root, err := xmldb.ParseIDPath(cs.Root)
-		if err != nil {
-			continue
-		}
-		paths, _ := parsePaths(cs.OwnedPaths)
-		s.subs[root.Key()] = &replicaSub{root: root, owner: cs.Owner, ownedPaths: paths,
-			seq: cs.Seq, ownerClock: cs.OwnerClock}
-	}
-	s.subMu.Unlock()
 	if s.cache != nil {
 		s.cache.restore(cf.Cache)
 	}
@@ -373,14 +354,6 @@ func (d *durability) checkpoint() error {
 	}
 	st := s.state.Load()
 	cf := checkpointFile{LSN: boundary, Clock: s.cfg.Clock()}
-	// Subscriptions are mutated in place by the commits that advance them,
-	// so they are copied inside the hold that fixed the boundary.
-	s.subMu.Lock()
-	for _, sub := range s.subs {
-		cf.Subs = append(cf.Subs, ckptSub{Root: sub.root.String(), Owner: sub.owner,
-			OwnedPaths: pathStrings(sub.ownedPaths), Seq: sub.seq, OwnerClock: sub.ownerClock})
-	}
-	s.subMu.Unlock()
 	s.wmu.Unlock()
 
 	cf.Owned = make([]string, 0, len(st.owned))
@@ -389,7 +362,6 @@ func (d *durability) checkpoint() error {
 	}
 	sort.Strings(cf.Owned)
 	cf.Migrated = st.migrated
-	sort.Slice(cf.Subs, func(i, j int) bool { return cf.Subs[i].Root < cf.Subs[j].Root })
 	if s.cache != nil {
 		cf.Cache = s.cache.snapshot()
 	}

@@ -119,26 +119,18 @@ func sortedOwned(s *Site) []string {
 }
 
 // siteImage is everything recovery must reproduce: the store bytes, the
-// ownership and forwarding tables, the subscription table with its
-// watermarks, and the set of units the residency policy tracks (their stamps
-// move with every query's touch, which is not a logged event).
+// ownership and forwarding tables, and the set of units the residency policy
+// tracks (their stamps move with every query's touch, which is not a logged
+// event).
 type siteImage struct {
 	Store      string            `json:"store"`
 	Owned      []string          `json:"owned"`
 	Forwarding map[string]string `json:"forwarding,omitempty"`
-	Subs       []ckptSub         `json:"subs,omitempty"`
 	Units      []string          `json:"units,omitempty"`
 }
 
 func imageOf(s *Site) siteImage {
 	img := siteImage{Store: storeBytes(s), Owned: sortedOwned(s), Forwarding: s.Debug().Forwarding}
-	s.subMu.Lock()
-	for _, sub := range s.subs {
-		img.Subs = append(img.Subs, ckptSub{Root: sub.root.String(), Owner: sub.owner,
-			OwnedPaths: pathStrings(sub.ownedPaths), Seq: sub.seq, OwnerClock: sub.ownerClock})
-	}
-	s.subMu.Unlock()
-	sort.Slice(img.Subs, func(i, j int) bool { return img.Subs[i].Root < img.Subs[j].Root })
 	if s.cache != nil {
 		for k := range s.cache.snapshot() {
 			img.Units = append(img.Units, k)
@@ -197,21 +189,17 @@ func (h *durHarness) query(t *testing.T, to, q string) {
 // TestDurableRecoveryMatchesLive is the recovery property test: after N
 // random committed transactions, a crash-recovered site is byte-identical to
 // the live store it replaced, with the same ownership, forwarding and
-// subscription tables. Three durable sites take part so that every one of
-// the nine op kinds is logged and replayed:
+// residency tables. Two durable sites take part so that every op kind a live
+// site writes is logged and replayed:
 //
 //   - solo, a budgeted caching owner: field/attr updates, every schema op,
 //     and cache misses whose batch answers commit as multi-merge records with
 //     the evictions they force;
 //   - blocks, the owner of neighborhood 1's blocks: solo delegates a block to
 //     it and it delegates the block back, logging delegate at one end and
-//     take at the other, both ways;
-//   - replica, seeded with both of blocks' blocks (sync), streamed to by
-//     blocks' flusher (merge + mark), and finally promoted for one of them
-//     (promote); the other subscription stays, with its seq and watermark.
+//     take at the other, both ways.
 //
-// The take, delegate and promote replay arms had zero test coverage at the
-// parent of the PR that gave replay and the live path one applier.
+// It is the only test of the take and delegate replay arms.
 func TestDurableRecoveryMatchesLive(t *testing.T) {
 	h := newSplitDurHarness(t, "solo", func(db *workload.DB, a *fragment.Assignment) {
 		for b := 0; b < 2; b++ {
@@ -232,8 +220,7 @@ func TestDurableRecoveryMatchesLive(t *testing.T) {
 			c.Caching = true
 			c.CacheBudgetBytes = budget
 		},
-		"blocks":  func(c *Config) { c.ReplicaFlushInterval = 2 * time.Millisecond },
-		"replica": nil,
+		"blocks": nil,
 	}
 	sites := map[string]*Site{}
 	for name, mut := range configs {
@@ -243,12 +230,6 @@ func TestDurableRecoveryMatchesLive(t *testing.T) {
 		}
 	}
 	s := sites["solo"]
-	promoted, subscribed := h.db.BlockPath(0, 1, 0), h.db.BlockPath(0, 1, 1)
-	for _, root := range []xmldb.IDPath{promoted, subscribed} {
-		if err := sites["blocks"].AddReadReplica(root, "replica", 30); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	rng := rand.New(rand.NewSource(42))
 	home := h.db.BlockPath(0, 0, 0)   // schema changes land here
@@ -314,38 +295,26 @@ func TestDurableRecoveryMatchesLive(t *testing.T) {
 		t.Fatalf("test premise broken: %d fragments in %d merge commits, %d evictions — no multi-merge record with evictions was logged",
 			m.CacheMergedFragments.Value(), m.CacheMergeCommits.Value(), m.Evictions.Value())
 	}
-	// One last miss, so solo's residency policy ends with units to recover;
-	// one last streamed value, waited for; then the promotion.
+	// The moving block is owned where the schedule left it alone, and the
+	// other site forwards to it: the state the take and delegate arms must
+	// replay to.
+	other := map[string]string{"solo": "blocks", "blocks": "solo"}[movingAt]
+	if !sites[movingAt].Owns(moving) || sites[other].Owns(moving) ||
+		sites[other].Debug().Forwarding[moving.Key()] != movingAt {
+		t.Fatalf("moving block: owned at %s %v, at %s %v, forwarded by %s to %q; want %s alone, forwarded to by %s",
+			movingAt, sites[movingAt].Owns(moving), other, sites[other].Owns(moving),
+			other, sites[other].Debug().Forwarding[moving.Key()], movingAt, other)
+	}
+	// One last miss, so solo's residency policy ends with units to recover.
 	h.query(t, "solo", h.db.NeighborhoodPath(0, 1).String()+"/block/parkingSpace")
-	var last xmldb.IDPath
-	for _, p := range h.db.SpacePaths {
-		if promoted.IsPrefixOf(p) {
-			last = p
-		}
-	}
-	h.update(t, "blocks", last, map[string]string{"available": "streamed-last"}, nil)
-	for deadline := time.Now().Add(2 * time.Second); !strings.Contains(storeBytes(sites["replica"]), "streamed-last"); {
-		if time.Now().After(deadline) {
-			t.Fatal("replica never received the last streamed update")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if err := sites["replica"].Promote(promoted); err != nil {
-		t.Fatal(err)
-	}
 
-	// Capture and kill in an order that leaves nothing writing to a site
-	// between its capture and its crash: solo after a last pressure pass (its
-	// background loop then finds nothing to publish), blocks next — Crash
-	// waits out its replication sends — and the replica once its stream is dead.
+	// Capture solo after a last pressure pass, so its background loop finds
+	// nothing to publish between the capture and the crash.
 	s.relieveCachePressure()
 	want := map[string]siteImage{}
-	for _, name := range []string{"solo", "blocks", "replica"} {
+	for _, name := range []string{"solo", "blocks"} {
 		want[name] = imageOf(sites[name])
 		sites[name].Crash()
-	}
-	if subs := want["replica"].Subs; len(subs) != 1 || subs[0].Seq == 0 || subs[0].OwnerClock == 0 {
-		t.Fatalf("test premise broken: replica subscriptions %+v, want the one that was not promoted, advanced", subs)
 	}
 	if len(want["solo"].Units) == 0 {
 		t.Fatal("test premise broken: solo's residency policy tracks nothing")
@@ -356,7 +325,7 @@ func TestDurableRecoveryMatchesLive(t *testing.T) {
 			logged[op] += n
 		}
 	}
-	for _, op := range allOps {
+	for _, op := range liveOps {
 		if logged[op] == 0 {
 			t.Fatalf("test premise broken: no %q record was logged (%v)", op, logged)
 		}
@@ -461,73 +430,6 @@ func TestDurableTornCheckpointFallsBack(t *testing.T) {
 	}
 }
 
-// TestDurableReplicaWatermarkPersists crashes and recovers a durable read
-// replica: the replication watermark must not regress, and the owner's
-// stream must keep applying cleanly where it left off.
-func TestDurableReplicaWatermarkPersists(t *testing.T) {
-	d := deployCfg(t, false, transport.SimConfig{}, func(c *Config) {
-		c.ReplicaFlushInterval = 2 * time.Millisecond
-	})
-	dir := filepath.Join(t.TempDir(), "replica-1")
-	mkReplica := func() *Site {
-		sc := Config{
-			Name:                 "replica-1",
-			Service:              workload.Service,
-			Net:                  d.net,
-			DNS:                  naming.NewClient(d.registry, workload.Service, time.Hour, nil),
-			Registry:             d.registry,
-			Schema:               d.db.Schema,
-			CPUSlots:             1,
-			Clock:                d.clock,
-			DataDir:              dir,
-			ReplicaFlushInterval: 2 * time.Millisecond,
-		}
-		s := New(sc, workload.RootName, workload.RootID)
-		if _, err := s.Recover(fragment.NewStore(workload.RootName, workload.RootID), nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Start(); err != nil {
-			t.Fatal(err)
-		}
-		d.sites["replica-1"] = s
-		return s
-	}
-	rep := mkReplica()
-
-	nbPath := d.db.NeighborhoodPath(0, 0)
-	ownerName := d.assign.OwnerOf(nbPath)
-	owner := d.sites[ownerName]
-	if err := owner.AddReadReplica(nbPath, "replica-1", 30); err != nil {
-		t.Fatal(err)
-	}
-	target := spaceUnder(t, d, nbPath)
-	sendUpdate(t, d, ownerName, target, "v1")
-	awaitValue(t, d, "replica-1", target, "v1")
-	w1, ok := rep.ReplicaWatermark(nbPath)
-	if !ok {
-		t.Fatal("no watermark before crash")
-	}
-
-	rep.Crash()
-	rep2 := mkReplica()
-	w2, ok := rep2.ReplicaWatermark(nbPath)
-	if !ok {
-		t.Fatal("subscription lost across crash")
-	}
-	if w2 < w1 {
-		t.Fatalf("watermark regressed across restart: %v -> %v", w1, w2)
-	}
-	// The replicated copy itself was recovered: the replica serves the last
-	// acked value locally, and the still-running owner stream resumes at
-	// the recovered sequence number.
-	awaitValue(t, d, "replica-1", target, "v1")
-	if asked := rep2.Metrics.Subqueries.Value(); asked != 0 {
-		t.Fatalf("recovered replica issued %d subqueries for replicated data", asked)
-	}
-	sendUpdate(t, d, ownerName, target, "v2")
-	awaitValue(t, d, "replica-1", target, "v2")
-}
-
 // TestDurableWarmCacheRecovered restarts a caching entry site and verifies
 // the cache comes back warm — repeat queries are answered locally — and is
 // trimmed to a shrunken budget on the way in, where the same restart over a
@@ -621,20 +523,14 @@ func TestDurableWarmCacheRecovered(t *testing.T) {
 }
 
 // TestSiteStopReleasesGoroutines is the shutdown leak regression test: a
-// deployment exercising the pressure loop, the checkpoint loop and
-// per-stream replication flushes must return the process to its baseline
-// goroutine count after Stop.
+// deployment exercising the pressure loop and the checkpoint loop must
+// return the process to its baseline goroutine count after Stop.
 func TestSiteStopReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	d := deployCfg(t, true, transport.SimConfig{}, func(c *Config) {
-		c.ReplicaFlushInterval = 2 * time.Millisecond
 		c.CacheBudgetBytes = 1 << 20
 	})
-	rep := addReplicaSite(t, d, "replica-1", func(c *Config) {
-		c.ReplicaFlushInterval = 2 * time.Millisecond
-	})
-	_ = rep
 	h := newDurHarness(t, "durable-solo")
 	dir := filepath.Join(t.TempDir(), "durable-solo")
 	durable, _ := h.start(t, "durable-solo", dir, func(c *Config) {
@@ -643,14 +539,6 @@ func TestSiteStopReleasesGoroutines(t *testing.T) {
 		c.CheckpointInterval = 5 * time.Millisecond
 	})
 
-	nbPath := d.db.NeighborhoodPath(0, 0)
-	ownerName := d.assign.OwnerOf(nbPath)
-	if err := d.sites[ownerName].AddReadReplica(nbPath, "replica-1", 30); err != nil {
-		t.Fatal(err)
-	}
-	target := spaceUnder(t, d, nbPath)
-	sendUpdate(t, d, ownerName, target, "leak-check")
-	awaitValue(t, d, "replica-1", target, "leak-check")
 	h.update(t, "durable-solo", h.db.SpacePaths[0], map[string]string{"available": "x"}, nil)
 	d.query(t, "city-"+workload.CityName(0), d.db.BlockQuery(0, 0, 0))
 
@@ -673,49 +561,4 @@ func TestSiteStopReleasesGoroutines(t *testing.T) {
 	_ = pprof.Lookup("goroutine").WriteTo(&buf, 1)
 	t.Fatalf("goroutines leaked after Stop: %d -> %d\n%s",
 		before, runtime.NumGoroutine(), buf.String())
-}
-
-// TestReplicatedBatchIsOneRecord: an applied KindReplicate batch — the merge
-// of its delta and the watermark it carries — is one commit and so one WAL
-// record [merge, mark]. It was two at the parent of the PR that introduced
-// the commit point: the mark was appended on its own, outside wmu. A
-// heartbeat is one record holding only the mark.
-func TestReplicatedBatchIsOneRecord(t *testing.T) {
-	h := newDurHarness(t, "owner")
-	// The flusher never ticks: the test delivers the stream by hand.
-	owner, _ := h.start(t, "owner", "", func(c *Config) { c.ReplicaFlushInterval = time.Hour })
-	dir := filepath.Join(t.TempDir(), "rep")
-	rep, _ := h.start(t, "rep", dir, nil)
-	space := h.db.SpacePaths[0]
-	root := space.Parent()
-	if err := owner.AddReadReplica(root, "rep", 30); err != nil {
-		t.Fatal(err)
-	}
-	h.update(t, "owner", space, map[string]string{"available": "streamed"}, nil)
-	delta, err := fragment.BuildDelta(owner.StoreSnapshot().Seal(), []xmldb.IDPath{space})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	appends := rep.Metrics.WALAppends.Value()
-	h.send(t, "rep", &Message{Kind: KindReplicate, Path: root.String(),
-		Fragment: delta.Root.StringSized(delta.Size()), Seq: 1, ClockSec: 1001})
-	if got := rep.Metrics.WALAppends.Value() - appends; got != 1 {
-		t.Fatalf("a replicated batch appended %d WAL records, want 1", got)
-	}
-	h.send(t, "rep", &Message{Kind: KindReplicate, Path: root.String(), Seq: 2, ClockSec: 1002})
-	if got := rep.Metrics.WALAppends.Value() - appends; got != 2 {
-		t.Fatalf("batch + heartbeat appended %d WAL records, want 2", got)
-	}
-	want := imageOf(rep)
-	if len(want.Subs) != 1 || want.Subs[0].Seq != 2 || want.Subs[0].OwnerClock != 1002 ||
-		!strings.Contains(want.Store, "streamed") {
-		t.Fatalf("batch not applied: %+v", want)
-	}
-	rep.Crash()
-	if logged := loggedOps(t, dir); logged[opMerge] != 1 || logged[opMark] != 2 {
-		t.Fatalf("logged %v, want one merge and two marks", logged)
-	}
-	rep2, _ := h.start(t, "rep", dir, nil)
-	requireImage(t, "rep", imageOf(rep2), want)
 }

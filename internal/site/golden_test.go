@@ -12,10 +12,15 @@ import (
 	"irisnet/internal/transport"
 	"irisnet/internal/wal"
 	"irisnet/internal/workload"
+	"irisnet/internal/xmldb"
 )
 
-// allOps is every kind of operation a WAL record can carry.
-var allOps = []string{opUpdate, opMerge, opEvict, opSync, opMark, opTake, opDelegate, opPromote, opSchema}
+// liveOps is every kind of operation a live site writes to its WAL.
+var liveOps = []string{opUpdate, opMerge, opEvict, opTake, opDelegate, opSchema}
+
+// allOps is every kind of operation a WAL record can carry: the live ones and
+// the replay-only ones older logs hold.
+var allOps = append([]string{opSync, opMark, opPromote}, liveOps...)
 
 // loggedOps counts the operations of each kind in the WAL under dir. It
 // opens the log the way recovery does, so call it on a directory no site is
@@ -62,7 +67,9 @@ type goldenFile struct {
 // op kinds, recorded as that commit wrote them: a replicated batch is still a
 // merge record followed by a mark record there) and must keep recovering to
 // the image that site held when it was killed. See the README next to it for
-// the schedule that produced it.
+// the schedule that produced it. The image's read-replica subscriptions
+// ("subs" in want.json) are not compared: sites keep no subscriptions, and the
+// data a subscription brought in recovers as a cached copy.
 func TestGoldenDataDirRecovers(t *testing.T) {
 	src := filepath.Join("testdata", "golden-datadir")
 	b, err := os.ReadFile(filepath.Join(src, "want.json"))
@@ -128,4 +135,27 @@ func TestGoldenDataDirRecovers(t *testing.T) {
 	}
 	defer s.Stop()
 	requireImage(t, want.Site, imageOf(s), want.Image)
+
+	// Block (0,1,1) was still subscribed when the site was killed: its sync
+	// record recovers it as a complete cached copy that nothing owns.
+	sub := workload.Build(goldenDB).BlockPath(0, 1, 1)
+	store := s.StoreSnapshot()
+	n := store.NodeAt(sub)
+	if n == nil {
+		t.Fatalf("formerly subscribed block %s missing after recovery", sub)
+	}
+	n.Walk(func(c *xmldb.Node) bool {
+		if c.ID() == "" {
+			return true
+		}
+		if st := fragment.StatusOf(c); st != fragment.StatusComplete {
+			t.Errorf("<%s id=%q> under %s recovered as %v, want complete", c.Name, c.ID(), sub, st)
+		}
+		return true
+	})
+	for _, k := range s.OwnedPaths() {
+		if keyUnder(k, sub.Key()) {
+			t.Errorf("formerly subscribed %s recovered as owned", k)
+		}
+	}
 }

@@ -40,17 +40,6 @@ const (
 	// instead of a raw answer fragment (DESIGN.md §14).
 	KindAggregate       = "aggregate"
 	KindAggregateResult = "aggregateResult"
-	// KindSync seeds a new read replica: Path is the replication root,
-	// Fragment the owner's owned data under it encoded as a C1/C2 delta
-	// fragment, Paths the owned ID paths (the ownership set a later
-	// promotion claims), NewOwner the owner's name, ClockSec the owner
-	// commit clock the seed covers (replication.go).
-	KindSync = "sync"
-	// KindReplicate ships one replication batch on an owner→replica
-	// stream: Fragment carries the delta (empty for a pure watermark
-	// heartbeat), Seq orders batches within the stream, ClockSec advances
-	// the replica's watermark.
-	KindReplicate = "replicate"
 )
 
 // Per-entry statuses inside a KindBatchResult message.
@@ -137,13 +126,6 @@ type Message struct {
 	// converging: the answer covers everything gathered so far, with the
 	// still-outstanding subtrees listed in Unreachable (partial answer).
 	Truncated bool `json:"truncated,omitempty"`
-	// Seq orders KindReplicate batches within one owner→replica stream;
-	// a replica applies batches in sequence order and drops duplicates.
-	Seq uint64 `json:"seq,omitempty"`
-	// ClockSec is the replication watermark a KindSync/KindReplicate
-	// message carries: after applying it the replica holds every owner
-	// commit stamped before ClockSec on the owner's clock.
-	ClockSec float64 `json:"clockSec,omitempty"`
 }
 
 // Deadline converts DeadlineMS back to a time; ok is false when unset.

@@ -51,9 +51,8 @@ func TestEncodeWritesXMLUnescaped(t *testing.T) {
 	}
 
 	for _, kind := range []string{KindQuery, KindUpdate, KindDelegate, KindSchema, KindTake, KindOK,
-		KindResult, KindError, KindBatch, KindBatchResult, KindAggregate, KindAggregateResult,
-		KindSync, KindReplicate, ""} {
-		b := (&Message{Kind: kind, Query: "/a[b < 3]", Fragment: "<a/>", Seq: 1}).Encode()
+		KindResult, KindError, KindBatch, KindBatchResult, KindAggregate, KindAggregateResult, ""} {
+		b := (&Message{Kind: kind, Query: "/a[b < 3]", Fragment: "<a/>", Truncated: true}).Encode()
 		if !bytes.HasPrefix(b, []byte(`{"kind":"`)) {
 			t.Errorf("kind %q encodes as %s", kind, b)
 		}

@@ -99,12 +99,8 @@ func (s *Site) schemaApply(tx *txn, c *walOp) error {
 			return fmt.Errorf("site %s: child <%s id=%q> already exists", site, name, id)
 		}
 		fragment.SetStatus(w.AddChild(n, xmldb.NewElem(name, id)), fragment.StatusOwned)
-		cp := p.Child(name, id)
 		owned, _ := tx.tables()
-		owned[cp.Key()] = true
-		// A replica must receive the new node itself, not only the stub its
-		// parent's local information now lists.
-		tx.touched = append(tx.touched, cp)
+		owned[p.Child(name, id).Key()] = true
 	case OpDelIDable:
 		name, id := args["name"], args["id"]
 		child := n.Child(name, id)
@@ -157,7 +153,7 @@ func sortedArgNames(args map[string]string) []string {
 // every other write it is one commit: the operation builds the next store
 // version and publishes it together with any ownership-table change, so
 // concurrent queries see either the old or the new schema, never a
-// half-applied one, and read replicas of the node receive it.
+// half-applied one.
 func (s *Site) SchemaChange(op SchemaOp, p xmldb.IDPath, args map[string]string) error {
 	lsn, err := s.commit(walOp{Op: opSchema, SchemaOp: string(op), Fields: args, path: p})
 	if err != nil {

@@ -86,11 +86,6 @@ type Config struct {
 	// copy-on-write transaction (see cache.go); zero leaves the cache
 	// unbounded, the pre-budget behavior. Only meaningful with Caching.
 	CacheBudgetBytes int64
-	// ReplicaFlushInterval is the owner-side replication flush cadence:
-	// committed deltas batch for at most this long before shipping to read
-	// replicas, and idle streams heartbeat their watermark at this period
-	// (replication.go). Zero uses DefaultReplicaFlushInterval.
-	ReplicaFlushInterval time.Duration
 	// SlowQueryThreshold, when positive, logs a structured warning (with
 	// trace ID) for every query whose total handling time reaches it.
 	SlowQueryThreshold time.Duration
@@ -156,14 +151,6 @@ type Metrics struct {
 	// kept off the wire: per hop, the serialized fragment the raw path
 	// would have shipped upstream minus the compact partial actually sent.
 	GatherBytesSaved metrics.Counter
-	// ReplicaBatchesSent counts replication delta batches and watermark
-	// heartbeats this owner shipped to its read replicas.
-	ReplicaBatchesSent metrics.Counter
-	// ReplicaBatchesApplied counts replication batches this site applied
-	// as a replica.
-	ReplicaBatchesApplied metrics.Counter
-	// ReplicaSyncs counts replica seeds this site installed.
-	ReplicaSyncs metrics.Counter
 	// SummaryHits counts aggregate queries answered from the summary cache.
 	SummaryHits metrics.Counter
 	// WALAppends/WALBytes/WALFsyncs count write-ahead-log activity on
@@ -220,9 +207,6 @@ func (s *Site) Register(r *metrics.Registry) {
 	r.RegisterCounter("irisnet_aggregate_fallbacks_total", "Aggregate queries answered via raw gather plus local aggregation.", l, &m.AggregateFallbacks)
 	r.RegisterCounter("irisnet_gather_bytes_saved_total", "Fragment bytes kept off the wire by partial aggregation.", l, &m.GatherBytesSaved)
 	r.RegisterCounter("irisnet_aggregate_summary_hits_total", "Aggregate queries answered from the summary cache.", l, &m.SummaryHits)
-	r.RegisterCounter("irisnet_replica_batches_sent_total", "Replication delta batches and heartbeats shipped to read replicas.", l, &m.ReplicaBatchesSent)
-	r.RegisterCounter("irisnet_replica_batches_applied_total", "Replication batches applied as a replica.", l, &m.ReplicaBatchesApplied)
-	r.RegisterCounter("irisnet_replica_syncs_total", "Replica seeds installed.", l, &m.ReplicaSyncs)
 	r.RegisterCounter("irisnet_wal_appends_total", "Write-ahead-log records appended.", l, &m.WALAppends)
 	r.RegisterCounter("irisnet_wal_bytes_total", "Write-ahead-log bytes appended (framed).", l, &m.WALBytes)
 	r.RegisterCounter("irisnet_wal_fsyncs_total", "Write-ahead-log fsyncs issued.", l, &m.WALFsyncs)
@@ -230,11 +214,6 @@ func (s *Site) Register(r *metrics.Registry) {
 	r.RegisterSizeHistogram("irisnet_checkpoint_seconds", "Per-checkpoint wall time.", l, m.CheckpointSeconds)
 	r.GaugeFunc("irisnet_recovery_seconds", "Duration of the last restart recovery (0 = cold or in-memory).", l,
 		s.RecoverySeconds)
-	r.GaugeFunc("irisnet_replica_lag_seconds", "Maximum replication lag across this site's subscriptions.", l,
-		func() float64 {
-			lag, _ := s.ReplicaLag()
-			return lag
-		})
 	r.GaugeFunc("irisnet_summary_cache_bytes", "Accounted bytes of cached aggregate summaries.", l,
 		func() float64 {
 			if s.summaries == nil {
@@ -314,12 +293,6 @@ type Site struct {
 	// checkpointing) so Stop can wait for a leak-free shutdown.
 	loopWG sync.WaitGroup
 
-	// repl is the owner-side replication engine; subs the replica-side
-	// subscription table, guarded by subMu (replication.go).
-	repl  *replicator
-	subMu sync.Mutex
-	subs  map[string]*replicaSub
-
 	// wmu serializes writers; readers never take it.
 	wmu   sync.Mutex
 	state atomic.Pointer[siteState]
@@ -345,13 +318,11 @@ func New(cfg Config, rootName, rootID string) *Site {
 		cpu:          transport.NewCPU(cfg.CPUSlots),
 		compiler:     qeg.NewCompiler(cfg.Schema, cfg.NaivePlans),
 		stopPressure: make(chan struct{}),
-		subs:         map[string]*replicaSub{},
 	}
 	s.rawKind = &subKind[rawAnswer]{name: KindQuery, flights: newFlightGroup[fetched[rawAnswer]](),
 		decode: decodeRaw, landed: s.cacheFetched}
 	s.aggKind = &subKind[aggAnswer]{name: KindAggregate, entryKind: KindAggregate,
 		flights: newFlightGroup[fetched[aggAnswer]](), decode: decodeAgg}
-	s.repl = newReplicator(s)
 	if cfg.Caching && cfg.CacheBudgetBytes > 0 {
 		s.cache = newCacheManager()
 	}
@@ -413,9 +384,9 @@ func (s *Site) Start() error {
 	return nil
 }
 
-// Stop unregisters the site and shuts it down cleanly: background loops
-// and in-flight replication sends are waited out (leak-free), and on
-// durable sites a final checkpoint is written before the WAL closes.
+// Stop unregisters the site and shuts it down cleanly: background loops are
+// waited out (leak-free), and on durable sites a final checkpoint is written
+// before the WAL closes.
 func (s *Site) Stop() { s.shutdown(false) }
 
 // Crash is Stop without graceful durability: the WAL file descriptor is
@@ -427,14 +398,12 @@ func (s *Site) Crash() { s.shutdown(true) }
 func (s *Site) shutdown(crash bool) {
 	s.stopOnce.Do(func() {
 		close(s.stopPressure)
-		s.repl.close()
 		if s.dur != nil {
 			close(s.dur.stop)
 		}
 	})
 	s.cfg.Net.Unregister(s.cfg.Name)
 	s.loopWG.Wait()
-	s.repl.wait()
 	if s.dur != nil {
 		s.dur.finish(crash)
 	}
@@ -484,15 +453,6 @@ type DebugInfo struct {
 	CacheBudget     int64             `json:"cacheBudgetBytes,omitempty"`
 	Owned           []string          `json:"owned"`
 	Forwarding      map[string]string `json:"forwarding,omitempty"`
-	// Role classifies the site's replication position: "owner",
-	// "replica", or "owner+replica"; empty when it holds nothing.
-	Role string `json:"role,omitempty"`
-	// ReplicaOf maps each subscribed replication root to this site's
-	// current lag behind its owner, in seconds.
-	ReplicaOf map[string]float64 `json:"replicaOf,omitempty"`
-	// ReplicatesTo maps each replicated root to the replica sites this
-	// owner streams it to.
-	ReplicatesTo map[string][]string `json:"replicatesTo,omitempty"`
 }
 
 // Stats is a point-in-time snapshot of a site's counters, serialized into
@@ -513,21 +473,13 @@ type Stats struct {
 	AnswerOwnedBytes   int64   `json:"answerOwnedBytes"`
 	AnswerFetchedBytes int64   `json:"answerFetchedBytes"`
 	MaxStalenessSec    float64 `json:"maxStalenessSec"`
-	// ReplicaLagSec is the current maximum replication lag across the
-	// site's subscriptions (0 when it replicates nothing); ReplicaBatches
-	// the batches it has applied as a replica.
-	ReplicaLagSec  float64 `json:"replicaLagSec"`
-	ReplicaBatches int64   `json:"replicaBatches"`
 }
 
 // Stats snapshots the site's counters; reads are atomic per counter, not
 // mutually consistent, which is fine for an observability view.
 func (s *Site) Stats() Stats {
 	m := &s.Metrics
-	lag, _ := s.ReplicaLag()
 	return Stats{
-		ReplicaLagSec:      lag,
-		ReplicaBatches:     m.ReplicaBatchesApplied.Value(),
 		Queries:            m.Queries.Value(),
 		Subqueries:         m.Subqueries.Value(),
 		Updates:            m.Updates.Value(),
@@ -567,7 +519,6 @@ func (s *Site) Debug() DebugInfo {
 			d.Forwarding[k] = v
 		}
 	}
-	d.Role, d.ReplicaOf, d.ReplicatesTo = s.replicaDebug()
 	return d
 }
 
@@ -607,10 +558,6 @@ func (s *Site) Handle(ctx context.Context, payload []byte) ([]byte, error) {
 		resp = s.handleTake(msg)
 	case KindSchema:
 		resp = s.handleSchema(msg)
-	case KindSync:
-		resp = s.handleSync(msg)
-	case KindReplicate:
-		resp = s.handleReplicate(msg)
 	default:
 		resp = errorMessage(fmt.Errorf("site %s: unknown message kind %q", s.cfg.Name, msg.Kind))
 	}
@@ -861,11 +808,6 @@ func (h *hop) gather(ctx context.Context, query string, plans []*qeg.Plan, pinne
 	}
 
 	h.freshness = freshnessReport(prov, h.fetchedBytes)
-	if lag, ok := s.replicaLagForQuery(query); ok {
-		// The answer came (at least partly) from replicated data: record
-		// how far behind the owner this site was when it served.
-		h.freshness.ReplicaLagSec = lag
-	}
 	s.Metrics.AnswerStaleness.Observe(prov.AgeMax)
 	s.Metrics.CacheAge.Observe(prov.MeanAge())
 	minMargin, hasMargin := prov.MinMargin()

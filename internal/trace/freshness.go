@@ -41,11 +41,6 @@ type FreshnessReport struct {
 	// Margins carries the per-predicate minima, sorted by predicate text.
 	MarginChecks int               `json:"marginChecks,omitempty"`
 	Margins      []PredicateMargin `json:"margins,omitempty"`
-
-	// ReplicaLagSec is how far behind its owner the serving site's
-	// replicated data was when this answer was assembled (replication
-	// watermark age); zero when no hop served from a read replica.
-	ReplicaLagSec float64 `json:"replicaLagSec,omitempty"`
 }
 
 // Merge folds o into f, preserving the aggregate semantics: unit, byte
@@ -67,9 +62,6 @@ func (f *FreshnessReport) Merge(o *FreshnessReport) {
 	}
 	if o.MaxAgeSec > f.MaxAgeSec {
 		f.MaxAgeSec = o.MaxAgeSec
-	}
-	if o.ReplicaLagSec > f.ReplicaLagSec {
-		f.ReplicaLagSec = o.ReplicaLagSec
 	}
 	f.MarginChecks += o.MarginChecks
 	for _, om := range o.Margins {
@@ -117,9 +109,6 @@ func (f *FreshnessReport) Summary() string {
 	}
 	if m, ok := f.MinMargin(); ok {
 		parts = append(parts, fmt.Sprintf("margin>=%.1fs", m))
-	}
-	if f.ReplicaLagSec > 0 {
-		parts = append(parts, fmt.Sprintf("replica-lag=%.3fs", f.ReplicaLagSec))
 	}
 	if f.CachedBytes > 0 || f.OwnedBytes > 0 || f.FetchedBytes > 0 {
 		parts = append(parts, fmt.Sprintf("bytes c/o/f=%d/%d/%d", f.CachedBytes, f.OwnedBytes, f.FetchedBytes))

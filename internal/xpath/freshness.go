@@ -1,10 +1,6 @@
 package xpath
 
-import (
-	"math"
-
-	"irisnet/internal/xmldb"
-)
+import "irisnet/internal/xmldb"
 
 // FreshnessForm is a consistency-class predicate compiled to the linear
 // form g(ts, now) = A + B*ts + C*now, normalised so the predicate holds
@@ -27,74 +23,6 @@ type FreshnessForm struct {
 // outside the compiled subset rounded through float error).
 func (f *FreshnessForm) Margin(ts, now float64) float64 {
 	return (f.A + f.B*ts + f.C*now) / f.B
-}
-
-// Tolerance returns the predicate's staleness tolerance in seconds — the
-// maximum age (now - ts) at which the predicate still holds — when the
-// form is time-invariant, i.e. depends only on the age (B + C == 0, the
-// canonical @ts >= now() - T shape, giving T). Predicates comparing ts
-// against absolute times (B + C != 0) have a tolerance that drifts with
-// the wall clock, so ok is false and callers must treat them as strict.
-func (f *FreshnessForm) Tolerance() (float64, bool) {
-	if f.B+f.C != 0 {
-		return 0, false
-	}
-	return f.A / f.B, true
-}
-
-// FreshnessTolerance computes the staleness tolerance of a whole query
-// expression: the widest replication lag (in seconds) a serving site may
-// run behind the owner while every consistency-class conjunct anywhere in
-// the query — at any predicate nesting level — can still be satisfied.
-//
-// It returns +Inf when the query carries no freshness predicate (any
-// replica may serve it), 0 when some timestamp-referencing conjunct falls
-// outside the compiled time-invariant subset (strict: only the owner may
-// serve it), and otherwise the minimum tolerance across all conjuncts.
-// This is the replica-routing rule: route to a replica only when its lag
-// bound is strictly below the query's tolerance.
-func FreshnessTolerance(e Expr) float64 {
-	tol := math.Inf(1)
-	var walk func(Expr)
-	visitPred := func(p Expr) {
-		for _, c := range Conjuncts(p) {
-			if collectRefs(c, refSet{}).ts {
-				t := 0.0
-				if f, ok := CompileFreshness(c); ok {
-					if v, inv := f.Tolerance(); inv {
-						t = v
-					}
-				}
-				if t < tol {
-					tol = t
-				}
-			}
-			// collectRefs does not descend into nested location paths, so
-			// recurse to find freshness predicates at deeper levels.
-			walk(c)
-		}
-	}
-	walk = func(e Expr) {
-		switch v := e.(type) {
-		case *Path:
-			for _, s := range v.Steps {
-				for _, p := range s.Preds {
-					visitPred(p)
-				}
-			}
-		case *Binary:
-			walk(v.L)
-			walk(v.R)
-		case *Unary:
-			walk(v.X)
-		case *Call:
-			for _, a := range v.Args {
-				walk(a)
-			}
-		}
-	}
-	walk(e)
-	return tol
 }
 
 // linForm is an intermediate linear combination a + b*@ts + c*now().

@@ -55,59 +55,6 @@ func TestCompileFreshnessMargins(t *testing.T) {
 	}
 }
 
-func TestFreshnessToleranceTimeInvariant(t *testing.T) {
-	form, ok := CompileFreshness(lastPred(t, "/nb[@ts >= now() - 60]"))
-	if !ok {
-		t.Fatal("canonical predicate did not compile")
-	}
-	if tol, inv := form.Tolerance(); !inv || math.Abs(tol-60) > 1e-9 {
-		t.Fatalf("Tolerance = %v, %v; want 60, true", tol, inv)
-	}
-	// Absolute-time floors are not time-invariant: their slack shrinks as
-	// the wall clock advances, so no fixed lag bound is safe.
-	form, ok = CompileFreshness(lastPred(t, "/nb[@ts >= 100]"))
-	if !ok {
-		t.Fatal("absolute floor did not compile")
-	}
-	if _, inv := form.Tolerance(); inv {
-		t.Fatal("absolute floor should not be time-invariant")
-	}
-}
-
-func TestFreshnessToleranceQuery(t *testing.T) {
-	parse := func(q string) Expr {
-		t.Helper()
-		e, err := Parse(q)
-		if err != nil {
-			t.Fatalf("parse %q: %v", q, err)
-		}
-		return e
-	}
-	cases := []struct {
-		q   string
-		tol float64
-	}{
-		// No freshness predicate: any replica may serve.
-		{"/usRegion[@id='NE']/city[@id='P']/block[price >= 5]", math.Inf(1)},
-		// Canonical tolerance surfaces directly.
-		{"/city[@id='P']/nb[@ts >= now() - 60]", 60},
-		// The tightest conjunct wins across steps.
-		{"/city[@ts >= now() - 120]/nb[@ts >= now() - 30]", 30},
-		// Nested location-path predicates are found too.
-		{"/city[@id='P']/nb[block[@ts >= now() - 45]/price >= 5]", 45},
-		// Uncompilable timestamp use forces strict owner routing.
-		{"/city[@id='P']/nb[@ts = now()]", 0},
-		{"/city[@id='P']/nb[@ts >= now() - 30 or price >= 5]", 0},
-		// Absolute floors are strict: no fixed lag bound is safe.
-		{"/city[@id='P']/nb[@ts >= 100]", 0},
-	}
-	for _, c := range cases {
-		if got := FreshnessTolerance(parse(c.q)); got != c.tol && math.Abs(got-c.tol) > 1e-9 {
-			t.Errorf("FreshnessTolerance(%q) = %v, want %v", c.q, got, c.tol)
-		}
-	}
-}
-
 func TestCompileFreshnessRejects(t *testing.T) {
 	for _, q := range []string{
 		"/nb[@ts <= now() - 60]",                      // B < 0: holds *longer* as data ages
