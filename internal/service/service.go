@@ -45,10 +45,6 @@ type Frontend struct {
 	// trace-overhead benchmark, which measures tracing cost without
 	// inspecting the trees.
 	Trace bool
-	// WatchFailureBudget is how many consecutive evaluation failures a
-	// standing query (WatchQuery) tolerates before terminating. Zero uses
-	// DefaultWatchFailureBudget.
-	WatchFailureBudget int
 
 	callOnce sync.Once
 	call     *transport.Caller

@@ -3,7 +3,6 @@ package site
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"irisnet/internal/fragment"
 	"irisnet/internal/qeg"
@@ -31,8 +30,8 @@ import (
 //
 // Either way the site answers KindAggregateResult with the combined
 // partial, the roll-up staleness (max over contributing partials), the
-// unreachable-subtree list and the truncation marker, and caching sites
-// remember complete answers in the summary cache (summary.go).
+// unreachable-subtree list and the truncation marker. Nothing is cached: a
+// repeated aggregate runs the pushdown again, one AggPayload per link.
 
 // aggAnswer is what an aggregate subrequest fetches: the answering site's
 // combined partial state and the roll-ups that travel with it.
@@ -70,26 +69,6 @@ func (s *Site) handleAggregate(ctx context.Context, msg *Message, reqBytes int, 
 		return forwarded
 	}
 	now := s.cfg.Clock()
-
-	// Summary cache: a fresh-enough cached combined partial answers the
-	// query without any evaluation or communication. Bypass reads under
-	// CacheBypass, like the raw cache.
-	if s.summaries != nil && !s.cfg.CacheBypass {
-		if partial, age, ok := s.summaries.get(msg.Query, now); ok {
-			s.Metrics.SummaryHits.Inc()
-			s.Metrics.CacheHits.Inc()
-			s.Metrics.AnswerStaleness.Observe(age)
-			res := &Message{Kind: KindAggregateResult,
-				Agg: &AggPayload{Fn: aggQ.Fn.String(), Partial: partial, AgeMaxSec: age}}
-			if h.span != nil {
-				h.span.DurationUS = time.Since(h.t0).Microseconds()
-				h.span.CacheHit = true
-				finishSpan(h.span, h.stats)
-				res.Span = h.span
-			}
-			return res
-		}
-	}
 
 	plans, err := h.compile(inner)
 	if err != nil {
@@ -186,36 +165,6 @@ func (s *Site) handleAggregate(ctx context.Context, msg *Message, reqBytes int, 
 		s.Metrics.GatherBytesSaved.Add(int64(rawBytes))
 	}
 
-	// Cache the combined answer — complete answers only, and only when every
-	// consistency predicate's freshness margin is measurable (otherwise a
-	// later hit could not be gated).
-	if s.summaries != nil && !h.truncated && len(h.unreachable) == 0 {
-		if forms, ok := consForms(plans); ok {
-			if scope, err := qeg.LCAPath(inner); err == nil {
-				s.summaries.put(msg.Query, scope, partial, ageMax, now, forms)
-			}
-		}
-	}
-
 	return h.finish(ctx, &Message{Kind: KindAggregateResult,
 		Agg: &AggPayload{Fn: aggQ.Fn.String(), Partial: partial, AgeMaxSec: ageMax}}, 0)
-}
-
-// consForms collects the compiled freshness forms of every consistency
-// predicate across the plans; ok is false when any predicate is outside the
-// compilable subset (its margin cannot be measured, so answers must not be
-// summary-cached).
-func consForms(plans []*qeg.Plan) ([]*xpath.FreshnessForm, bool) {
-	var forms []*xpath.FreshnessForm
-	for _, p := range plans {
-		for _, st := range p.Steps {
-			for i := range st.ConsPreds {
-				if i >= len(st.ConsForms) || st.ConsForms[i] == nil {
-					return nil, false
-				}
-				forms = append(forms, st.ConsForms[i])
-			}
-		}
-	}
-	return forms, true
 }

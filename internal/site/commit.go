@@ -94,19 +94,14 @@ func forwardIn(migrated map[string]string, p xmldb.IDPath) (string, bool) {
 	return "", false
 }
 
-// txn is one transaction in progress: the next store version, the tables
-// published with it, and what commitLocked tells the summary cache afterwards.
+// txn is one transaction in progress: the next store version and the tables
+// published with it.
 type txn struct {
 	store    *fragment.Store // the published version, until a command writes it
 	w        *fragment.COW   // nil until then
 	owned    map[string]bool
 	migrated map[string]string
 	private  bool // owned and migrated are this transaction's copies
-	// touched lists the owned nodes whose local information changed, so
-	// aggregate summaries over them are stale. reshaped marks an ownership or
-	// structure change, after which no cached summary can be trusted.
-	touched  []xmldb.IDPath
-	reshaped bool
 }
 
 // cow returns the copy-on-write transaction on the published version,
@@ -126,7 +121,6 @@ func (tx *txn) tables() (map[string]bool, map[string]string) {
 	if !tx.private {
 		tx.owned, tx.migrated, tx.private = maps.Clone(tx.owned), maps.Clone(tx.migrated), true
 	}
-	tx.reshaped = true
 	return tx.owned, tx.migrated
 }
 
@@ -172,10 +166,10 @@ func (s *Site) commit(cmds ...walOp) (uint64, error) {
 }
 
 // commitLocked is the site's one commit point. With wmu held it opens a
-// transaction on the published version, applies the commands,
-// appends their single WAL record, publishes the next version, and tells the
-// summary cache what it touched. Append and publish share the one wmu hold,
-// which is the whole of the checkpoint consistency invariant (durable.go).
+// transaction on the published version, applies the commands, appends their
+// single WAL record and publishes the next version; a failed append
+// publishes nothing. Append and publish share the one wmu hold, which is the
+// whole of the checkpoint consistency invariant (durable.go).
 //
 // replayOf is the LSN of the record being replayed during recovery, 0 on a
 // live commit. Replay decodes each command first, logs and skips one that
@@ -218,16 +212,11 @@ func (s *Site) commitLocked(cmds []walOp, replayOf uint64) (uint64, error) {
 	if tx.w != nil {
 		tx.store = tx.w.Commit()
 	}
-	lsn := s.walAppend(cmds)
-	s.publishLocked(&siteState{store: tx.store, owned: tx.owned, migrated: tx.migrated})
-	if s.summaries != nil {
-		for _, p := range tx.touched {
-			s.summaries.invalidate(p)
-		}
-		if tx.reshaped {
-			s.summaries.flush()
-		}
+	lsn, err := s.walAppend(cmds)
+	if err != nil {
+		return 0, err
 	}
+	s.publishLocked(&siteState{store: tx.store, owned: tx.owned, migrated: tx.migrated})
 	return lsn, nil
 }
 
@@ -260,7 +249,6 @@ func (s *Site) apply(tx *txn, c *walOp) error {
 		if err := tx.cow().ApplyUpdate(c.path, c.Fields, c.Attrs, c.TS); err != nil {
 			return fmt.Errorf("site %s: owned node %s missing from store", s.cfg.Name, c.path)
 		}
-		tx.touched = append(tx.touched, c.path)
 	case opSchema:
 		return s.schemaApply(tx, c)
 	case opMerge:

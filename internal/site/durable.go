@@ -139,39 +139,42 @@ type durability struct {
 }
 
 // walAppend encodes one transaction's commands and appends them to the WAL
-// as one record. Nil-safe: returns 0 when durability is off or the append
-// fails (the failure is logged; the in-memory commit proceeds — availability
-// over durability for a sick disk).
-func (s *Site) walAppend(cmds []walOp) uint64 {
+// as one record. It returns LSN 0 when durability is off. An error abandons
+// the commit: what is not logged is not published, so a site on a failed
+// disk takes no more writes (the log latches its first failure).
+func (s *Site) walAppend(cmds []walOp) (uint64, error) {
 	if s.dur == nil {
-		return 0
+		return 0, nil
 	}
 	for i := range cmds {
 		cmds[i].encode()
 	}
 	b, err := json.Marshal(walRecord{Ops: cmds})
 	if err != nil {
-		s.log.Error("wal encode failed", slog.String("err", err.Error()))
-		return 0
+		return 0, fmt.Errorf("site %s: wal encode: %w", s.cfg.Name, err)
 	}
 	lsn, err := s.dur.log.Append(b)
 	if err != nil {
 		s.log.Error("wal append failed", slog.String("err", err.Error()))
-		return 0
+		return 0, fmt.Errorf("site %s: wal append: %w", s.cfg.Name, err)
 	}
-	return lsn
+	return lsn, nil
 }
 
 // walWait blocks until the record at lsn is durable per the fsync policy.
 // Acked writes call it after releasing the writer mutex, so group commit
-// batches concurrent writers behind one fsync.
-func (s *Site) walWait(lsn uint64) {
+// batches concurrent writers behind one fsync. An error means the write is
+// published but may not survive a crash; the writer replies with it, not
+// with an ack.
+func (s *Site) walWait(lsn uint64) error {
 	if s.dur == nil || lsn == 0 {
-		return
+		return nil
 	}
 	if err := s.dur.log.Sync(lsn); err != nil {
 		s.log.Error("wal fsync failed", slog.String("err", err.Error()))
+		return fmt.Errorf("site %s: wal fsync: %w", s.cfg.Name, err)
 	}
+	return nil
 }
 
 // RecoverySeconds reports how long the last restart's recovery took (0

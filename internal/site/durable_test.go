@@ -389,6 +389,35 @@ func TestDurableAckedUpdateSurvivesCrash(t *testing.T) {
 	}
 }
 
+// TestDurableFailedLogRefusesUpdate fails the log underneath a durable site:
+// an update it can no longer log must get an error, not an ack, and must not
+// become visible.
+func TestDurableFailedLogRefusesUpdate(t *testing.T) {
+	h := newDurHarness(t, "solo")
+	s, _ := h.start(t, "solo", filepath.Join(t.TempDir(), "solo"), nil)
+	target := h.db.SpacePaths[1]
+	old := s.StoreSnapshot().NodeAt(target).Canonical()
+	if err := s.dur.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	msg := &Message{Kind: KindUpdate, Path: target.String(), Fields: map[string]string{"available": "never-logged"}}
+	respB, err := h.net.Call("solo", msg.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := DecodeMessage(respB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.AsError() == nil {
+		t.Fatalf("update acked (%s) although its WAL record could not be written", resp.Kind)
+	}
+	if got := s.StoreSnapshot().NodeAt(target).Canonical(); got != old {
+		t.Fatalf("unlogged update published:\n got %s\nwant %s", got, old)
+	}
+}
+
 // TestDurableTornCheckpointFallsBack corrupts the newest checkpoint and
 // verifies recovery falls back to the older one plus a longer log replay,
 // still landing byte-identical.

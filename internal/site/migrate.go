@@ -81,7 +81,9 @@ func (s *Site) Delegate(path xmldb.IDPath, newOwner string) error {
 	}
 	// Rare control-plane op: waiting under wmu is acceptable, and the
 	// registry repoint below must not outrun the durable forwarding table.
-	s.walWait(lsn)
+	if err := s.walWait(lsn); err != nil {
+		return err
+	}
 	if s.cfg.Registry != nil {
 		for _, p := range transfer {
 			s.cfg.Registry.Set(naming.DNSName(p, s.cfg.Service), newOwner)
@@ -141,6 +143,8 @@ func (s *Site) handleTake(msg *Message) *Message {
 	}
 	// The old owner downgrades its copy on this ack; the accepted
 	// ownership must be durable before that happens.
-	s.walWait(lsn)
+	if err := s.walWait(lsn); err != nil {
+		return errorMessage(err)
+	}
 	return &Message{Kind: KindOK}
 }

@@ -133,9 +133,6 @@ func (s *Site) schemaApply(tx *txn, c *walOp) error {
 		return fmt.Errorf("site %s: unknown schema op %q", site, op)
 	}
 	fragment.SetTimestamp(n, c.TS)
-	// A schema change can add or remove aggregate matches anywhere under the
-	// changed node; flushing the summaries is simpler than reasoning per op.
-	tx.touched, tx.reshaped = append(tx.touched, p), true
 	return nil
 }
 
@@ -160,7 +157,9 @@ func (s *Site) SchemaChange(op SchemaOp, p xmldb.IDPath, args map[string]string)
 		return err
 	}
 	// The DNS registration below must not outrun the durable schema change.
-	s.walWait(lsn)
+	if err := s.walWait(lsn); err != nil {
+		return err
+	}
 	if op == OpAddIDable && s.cfg.Registry != nil {
 		s.cfg.Registry.Set(naming.DNSName(p.Child(args["name"], args["id"]), s.cfg.Service), s.cfg.Name)
 	}

@@ -151,8 +151,6 @@ type Metrics struct {
 	// kept off the wire: per hop, the serialized fragment the raw path
 	// would have shipped upstream minus the compact partial actually sent.
 	GatherBytesSaved metrics.Counter
-	// SummaryHits counts aggregate queries answered from the summary cache.
-	SummaryHits metrics.Counter
 	// WALAppends/WALBytes/WALFsyncs count write-ahead-log activity on
 	// durable sites; Checkpoints counts completed checkpoints.
 	WALAppends  metrics.Counter
@@ -206,7 +204,6 @@ func (s *Site) Register(r *metrics.Registry) {
 	r.RegisterCounter("irisnet_aggregate_pushdowns_total", "Aggregate queries answered with decomposed partial aggregation.", l, &m.AggregatePushdowns)
 	r.RegisterCounter("irisnet_aggregate_fallbacks_total", "Aggregate queries answered via raw gather plus local aggregation.", l, &m.AggregateFallbacks)
 	r.RegisterCounter("irisnet_gather_bytes_saved_total", "Fragment bytes kept off the wire by partial aggregation.", l, &m.GatherBytesSaved)
-	r.RegisterCounter("irisnet_aggregate_summary_hits_total", "Aggregate queries answered from the summary cache.", l, &m.SummaryHits)
 	r.RegisterCounter("irisnet_wal_appends_total", "Write-ahead-log records appended.", l, &m.WALAppends)
 	r.RegisterCounter("irisnet_wal_bytes_total", "Write-ahead-log bytes appended (framed).", l, &m.WALBytes)
 	r.RegisterCounter("irisnet_wal_fsyncs_total", "Write-ahead-log fsyncs issued.", l, &m.WALFsyncs)
@@ -214,13 +211,6 @@ func (s *Site) Register(r *metrics.Registry) {
 	r.RegisterSizeHistogram("irisnet_checkpoint_seconds", "Per-checkpoint wall time.", l, m.CheckpointSeconds)
 	r.GaugeFunc("irisnet_recovery_seconds", "Duration of the last restart recovery (0 = cold or in-memory).", l,
 		s.RecoverySeconds)
-	r.GaugeFunc("irisnet_summary_cache_bytes", "Accounted bytes of cached aggregate summaries.", l,
-		func() float64 {
-			if s.summaries == nil {
-				return 0
-			}
-			return float64(s.summaries.Bytes())
-		})
 	r.RegisterSizeHistogram("irisnet_subquery_batch_size", "Entries per subquery message.", l, m.BatchSize)
 	r.RegisterSizeHistogram("irisnet_answer_staleness_seconds", "Per-answer maximum age of contributing cached units.", l, m.AnswerStaleness)
 	r.RegisterSizeHistogram("irisnet_cache_age_seconds", "Per-answer mean age of contributing cached units.", l, m.CacheAge)
@@ -275,11 +265,6 @@ type Site struct {
 	rawKind *subKind[rawAnswer]
 	aggKind *subKind[aggAnswer]
 
-	// summaries is the aggregate summary cache: combined partial-aggregate
-	// answers kept by caching sites so repeated aggregate queries skip the
-	// gather entirely (summary.go); nil unless cfg.Caching.
-	summaries *summaryCache
-
 	// cache is the budget/eviction policy state; nil unless the site
 	// caches with CacheBudgetBytes set (cache.go).
 	cache        *cacheManager
@@ -325,9 +310,6 @@ func New(cfg Config, rootName, rootID string) *Site {
 		flights: newFlightGroup[fetched[aggAnswer]](), decode: decodeAgg}
 	if cfg.Caching && cfg.CacheBudgetBytes > 0 {
 		s.cache = newCacheManager()
-	}
-	if cfg.Caching {
-		s.summaries = newSummaryCache(cfg.CacheBudgetBytes)
 	}
 	s.state.Store(&siteState{
 		store:    fragment.NewStore(rootName, rootID).Seal(),
@@ -940,7 +922,9 @@ func (s *Site) handleUpdate(ctx context.Context, msg *Message) *Message {
 		// record is on disk (group commit — concurrent updates share one
 		// fsync). The writer mutex is long released, so fsync latency never
 		// serializes other commits.
-		s.walWait(lsn)
+		if err := s.walWait(lsn); err != nil {
+			return errorMessage(err)
+		}
 		s.Metrics.Updates.Inc()
 		return &Message{Kind: KindOK}
 	}

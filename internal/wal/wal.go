@@ -21,6 +21,10 @@
 // group commit — concurrent callers pile up behind one fsync and all
 // observe it; with a positive FsyncInterval, Sync returns immediately and a
 // background loop fsyncs on a timer (relaxed durability).
+//
+// The first failed write or fsync is latched: a torn frame may now sit at
+// the tail, and replay stops there, so every later Append, Sync of a record
+// not yet durable, and Rotate returns that error.
 package wal
 
 import (
@@ -80,6 +84,7 @@ type Log struct {
 	segStart uint64 // first LSN of the active segment
 	nextLSN  uint64
 	closed   bool
+	err      error // first write or fsync failure, latched
 
 	syncMu sync.Mutex
 	synced atomic.Uint64 // highest LSN known durable
@@ -307,9 +312,9 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	buf := make([]byte, headerSize+len(payload))
 
 	l.mu.Lock()
-	if l.closed {
+	if err := l.unusableLocked(); err != nil {
 		l.mu.Unlock()
-		return 0, ErrClosed
+		return 0, err
 	}
 	lsn := l.nextLSN
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
@@ -317,6 +322,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	binary.LittleEndian.PutUint32(buf[12:16], crc32.Checksum(payload, castagnoli))
 	copy(buf[headerSize:], payload)
 	if _, err := l.f.Write(buf); err != nil {
+		l.err = err
 		l.mu.Unlock()
 		return 0, err
 	}
@@ -330,14 +336,17 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 }
 
 // Sync blocks until the record at lsn is durable. Under a positive
-// FsyncInterval it returns immediately (relaxed mode). Concurrent callers
-// in strict mode coalesce into one fsync (group commit).
+// FsyncInterval it returns immediately (relaxed mode) unless the log has
+// failed. Concurrent callers in strict mode coalesce into one fsync (group
+// commit).
 func (l *Log) Sync(lsn uint64) error {
 	if l.synced.Load() >= lsn {
 		return nil
 	}
 	if l.opts.FsyncInterval > 0 {
-		return nil
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.err
 	}
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -351,15 +360,20 @@ func (l *Log) Sync(lsn uint64) error {
 // fsyncs the active segment, and publishes the new durable watermark.
 func (l *Log) fsyncLocked() error {
 	l.mu.Lock()
-	if l.closed {
+	if err := l.unusableLocked(); err != nil {
 		l.mu.Unlock()
-		return ErrClosed
+		return err
 	}
 	f := l.f
 	top := l.nextLSN - 1
 	l.mu.Unlock()
 
 	if err := f.Sync(); err != nil {
+		l.mu.Lock()
+		if l.err == nil {
+			l.err = err
+		}
+		l.mu.Unlock()
 		return err
 	}
 	l.synced.Store(top)
@@ -387,6 +401,15 @@ func (l *Log) fsyncLoop() {
 	}
 }
 
+// unusableLocked requires mu held. It returns why the log takes no more
+// writes: closed, or a latched failure.
+func (l *Log) unusableLocked() error {
+	if l.closed {
+		return ErrClosed
+	}
+	return l.err
+}
+
 func (l *Log) frontier() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -407,8 +430,9 @@ func (l *Log) Rotate() (uint64, error) {
 	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
+	if err := l.unusableLocked(); err != nil {
+		// A fresh segment after a torn frame would be deleted on Open.
+		return 0, err
 	}
 	boundary := l.nextLSN - 1
 	if l.nextLSN == l.segStart {
@@ -417,6 +441,7 @@ func (l *Log) Rotate() (uint64, error) {
 		return boundary, nil
 	}
 	if err := l.f.Sync(); err != nil {
+		l.err = err
 		return 0, err
 	}
 	if err := l.f.Close(); err != nil {

@@ -281,6 +281,50 @@ func TestAbandonThenReopen(t *testing.T) {
 	}
 }
 
+// TestWriteFailureLatches fails one append by swapping the active segment
+// for a read-only handle. Restoring the handle must not make the log usable
+// again: the failed write may have left a torn frame at the tail.
+func TestWriteFailureLatches(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	lsn, err := l.Append([]byte("durable"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(lsn); err != nil {
+		t.Fatal(err)
+	}
+
+	rw := l.f
+	ro, err := os.Open(rw.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	l.f = ro
+	_, first := l.Append([]byte("fails"))
+	if first == nil {
+		t.Fatal("append to a read-only segment succeeded")
+	}
+	l.f = rw
+
+	if _, err := l.Append([]byte("after")); err != first {
+		t.Fatalf("append after a failed write = %v, want the latched %v", err, first)
+	}
+	if err := l.Sync(lsn + 1); err != first {
+		t.Fatalf("sync after a failed write = %v, want the latched %v", err, first)
+	}
+	if _, err := l.Rotate(); err != first {
+		t.Fatalf("rotate after a failed write = %v, want the latched %v", err, first)
+	}
+	if err := l.Sync(lsn); err != nil {
+		t.Fatalf("sync of a record made durable before the failure: %v", err)
+	}
+}
+
 func TestConcurrentAppendSync(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := Open(dir, Options{})

@@ -263,20 +263,6 @@ func (d *Deployment) SchemaChange(op SchemaOp, path string, args map[string]stri
 	return owner.SchemaChange(op, p, args)
 }
 
-// Watch is a standing (continuous) query handle; see Frontend.WatchQuery.
-type Watch = service.Watch
-
-// Change is one delivered transition of a watched query's answer.
-type Change = service.Change
-
-// Watch registers a continuous query, re-evaluated every interval; a
-// Change arrives on the handle's channel whenever the answer set changes.
-// Continuous queries are the first extension the paper's conclusion calls
-// out; combined with caching, repeated evaluations stay cheap.
-func (d *Deployment) Watch(query string, interval time.Duration) (*Watch, error) {
-	return d.frontend.WatchQuery(query, interval)
-}
-
 // Sites returns the deployment's site names.
 func (d *Deployment) Sites() []string { return d.assign.Sites() }
 

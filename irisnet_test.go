@@ -3,7 +3,6 @@ package irisnet
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 const demoDoc = `
@@ -244,27 +243,5 @@ func TestDeploymentSchemaChange(t *testing.T) {
 	// Errors propagate.
 	if err := d.SchemaChange(OpSetAttrs, "not a path", nil); err == nil {
 		t.Fatal("bad path should error")
-	}
-}
-
-func TestDeploymentWatch(t *testing.T) {
-	d := demo(t, true)
-	space := pgh + "/neighborhood[@id='Shadyside']/block[@id='1']/parkingSpace[@id='1']"
-	q := pgh + "/neighborhood[@id='Shadyside']/block[@id='1']/parkingSpace[available='taken-soon']"
-	w, err := d.Watch(q, 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Stop()
-	if err := d.Update(space, map[string]string{"available": "taken-soon"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ch := <-w.C:
-		if len(ch.Added) != 1 {
-			t.Fatalf("change = %+v", ch)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("watch delivered nothing")
 	}
 }

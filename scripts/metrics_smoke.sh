@@ -51,8 +51,7 @@ for series in irisnet_queries_total irisnet_cache_hits_total irisnet_cache_misse
     irisnet_predicate_margin_seconds irisnet_answer_cache_bytes_total \
     irisnet_answer_owned_bytes_total irisnet_answer_fetched_bytes_total \
     irisnet_aggregate_pushdowns_total irisnet_aggregate_fallbacks_total \
-    irisnet_gather_bytes_saved_total irisnet_aggregate_summary_hits_total \
-    irisnet_summary_cache_bytes \
+    irisnet_gather_bytes_saved_total \
     irisnet_cache_merge_commits_total irisnet_cache_merged_fragments_total \
     irisnet_process_heap_live_bytes irisnet_process_gc_cycles_total; do
     if ! printf '%s\n' "$METRICS" | grep -q "^$series"; then
