@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci build fmt vet lint test race-stress fuzz bench-smoke metrics-smoke durability-smoke perf-gate bench-e2e bench-compare
+.PHONY: ci build fmt vet lint test race-stress fuzz bench-smoke metrics-smoke durability-smoke base-commit-check perf-gate bench-e2e bench-compare
 
-ci: build fmt lint test race-stress fuzz bench-smoke metrics-smoke durability-smoke perf-gate
+ci: build fmt lint test race-stress fuzz bench-smoke metrics-smoke durability-smoke base-commit-check perf-gate
 
 build:
 	$(GO) build ./...
@@ -61,11 +61,18 @@ metrics-smoke:
 durability-smoke:
 	./scripts/durability_smoke.sh
 
-# Benchmarks HEAD against its merge base, the two taking turns one sample at
-# a time, and fails when a watched benchmark (PATTERN in
-# scripts/perf_gate.sh, the one list of them) is >15% slower in the median
-# with every new sample slower than every old one. benchstat renders the
-# comparison when installed; cmd/benchgate decides the verdict either way.
+# The base-commit rule that perf-gate and bench-compare share
+# (scripts/base_commit.sh), run in a throwaway git repository: staged-only
+# changes count as the change, a stray untracked file does not.
+base-commit-check:
+	./scripts/base_commit_check.sh
+
+# Benchmarks HEAD against its base commit (scripts/base_commit.sh), the two
+# taking turns one sample at a time, and fails when a watched benchmark
+# (PATTERN in scripts/perf_gate.sh, the one list of them) is >15% slower
+# in the median with every new sample slower than every old one. benchstat
+# renders the comparison when installed; cmd/benchgate decides the verdict
+# either way.
 perf-gate:
 	./scripts/perf_gate.sh
 

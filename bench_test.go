@@ -22,6 +22,7 @@ import (
 	"irisnet/internal/qeg"
 	"irisnet/internal/sensor"
 	"irisnet/internal/site"
+	"irisnet/internal/transport"
 	"irisnet/internal/workload"
 	"irisnet/internal/xmldb"
 )
@@ -289,7 +290,7 @@ func BenchmarkFigure11(b *testing.B) {
 	for _, v := range variants {
 		for _, lvl := range levels {
 			b.Run(v.name+"/entry-"+lvl.name, func(b *testing.B) {
-				cfg := cluster.Config{DB: v.db, Latency: 50 * time.Microsecond}
+				cfg := cluster.Config{DB: v.db, Net: transport.SimConfig{Latency: 50 * time.Microsecond}}
 				cfg.Site.NaivePlans = v.naive
 				c, err := cluster.New(cluster.Hierarchical, cfg)
 				if err != nil {
@@ -431,7 +432,7 @@ func BenchmarkSiteQueryMessage(b *testing.B) {
 	msg := (&site.Message{Kind: site.KindQuery, Query: q}).Encode()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dep.net.Call("solo", msg); err != nil {
+		if _, err := dep.c.Net.Call("solo", msg); err != nil {
 			b.Fatal(err)
 		}
 	}

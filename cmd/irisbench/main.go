@@ -453,7 +453,7 @@ func runFaults() {
 	}
 	for _, sc := range scenarios {
 		cfg := baseCfg()
-		cfg.Seed = 7
+		cfg.Net.Seed = 7
 		cfg.Site.CallTimeout = 150 * time.Millisecond
 		cfg.QueryTimeout = 2 * time.Second
 		c, err := cluster.New(cluster.Hierarchical, cfg)
@@ -502,7 +502,7 @@ func runTraceOverhead() {
 	var rates [2]float64
 	for i, traced := range []bool{false, true} {
 		cfg := baseCfg()
-		cfg.Seed = 7
+		cfg.Net.Seed = 7
 		c, err := cluster.New(cluster.Hierarchical, cfg)
 		fatal(err)
 		res := c.RunLoad(cluster.LoadOpts{

@@ -230,7 +230,7 @@ func TestAggregateReflectsOwnerUpdate(t *testing.T) {
 func TestAggregatePartitionYieldsPartialAnswer(t *testing.T) {
 	cfg := Config{
 		DB:           tinyDB(),
-		Seed:         11,
+		Net:          transport.SimConfig{Seed: 11},
 		QueryTimeout: 3 * time.Second,
 		Site:         site.Config{CallTimeout: 150 * time.Millisecond, Retry: transport.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}},
 	}

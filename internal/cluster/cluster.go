@@ -16,6 +16,7 @@ import (
 	"irisnet/internal/transport"
 	"irisnet/internal/workload"
 	"irisnet/internal/xmldb"
+	"irisnet/internal/xpath"
 )
 
 // Architecture enumerates Figure 6's alternatives.
@@ -56,37 +57,28 @@ func (a Architecture) String() string {
 // CentralSite is the name of the central server in architectures 1-3.
 const CentralSite = "central"
 
+// dnsTTL is the TTL of every DNS client a cluster hands out: an hour, so
+// name lookups stay cached for a whole run unless a delegation re-points
+// them.
+const dnsTTL = time.Hour
+
 // Config tunes a simulated cluster.
 type Config struct {
 	// DB sizes the parking database; zero value uses the paper's 2,400
 	// spaces.
 	DB workload.DBConfig
-	// Latency and Jitter configure the simulated network (one-way).
-	Latency time.Duration
-	Jitter  time.Duration
-	// PerMessage is the fixed per-message transmission overhead charged
-	// serially per destination link (see transport.SimConfig.PerMessage).
-	PerMessage time.Duration
-	// Bandwidth is the simulated link throughput in bytes per second; zero
-	// keeps message size free (see transport.SimConfig.Bandwidth).
-	Bandwidth float64
+	// Net is the simulated network every site and frontend shares: the
+	// one-way latency that stands in for the paper's LAN, and the seed of
+	// its fault schedules (fault-injection runs are reproducible).
+	Net transport.SimConfig
 	// BlockSites is the number of worker sites holding blocks in
 	// architectures 2 and 3 (paper: 8, for 9 machines total).
 	BlockSites int
-	// DNSTTL is the client-side DNS cache TTL.
-	DNSTTL time.Duration
-	// Seed feeds the simulated network's jitter and fault schedules, making
-	// fault-injection runs reproducible. Zero uses the transport default.
-	Seed int64
 	// QueryTimeout is the end-to-end deadline frontends put on each query;
 	// zero means none. Keep Site.CallTimeout well below it so a site can
 	// give up on one peer, mark it unreachable and still answer partially
 	// in time.
 	QueryTimeout time.Duration
-	// ForceEntry routes every frontend query through the named site
-	// regardless of architecture (e.g. the root site, to concentrate misses
-	// on one cache). Empty keeps the per-architecture default.
-	ForceEntry string
 	// Site is the template every site of the cluster is built from: each
 	// site option is a site.Config field and is set here (Site.Caching,
 	// Site.CallTimeout, ...). The cluster fills Name, Service, Net, DNS,
@@ -102,9 +94,6 @@ func (c Config) withDefaults() Config {
 	if c.BlockSites == 0 {
 		c.BlockSites = 8
 	}
-	if c.DNSTTL == 0 {
-		c.DNSTTL = time.Hour
-	}
 	return c
 }
 
@@ -115,11 +104,16 @@ type Cluster struct {
 	Net      *transport.SimNet
 	Registry *naming.Registry
 	Sites    map[string]*site.Site
-	DB       *workload.DB
-	Assign   *fragment.Assignment
+	// DB is the parking database the cluster was built from; nil for a
+	// cluster started from any other document (see Start).
+	DB     *workload.DB
+	Assign *fragment.Assignment
 	// Metrics is the process-wide metrics registry every site registers
 	// into (one label set per site), served by ServeAdmin at /metrics.
 	Metrics *metrics.Registry
+
+	service string
+	schema  *xpath.Schema
 }
 
 // ServeAdmin starts the observability HTTP endpoint (/metrics, /healthz,
@@ -141,31 +135,54 @@ func (c *Cluster) ServeAdmin(addr string) (*service.Admin, string, error) {
 func New(arch Architecture, cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	db := workload.Build(cfg.DB)
-	return start(arch, cfg, db, buildAssignment(arch, db, cfg))
+	return startParking(arch, cfg, db, buildAssignment(arch, db, cfg))
 }
 
-// start partitions db by assign and runs one site per partition.
-func start(arch Architecture, cfg Config, db *workload.DB, assign *fragment.Assignment) (*Cluster, error) {
+// startParking starts the parking database db under assign.
+func startParking(arch Architecture, cfg Config, db *workload.DB, assign *fragment.Assignment) (*Cluster, error) {
+	c, err := Start(arch, cfg, db.Doc, db.Schema, workload.Service, assign)
+	if err != nil {
+		return nil, err
+	}
+	c.DB = db
+	return c, nil
+}
+
+// Start is the one in-process builder: it partitions doc by assign, runs
+// one site per partition on a SimNet built from cfg.Net, and registers
+// every IDable node of doc under service with a shared name registry.
+// Sites are built from the cfg.Site template (see siteConfig); arch only
+// decides where frontends enter (see NewFrontend).
+func Start(arch Architecture, cfg Config, doc *xmldb.Node, schema *xpath.Schema, service string, assign *fragment.Assignment) (*Cluster, error) {
 	c := &Cluster{
 		Arch:     arch,
 		Cfg:      cfg,
-		Net:      transport.NewSimNet(transport.SimConfig{Latency: cfg.Latency, Jitter: cfg.Jitter, PerMessage: cfg.PerMessage, Bandwidth: cfg.Bandwidth, Seed: cfg.Seed}),
+		Net:      transport.NewSimNet(cfg.Net),
 		Registry: naming.NewRegistry(),
 		Sites:    map[string]*site.Site{},
-		DB:       db,
 		Assign:   assign,
 		Metrics:  metrics.NewRegistry(),
+		service:  service,
+		schema:   schema,
 	}
-	stores, owned, err := fragment.Partition(db.Doc, assign)
+	stores, owned, err := fragment.Partition(doc, assign)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: partition: %w", err)
 	}
 	for _, name := range assign.Sites() {
-		if _, err := c.startSite(c.siteConfig(name), stores[name], owned[name]); err != nil {
+		s := site.New(c.siteConfig(name), doc.Name, doc.ID())
+		if _, err := s.Recover(stores[name], owned[name]); err != nil {
+			c.Close()
+			return nil, fmt.Errorf("cluster: recovering site %s: %w", name, err)
+		}
+		if err := s.Start(); err != nil {
+			c.Close()
 			return nil, err
 		}
+		s.Register(c.Metrics)
+		c.Sites[name] = s
 	}
-	c.Registry.RegisterSubtree(db.Doc, workload.Service, assign.OwnerOf)
+	c.Registry.RegisterSubtree(doc, service, assign.OwnerOf)
 	return c, nil
 }
 
@@ -174,33 +191,15 @@ func start(arch Architecture, cfg Config, db *workload.DB, assign *fragment.Assi
 func (c *Cluster) siteConfig(name string) site.Config {
 	sc := c.Cfg.Site
 	sc.Name = name
-	sc.Service = workload.Service
+	sc.Service = c.service
 	sc.Net = c.Net
 	sc.DNS = c.NewResolver()
 	sc.Registry = c.Registry
-	sc.Schema = c.DB.Schema
+	sc.Schema = c.schema
 	if sc.DataDir != "" {
 		sc.DataDir = filepath.Join(sc.DataDir, name)
 	}
 	return sc
-}
-
-// startSite builds a site, recovers it from its data directory (or loads
-// store and owned when it has none) and starts it.
-func (c *Cluster) startSite(sc site.Config, store *fragment.Store, owned []xmldb.IDPath) (*site.Site, error) {
-	s := site.New(sc, workload.RootName, workload.RootID)
-	if store == nil {
-		store = fragment.NewStore(workload.RootName, workload.RootID)
-	}
-	if _, err := s.Recover(store, owned); err != nil {
-		return nil, fmt.Errorf("cluster: recovering site %s: %w", sc.Name, err)
-	}
-	if err := s.Start(); err != nil {
-		return nil, err
-	}
-	s.Register(c.Metrics)
-	c.Sites[sc.Name] = s
-	return s, nil
 }
 
 // Close stops all sites.
@@ -212,7 +211,7 @@ func (c *Cluster) Close() {
 
 // NewResolver builds a fresh DNS client against the cluster registry.
 func (c *Cluster) NewResolver() *naming.Client {
-	return naming.NewClient(c.Registry, workload.Service, c.Cfg.DNSTTL, nil)
+	return naming.NewClient(c.Registry, c.service, dnsTTL, nil)
 }
 
 // NewFrontend builds a query frontend. Architectures 1 and 2 route every
@@ -221,9 +220,6 @@ func (c *Cluster) NewFrontend() *service.Frontend {
 	f := service.NewFrontend(c.Net, c.NewResolver())
 	if c.Arch == Centralized || c.Arch == CentralQueryDistUpdate {
 		f.ForceEntry = CentralSite
-	}
-	if c.Cfg.ForceEntry != "" {
-		f.ForceEntry = c.Cfg.ForceEntry
 	}
 	if c.Cfg.Site.Clock != nil {
 		f.Clock = c.Cfg.Site.Clock
@@ -276,7 +272,7 @@ func BalancedSkewCluster(cfg Config, hotCity, hotNB int) (*Cluster, error) {
 		p := db.BlockPath(hotCity, hotNB, b)
 		assign.Assign(p, all[b%len(all)])
 	}
-	return start(Hierarchical, cfg, db, assign)
+	return startParking(Hierarchical, cfg, db, assign)
 }
 
 func siteNamesHierarchical(db *workload.DB) []string {
@@ -301,7 +297,7 @@ func (c *Cluster) UpdatePaths() []xmldb.IDPath { return c.DB.SpacePaths }
 // query and update costs in the same *ratios* so the figure shapes emerge.
 // All values sit above this host's ~1.2 ms sleep-timer floor.
 func PaperCalibration(cfg Config) Config {
-	cfg.Latency = 1500 * time.Microsecond
+	cfg.Net.Latency = 1500 * time.Microsecond
 	cfg.Site.QueryWork = 2 * time.Millisecond
 	cfg.Site.PerNodeWork = 40 * time.Microsecond
 	cfg.Site.UpdateWork = 4 * time.Millisecond

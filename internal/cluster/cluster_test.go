@@ -181,8 +181,12 @@ func TestDynamicLoadBalanceMigrates(t *testing.T) {
 	if res.Completed == 0 {
 		t.Fatal("no queries completed during load balancing")
 	}
-	if len(tl.Windows()) == 0 {
-		t.Fatal("no timeline recorded")
+	var timed int64
+	for _, n := range tl.Windows() {
+		timed += n
+	}
+	if timed != res.Completed {
+		t.Fatalf("timeline windows hold %d queries, the run completed %d", timed, res.Completed)
 	}
 	// Blocks must actually have moved off the hot site.
 	hot := c.Sites[NBSiteName(0, 0)]

@@ -64,8 +64,6 @@ type LoadOpts struct {
 	// aggregate rate (updates/sec) during the query load, as the paper's
 	// experiments do ("all architectures use the same number of SAs").
 	UpdateRate float64
-	// UpdateWorkers is the number of concurrent update senders (default 8).
-	UpdateWorkers int
 	// WarmPool is the per-type working-set size seeded into the repeat
 	// pool when HitRatio > 0 (default 24).
 	WarmPool int
@@ -76,8 +74,18 @@ type LoadOpts struct {
 	Trace bool
 }
 
+// updateWorkers is the number of concurrent sensor-update senders a load
+// run's background update stream uses.
+const updateWorkers = 8
+
 // RunLoad drives concurrent closed-loop clients against the cluster.
 func (c *Cluster) RunLoad(opts LoadOpts) LoadResult {
+	return c.runLoad(opts, nil)
+}
+
+// runLoad is the one closed-loop client loop behind every load run. tl,
+// when non-nil, records the finish time of every completed query.
+func (c *Cluster) runLoad(opts LoadOpts, tl *metrics.Timeline) LoadResult {
 	if opts.Clients <= 0 {
 		opts.Clients = 8
 	}
@@ -106,10 +114,14 @@ func (c *Cluster) RunLoad(opts LoadOpts) LoadResult {
 					errs.Add(1)
 					continue
 				}
-				res.Latency.Observe(time.Since(t0))
+				done := time.Now()
+				res.Latency.Observe(done.Sub(t0))
 				completed.Add(1)
 				if ans.Partial() {
 					partials.Add(1)
+				}
+				if tl != nil {
+					tl.Record(done)
 				}
 			}
 		}(i)
@@ -131,11 +143,7 @@ func (c *Cluster) StartBackgroundUpdates(opts LoadOpts, stop *atomic.Bool, wg *s
 	if opts.UpdateRate <= 0 {
 		return func() {}
 	}
-	workers := opts.UpdateWorkers
-	if workers <= 0 {
-		workers = 8
-	}
-	agents, err := sensor.SplitTargets(c.UpdatePaths(), workers, c.Net, c.NewResolver)
+	agents, err := sensor.SplitTargets(c.UpdatePaths(), updateWorkers, c.Net, c.NewResolver)
 	if err != nil || len(agents) == 0 {
 		return func() {}
 	}
@@ -150,7 +158,7 @@ func (c *Cluster) StartBackgroundUpdates(opts LoadOpts, stop *atomic.Bool, wg *s
 	if perTick < 1 {
 		perTick = 1
 	}
-	tokens := make(chan struct{}, 4*workers)
+	tokens := make(chan struct{}, 4*updateWorkers)
 	done := make(chan struct{})
 	wg.Add(1)
 	go func() {
@@ -410,39 +418,9 @@ func (c *Cluster) RunDynamicLoadBalance(opts LoadOpts, plan MigrationPlan, windo
 		return nil, LoadResult{}, fmt.Errorf("cluster: dynamic load balancing requires architecture 4")
 	}
 	tl := metrics.NewTimeline(time.Now(), window)
-	var completed, errs, partials atomic.Int64
+	var migErr error
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	res := LoadResult{Latency: metrics.NewHistogram(0)}
-
-	stream := newQueryStream(c.DB, opts)
-	start := time.Now()
-	stopUpdates := c.StartBackgroundUpdates(opts, &stop, &wg)
-	for i := 0; i < opts.Clients; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			fe := c.NewFrontend()
-			for !stop.Load() {
-				q := stream.next(id)
-				t0 := time.Now()
-				ans, err := fe.QueryFull(context.Background(), q)
-				if err != nil {
-					errs.Add(1)
-					continue
-				}
-				res.Latency.Observe(time.Since(t0))
-				completed.Add(1)
-				if ans.Partial() {
-					partials.Add(1)
-				}
-				tl.Record(time.Now())
-			}
-		}(i)
-	}
-
-	// Delegation driver.
-	var migErr error
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -459,15 +437,9 @@ func (c *Cluster) RunDynamicLoadBalance(opts LoadOpts, plan MigrationPlan, windo
 			time.Sleep(plan.Interval)
 		}
 	}()
-
-	time.Sleep(opts.Duration)
+	res := c.runLoad(opts, tl)
 	stop.Store(true)
-	stopUpdates()
 	wg.Wait()
-	res.Completed = completed.Load()
-	res.Errors = errs.Load()
-	res.Partials = partials.Load()
-	res.Elapsed = time.Since(start)
 	return tl, res, migErr
 }
 

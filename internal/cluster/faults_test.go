@@ -17,7 +17,7 @@ import (
 // unreachable and the healthy one answered.
 func TestPartitionedSiteYieldsPartialAnswerWithinDeadline(t *testing.T) {
 	cfg := Config{
-		Seed:         11,
+		Net:          transport.SimConfig{Seed: 11},
 		QueryTimeout: 3 * time.Second,
 		Site:         site.Config{CallTimeout: 150 * time.Millisecond, Retry: transport.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}},
 	}
@@ -69,7 +69,7 @@ func TestPartitionedSiteYieldsPartialAnswerWithinDeadline(t *testing.T) {
 // TestHealedPartitionRecovers: after Heal, the same query completes fully.
 func TestHealedPartitionRecovers(t *testing.T) {
 	cfg := Config{
-		Seed:         11,
+		Net:          transport.SimConfig{Seed: 11},
 		QueryTimeout: 3 * time.Second,
 		Site:         site.Config{CallTimeout: 150 * time.Millisecond},
 	}
@@ -109,7 +109,7 @@ func TestHealedPartitionRecovers(t *testing.T) {
 // network, queries succeed completely and the retry counters tick.
 func TestDroppedMessagesAreRetriedTransparently(t *testing.T) {
 	cfg := Config{
-		Seed:         23,
+		Net:          transport.SimConfig{Seed: 23},
 		QueryTimeout: 10 * time.Second,
 		Site:         site.Config{CallTimeout: time.Second, Retry: transport.RetryPolicy{MaxAttempts: 6, BaseBackoff: time.Millisecond}},
 	}
@@ -148,7 +148,7 @@ func TestDroppedMessagesAreRetriedTransparently(t *testing.T) {
 func TestFaultRunsAreReproducible(t *testing.T) {
 	run := func() []bool {
 		cfg := Config{
-			Seed:         77,
+			Net:          transport.SimConfig{Seed: 77},
 			QueryTimeout: 2 * time.Second,
 			Site:         site.Config{CallTimeout: 50 * time.Millisecond, Retry: transport.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}},
 		}

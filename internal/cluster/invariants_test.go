@@ -108,15 +108,15 @@ func TestCacheBudgetBoundsBytesAndHitRateDeclinesInOrder(t *testing.T) {
 	arm := func(budget int64) (hitRate float64, maxBytes int64) {
 		clock := newStepClock()
 		c, err := New(Hierarchical, Config{
-			DB:         db,
-			ForceEntry: RootSiteName,
-			Site:       site.Config{Caching: true, CacheBudgetBytes: budget, Clock: clock.now},
+			DB:   db,
+			Site: site.Config{Caching: true, CacheBudgetBytes: budget, Clock: clock.now},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
 		fe := c.NewFrontend()
+		fe.ForceEntry = RootSiteName
 		root := c.Sites[RootSiteName]
 
 		cfg := c.DB.Cfg

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"irisnet/internal/site"
+	"irisnet/internal/transport"
 	"irisnet/internal/workload"
 )
 
@@ -118,9 +119,8 @@ func TestSiteTemplateReachesEverySite(t *testing.T) {
 // produced before cluster.Config carried a site.Config template.
 func TestPaperCalibrationSiteConfigGolden(t *testing.T) {
 	cfg := PaperCalibration(Config{DB: workload.PaperSmall()})
-	if cfg.Latency != 1500*time.Microsecond || cfg.Jitter != 0 || cfg.PerMessage != 0 || cfg.Bandwidth != 0 {
-		t.Fatalf("network calibration = %v/%v/%v/%v, want 1.5ms one-way and nothing else",
-			cfg.Latency, cfg.Jitter, cfg.PerMessage, cfg.Bandwidth)
+	if cfg.Net != (transport.SimConfig{Latency: 1500 * time.Microsecond}) {
+		t.Fatalf("network calibration = %+v, want 1.5ms one-way and nothing else", cfg.Net)
 	}
 	c, err := New(Hierarchical, cfg)
 	if err != nil {

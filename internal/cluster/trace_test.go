@@ -103,7 +103,7 @@ func TestTraceIDsUniqueAndStable(t *testing.T) {
 // still assembles completely.
 func TestTraceSurvivesRetries(t *testing.T) {
 	cfg := Config{
-		Seed:         23,
+		Net:          transport.SimConfig{Seed: 23},
 		QueryTimeout: 10 * time.Second,
 		Site:         site.Config{CallTimeout: time.Second, Retry: transport.RetryPolicy{MaxAttempts: 6, BaseBackoff: time.Millisecond}},
 	}
@@ -142,7 +142,7 @@ func TestTraceSurvivesRetries(t *testing.T) {
 // ancestor spans are marked partial.
 func TestTraceMarksPartialAnswers(t *testing.T) {
 	cfg := Config{
-		Seed:         11,
+		Net:          transport.SimConfig{Seed: 11},
 		QueryTimeout: 3 * time.Second,
 		Site:         site.Config{CallTimeout: 150 * time.Millisecond, Retry: transport.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}},
 	}

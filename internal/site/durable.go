@@ -244,9 +244,9 @@ func (s *Site) Recover(store *fragment.Store, owned []xmldb.IDPath) (bool, error
 	err = log.Replay(from, func(lsn uint64, payload []byte) error {
 		var r walRecord
 		if uerr := json.Unmarshal(payload, &r); uerr != nil {
-			s.log.Warn("wal replay: undecodable record skipped",
-				slog.Uint64("lsn", lsn), slog.String("err", uerr.Error()))
-			return nil
+			// The CRC passed, so this is an acked transaction the code
+			// cannot read: refuse to come up without it.
+			return fmt.Errorf("undecodable record at lsn %d: %w", lsn, uerr)
 		}
 		_, _ = s.commitLocked(r.Ops, lsn)
 		replayed++
@@ -254,6 +254,7 @@ func (s *Site) Recover(store *fragment.Store, owned []xmldb.IDPath) (bool, error
 	})
 	if err != nil {
 		s.wmu.Unlock()
+		log.Close()
 		return false, fmt.Errorf("site %s: wal replay: %w", s.cfg.Name, err)
 	}
 	if s.cache != nil {

@@ -17,6 +17,7 @@ import (
 	"irisnet/internal/fragment"
 	"irisnet/internal/naming"
 	"irisnet/internal/transport"
+	"irisnet/internal/wal"
 	"irisnet/internal/workload"
 	"irisnet/internal/xmldb"
 )
@@ -386,6 +387,47 @@ func TestDurableAckedUpdateSurvivesCrash(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("acked update lost across crash: %s", n.Canonical())
+	}
+}
+
+// TestDurableRecoveryRefusesUndecodableRecord appends a frame whose CRC
+// holds but whose payload is not a WAL record: recovery must fail and name
+// its LSN rather than come up without that transaction.
+func TestDurableRecoveryRefusesUndecodableRecord(t *testing.T) {
+	h := newDurHarness(t, "solo")
+	dir := filepath.Join(t.TempDir(), "solo")
+	s, _ := h.start(t, "solo", dir, nil)
+	h.update(t, "solo", h.db.SpacePaths[0], map[string]string{"available": "logged"}, nil)
+	s.Crash()
+
+	log, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := log.Append([]byte("not json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := New(Config{
+		Name:     "solo",
+		Service:  workload.Service,
+		Net:      h.net,
+		DNS:      naming.NewClient(h.registry, workload.Service, time.Hour, nil),
+		Registry: h.registry,
+		Schema:   h.db.Schema,
+		Clock:    h.clock,
+		DataDir:  dir,
+	}, workload.RootName, workload.RootID)
+	_, err = s2.Recover(h.stores["solo"], h.owned["solo"])
+	if err == nil {
+		t.Fatal("recovery skipped an undecodable record")
+	}
+	if want := fmt.Sprintf("lsn %d", lsn); !strings.Contains(err.Error(), want) {
+		t.Fatalf("recovery error %q does not name %s", err, want)
 	}
 }
 

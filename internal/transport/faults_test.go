@@ -155,7 +155,7 @@ func TestSimNetHealReleasesBlockedCallers(t *testing.T) {
 // TestSimNetConcurrentChurn exercises Register/Unregister/Call/SetFaults
 // concurrently; run with -race this is the transport's thread-safety test.
 func TestSimNetConcurrentChurn(t *testing.T) {
-	n := NewSimNet(SimConfig{Seed: 5, Jitter: time.Microsecond})
+	n := NewSimNet(SimConfig{Seed: 5})
 	ok := func(_ context.Context, p []byte) ([]byte, error) { return p, nil }
 	if err := n.Register("stable", ok); err != nil {
 		t.Fatal(err)

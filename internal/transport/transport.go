@@ -62,24 +62,7 @@ func Retryable(err error) bool {
 type SimConfig struct {
 	// Latency is the one-way network delay per message.
 	Latency time.Duration
-	// Jitter adds up to this much uniformly distributed extra delay.
-	Jitter time.Duration
-	// PerMessage is the fixed per-message transmission overhead (framing,
-	// per-packet kernel/NIC work) charged serially on the destination's
-	// ingress link before propagation: concurrent messages to one site
-	// queue behind each other for this long, while propagation itself
-	// overlaps. Zero (the default) keeps the pure propagation model. This
-	// is the cost a batched wire format amortizes across its entries.
-	PerMessage time.Duration
-	// Bandwidth is the link throughput in bytes per second: a request
-	// payload occupies the destination's ingress link for size/Bandwidth
-	// (serialized with PerMessage, so concurrent senders queue), and the
-	// response pays the same transfer time on its way back. Zero (the
-	// default) keeps the size-independent model where a megabyte fragment
-	// travels as fast as a scalar — set this to make answer size matter,
-	// as it does on the paper's wide-area links.
-	Bandwidth float64
-	// Seed feeds the jitter and fault sources; 0 uses a fixed default.
+	// Seed feeds the fault sources; 0 uses a fixed default.
 	Seed int64
 }
 
@@ -148,9 +131,6 @@ type SimNet struct {
 	mu       sync.RWMutex
 	handlers map[string]Handler
 	faults   map[string]*faultState
-	links    map[string]*sync.Mutex
-	rng      *rand.Rand
-	rngMu    sync.Mutex
 
 	// Traffic accounting: bytes and messages that completed a delivery
 	// (request payload plus response), read by benchmarks comparing the
@@ -170,8 +150,6 @@ func NewSimNet(cfg SimConfig) *SimNet {
 		seed:     seed,
 		handlers: map[string]Handler{},
 		faults:   map[string]*faultState{},
-		links:    map[string]*sync.Mutex{},
-		rng:      rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -273,17 +251,11 @@ func (n *SimNet) CallContext(ctx context.Context, site string, payload []byte) (
 			return nil, fmt.Errorf("%w en route to %q", ErrDropped, site)
 		}
 	}
-	if err := n.transmit(ctx, site, len(payload)); err != nil {
-		return nil, err
-	}
 	if err := n.sleepOneWay(ctx); err != nil {
 		return nil, err
 	}
 	resp, err := h(ctx, payload)
 	if err != nil {
-		return nil, err
-	}
-	if err := sleepCtx(ctx, n.transferTime(len(resp))); err != nil {
 		return nil, err
 	}
 	if err := n.sleepOneWay(ctx); err != nil {
@@ -308,44 +280,8 @@ func (n *SimNet) ResetTraffic() {
 	n.msgsTotal.Store(0)
 }
 
-// transferTime is the size-dependent cost of moving one payload across a
-// bandwidth-limited link; zero when no bandwidth is configured.
-func (n *SimNet) transferTime(size int) time.Duration {
-	if n.cfg.Bandwidth <= 0 || size <= 0 {
-		return 0
-	}
-	return time.Duration(float64(size) / n.cfg.Bandwidth * float64(time.Second))
-}
-
-// transmit charges the per-message overhead plus the request's transfer
-// time serially on the destination's ingress link: one message occupies the
-// link at a time, so fan-outs of many small messages queue while a single
-// batch pays the fixed cost once, and big payloads hold the link longer.
-func (n *SimNet) transmit(ctx context.Context, site string, size int) error {
-	cost := n.cfg.PerMessage + n.transferTime(size)
-	if cost <= 0 {
-		return nil
-	}
-	n.mu.Lock()
-	mu, ok := n.links[site]
-	if !ok {
-		mu = &sync.Mutex{}
-		n.links[site] = mu
-	}
-	n.mu.Unlock()
-	mu.Lock()
-	defer mu.Unlock()
-	return sleepCtx(ctx, cost)
-}
-
 func (n *SimNet) sleepOneWay(ctx context.Context) error {
-	d := n.cfg.Latency
-	if n.cfg.Jitter > 0 {
-		n.rngMu.Lock()
-		d += time.Duration(n.rng.Int63n(int64(n.cfg.Jitter) + 1))
-		n.rngMu.Unlock()
-	}
-	return sleepCtx(ctx, d)
+	return sleepCtx(ctx, n.cfg.Latency)
 }
 
 // sleepCtx sleeps for d or until the context is done, whichever is first.

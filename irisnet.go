@@ -21,9 +21,9 @@
 //     ([@ts >= now() - 30]).
 //   - Dynamic ownership migration with DNS re-pointing.
 //
-// The Deployment type in this package is the embedded, in-process form: it
-// wires stores, sites, naming and a simulated network together behind a
-// small API. The cmd/ directory contains the distributed (TCP) tooling and
+// The Deployment type in this package is the embedded, in-process form: an
+// internal/cluster of sites, naming and a simulated network behind a small
+// API. The cmd/ directory contains the distributed (TCP) tooling and
 // the benchmark harness that regenerates the paper's experiments.
 package irisnet
 
@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"time"
 
+	"irisnet/internal/cluster"
 	"irisnet/internal/fragment"
 	"irisnet/internal/naming"
 	"irisnet/internal/service"
@@ -79,8 +80,6 @@ type Config struct {
 	Caching bool
 	// Latency simulates one-way network delay between sites.
 	Latency time.Duration
-	// CPUSlotsPerSite models per-site processing parallelism (default 1).
-	CPUSlotsPerSite int
 	// Clock supplies time in seconds for freshness; nil uses wall time.
 	Clock func() float64
 }
@@ -89,15 +88,12 @@ type Config struct {
 // name registry and a query frontend.
 type Deployment struct {
 	cfg      Config
-	net      *transport.SimNet
-	registry *naming.Registry
-	sites    map[string]*site.Site
+	c        *cluster.Cluster
 	frontend *service.Frontend
-	doc      *xmldb.Node
-	assign   *fragment.Assignment
 }
 
-// New builds and starts an embedded deployment.
+// New builds and starts an embedded deployment: an in-process cluster
+// running IrisNet's self-starting design, whatever the ownership.
 func New(cfg Config) (*Deployment, error) {
 	if cfg.ServiceName == "" {
 		return nil, fmt.Errorf("irisnet: ServiceName is required")
@@ -124,51 +120,18 @@ func New(cfg Config) (*Deployment, error) {
 		}
 		assign.Assign(p, siteName)
 	}
-	stores, owned, err := fragment.Partition(doc, assign)
+	c, err := cluster.Start(cluster.Hierarchical, cluster.Config{
+		Net:  transport.SimConfig{Latency: cfg.Latency},
+		Site: site.Config{Caching: cfg.Caching, Clock: cfg.Clock},
+	}, doc, schema, cfg.ServiceName, assign)
 	if err != nil {
-		return nil, fmt.Errorf("irisnet: partition: %w", err)
+		return nil, fmt.Errorf("irisnet: %w", err)
 	}
-
-	d := &Deployment{
-		cfg:      cfg,
-		net:      transport.NewSimNet(transport.SimConfig{Latency: cfg.Latency}),
-		registry: naming.NewRegistry(),
-		sites:    map[string]*site.Site{},
-		doc:      doc,
-		assign:   assign,
-	}
-	for _, name := range assign.Sites() {
-		s := site.New(site.Config{
-			Name:     name,
-			Service:  cfg.ServiceName,
-			Net:      d.net,
-			DNS:      naming.NewClient(d.registry, cfg.ServiceName, time.Hour, nil),
-			Registry: d.registry,
-			Schema:   schema,
-			Caching:  cfg.Caching,
-			CPUSlots: cfg.CPUSlotsPerSite,
-			Clock:    cfg.Clock,
-		}, doc.Name, doc.ID())
-		s.Load(stores[name], owned[name])
-		if err := s.Start(); err != nil {
-			return nil, err
-		}
-		d.sites[name] = s
-	}
-	d.registry.RegisterSubtree(doc, cfg.ServiceName, assign.OwnerOf)
-	d.frontend = service.NewFrontend(d.net, naming.NewClient(d.registry, cfg.ServiceName, time.Hour, nil))
-	if cfg.Clock != nil {
-		d.frontend.Clock = cfg.Clock
-	}
-	return d, nil
+	return &Deployment{cfg: cfg, c: c, frontend: c.NewFrontend()}, nil
 }
 
 // Close stops every site.
-func (d *Deployment) Close() {
-	for _, s := range d.sites {
-		s.Stop()
-	}
-}
+func (d *Deployment) Close() { d.c.Close() }
 
 // Query runs an XPath query against the logical document, routing it to the
 // lowest-common-ancestor site and gathering the distributed answer. The
@@ -215,14 +178,14 @@ func (d *Deployment) Delegate(path, newOwner string) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := d.sites[newOwner]; !ok {
+	if _, ok := d.c.Sites[newOwner]; !ok {
 		return fmt.Errorf("irisnet: unknown site %q", newOwner)
 	}
 	ownerName, err := d.authoritativeResolver().Resolve(p)
 	if err != nil {
 		return err
 	}
-	owner, ok := d.sites[ownerName]
+	owner, ok := d.c.Sites[ownerName]
 	if !ok {
 		return fmt.Errorf("irisnet: resolved owner %q is not a deployment site", ownerName)
 	}
@@ -256,7 +219,7 @@ func (d *Deployment) SchemaChange(op SchemaOp, path string, args map[string]stri
 	if err != nil {
 		return err
 	}
-	owner, ok := d.sites[ownerName]
+	owner, ok := d.c.Sites[ownerName]
 	if !ok {
 		return fmt.Errorf("irisnet: resolved owner %q is not a deployment site", ownerName)
 	}
@@ -264,7 +227,7 @@ func (d *Deployment) SchemaChange(op SchemaOp, path string, args map[string]stri
 }
 
 // Sites returns the deployment's site names.
-func (d *Deployment) Sites() []string { return d.assign.Sites() }
+func (d *Deployment) Sites() []string { return d.c.Assign.Sites() }
 
 // OwnerOf reports which site currently owns the node at path, per the
 // authoritative registry (frontend caches may lag briefly after a
@@ -280,7 +243,7 @@ func (d *Deployment) OwnerOf(path string) (string, error) {
 
 // authoritativeResolver returns an uncached client over the registry.
 func (d *Deployment) authoritativeResolver() *naming.Client {
-	return naming.NewClient(d.registry, d.cfg.ServiceName, 0, nil)
+	return naming.NewClient(d.c.Registry, d.cfg.ServiceName, 0, nil)
 }
 
 // SiteStats summarizes one site's activity counters.
@@ -293,7 +256,7 @@ type SiteStats struct {
 
 // Stats returns a site's counters.
 func (d *Deployment) Stats(siteName string) (SiteStats, error) {
-	s, ok := d.sites[siteName]
+	s, ok := d.c.Sites[siteName]
 	if !ok {
 		return SiteStats{}, fmt.Errorf("irisnet: unknown site %q", siteName)
 	}

@@ -3,6 +3,7 @@ package irisnet
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 const demoDoc = `
@@ -88,6 +89,7 @@ func TestDeploymentUpdateAndFreshness(t *testing.T) {
 		DocumentXML: demoDoc,
 		RootOwner:   "solo",
 		Clock:       func() float64 { return now },
+		Latency:     2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,9 +99,14 @@ func TestDeploymentUpdateAndFreshness(t *testing.T) {
 	if err := d.Update(space, map[string]string{"available": "yes"}, nil); err != nil {
 		t.Fatal(err)
 	}
+	t0 := time.Now()
 	got, err := d.Query(pgh + "/neighborhood[@id='Oakland']/block[@id='1']/parkingSpace[available='yes']")
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The query crosses the simulated network to "solo" and back.
+	if took := time.Since(t0); took < 4*time.Millisecond {
+		t.Fatalf("query took %v, want at least one 2ms-each-way round trip", took)
 	}
 	if len(got) != 2 {
 		t.Fatalf("after update: %d available, want 2", len(got))

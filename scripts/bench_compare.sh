@@ -10,8 +10,9 @@
 # built there by its own benchmark/run.sh, so both sides run exactly the
 # command BENCHMARK.json declares.
 #
-# BASE names the parent commit (default: merge base with origin/main, else
-# HEAD~1). Everything else is the rule's own: ten pairs per workload, the four
+# BASE names the parent commit; without it scripts/base_commit.sh picks one
+# (on main: HEAD with uncommitted changes, else HEAD~1; elsewhere the merge
+# base with origin/main). Everything else is the rule's own: ten pairs per workload, the four
 # workloads and the 20 s window of BENCHMARK.json, artifacts in bench_compare/.
 set -euo pipefail
 
@@ -21,11 +22,13 @@ pairs=10
 workloads="read_hot read_bounded update_durable mixed_fresh_tcp"
 seconds=20
 
-base="${BASE:-$(git merge-base origin/main HEAD 2>/dev/null || git rev-parse --verify -q HEAD~1 || true)}"
+. scripts/base_commit.sh
+pick_base
 if [ -z "$base" ]; then
-    echo "bench-compare: no parent commit to compare against (set BASE)" >&2
+    echo "bench-compare: no parent commit to compare against ($base_rule; set BASE)" >&2
     exit 1
 fi
+echo "bench-compare: base $(git rev-parse --short "$base") ($base_rule)"
 
 OUT="$(mkdir -p bench_compare && cd bench_compare && pwd)"
 rm -rf "$OUT/parent-src" "$OUT/parent" "$OUT/change"

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Perf-regression gate: benchmarks the tier-1 hot paths (snapshot queries,
-# wire serialization) on this checkout and on its merge base, then fails if
+# wire serialization) on this checkout and on its base commit (the rule is
+# scripts/base_commit.sh; BASE overrides it), then fails if
 # any gated benchmark regressed: median ns/op up more than THRESHOLD percent
 # and every new sample slower than every old one (cmd/benchgate).
 # benchstat, when installed, renders the statistical comparison into the
@@ -37,13 +38,14 @@ pkgs_for() {
 
 mkdir -p "$OUT"
 
-base=$(git merge-base origin/main HEAD 2>/dev/null || git rev-parse --verify -q HEAD~1 || true)
+. scripts/base_commit.sh
+pick_base
 if [ -z "$base" ]; then
-    echo "perf-gate: no base commit to compare against; skipping"
+    echo "perf-gate: no base commit to compare against ($base_rule); skipping"
     exit 0
 fi
-head=$(git rev-parse HEAD)
-if [ "$base" = "$head" ] && git diff --quiet; then
+echo "perf-gate: base $(git rev-parse --short "$base") ($base_rule)"
+if tree_is_base; then
     echo "perf-gate: HEAD is the base commit and the tree is clean; nothing to compare"
     exit 0
 fi
