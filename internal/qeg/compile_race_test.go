@@ -43,14 +43,15 @@ func TestCompileConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	// After the dust settles the cache serves one stable plan set per query.
+	// After the dust settles the cache serves one stable template set per
+	// query shape.
 	for _, q := range queries {
 		p1, err := c.Compile(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p2, _ := c.Compile(q)
-		if p1[0] != p2[0] {
+		if p1[0].template != p2[0].template {
 			t.Errorf("plans for %q not cached after concurrent compilation", q)
 		}
 	}

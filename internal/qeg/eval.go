@@ -72,7 +72,7 @@ func evaluateWalker(store *fragment.Store, plan *Plan, opts Options) (*Result, e
 		opts:  opts,
 		ans:   fragment.NewStore(store.Root.Name, store.Root.ID()),
 		subs:  map[string]Subquery{},
-		ctx:   &xpatheval.Context{Root: store.Root, Now: opts.Now},
+		ctx:   &xpatheval.Context{Root: store.Root, Now: opts.Now, Slots: plan.ids},
 	}
 	root := store.Root
 	rootPath := xmldb.IDPath{{Name: root.Name, ID: root.ID()}}
@@ -144,7 +144,7 @@ func (w *walker) tryMatch(c *xmldb.Node, p xmldb.IDPath, i int) (bool, error) {
 	st := w.statusOf(c)
 
 	// Pid: evaluable at every status, since the bare ID is always stored.
-	if ps.IDConstraint != nil && !containsString(ps.IDConstraint, c.ID()) {
+	if !ps.IDConstraint.Admits(c.ID(), w.plan.ids) {
 		return false, nil
 	}
 	ok, err := w.evalPreds(ps.IDPreds, c)
@@ -274,7 +274,7 @@ func (w *walker) evalPreds(preds []xpath.Expr, c *xmldb.Node) (bool, error) {
 	for _, e := range preds {
 		ok, err := xpatheval.EvalBool(e, w.ctx, c)
 		if err != nil {
-			return false, fmt.Errorf("qeg: predicate %s: %w", e, err)
+			return false, fmt.Errorf("qeg: predicate %s: %w", exprText(e, w.plan.ids), err)
 		}
 		if !ok {
 			return false, nil
@@ -518,13 +518,4 @@ func stepTestMatches(t xpath.NodeTest, n *xmldb.Node) bool {
 	default:
 		return n.Name == t.Name
 	}
-}
-
-func containsString(set []string, s string) bool {
-	for _, x := range set {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

@@ -100,6 +100,7 @@ func IndexedMatchCount(store *fragment.Store, plan *Plan, opts Options) (int, bo
 // on this store and the walker must run instead; marks are then garbage.
 func indexSelect(store *fragment.Store, ix *fragment.Index, plan *Plan, now func() float64, sc *idxScratch, marks []uint8) (selected int, ok bool, err error) {
 	steps := plan.idxSteps
+	slots := plan.ids
 	mark := func(p int32, c uint8) {
 		if marks != nil && marks[p] < c {
 			marks[p] = c
@@ -124,7 +125,7 @@ func indexSelect(store *fragment.Store, ix *fragment.Index, plan *Plan, now func
 			return 0, true, nil
 		}
 		if steps[0].pure {
-			if ix.Node(0).ID() != steps[0].ids[0] {
+			if ix.Node(0).ID() != steps[0].ids[0][0].Bound(slots) {
 				return 0, true, nil
 			}
 			markVisited(0)
@@ -138,7 +139,7 @@ func indexSelect(store *fragment.Store, ix *fragment.Index, plan *Plan, now func
 						return 0, false, nil
 					}
 				}
-				child := findChildPos(ix, pos, steps[k].name, steps[k].ids[0])
+				child := findChildPos(ix, pos, steps[k].name, steps[k].ids[0][0].Bound(slots))
 				if child < 0 {
 					// Authoritative absence: the answer is the spine alone.
 					return 0, true, nil
@@ -230,17 +231,17 @@ func indexSelect(store *fragment.Store, ix *fragment.Index, plan *Plan, now func
 		surv := next[:0]
 		for _, q := range next {
 			n := ix.Node(q)
-			if st.ids != nil && !containsString(st.ids, n.ID()) {
+			if !st.ids.Admits(n.ID(), slots) {
 				continue
 			}
-			pass, perr := evalIdxPreds(st.idPreds, n, store, now, &ctx)
+			pass, perr := evalIdxPreds(st.idPreds, n, store, now, slots, &ctx)
 			if perr != nil {
 				return 0, false, perr
 			}
 			if !pass {
 				continue // Pid rejection: silent
 			}
-			pass, perr = evalIdxPreds(st.dataPreds, n, store, now, &ctx)
+			pass, perr = evalIdxPreds(st.dataPreds, n, store, now, slots, &ctx)
 			if perr != nil {
 				return 0, false, perr
 			}
@@ -276,12 +277,13 @@ func markSubtree(ix *fragment.Index, q int32, marks []uint8) {
 
 // evalIdxPreds evaluates a conjunct list against a candidate, preferring
 // the allocation-free fast forms and falling back to the full evaluator
-// (lazily building its context) when a conjunct is outside them.
-func evalIdxPreds(preds []idxPred, n *xmldb.Node, store *fragment.Store, now func() float64, ctx **xpatheval.Context) (bool, error) {
+// (lazily building its context) when a conjunct is outside them. slots is
+// the plan's binding.
+func evalIdxPreds(preds []idxPred, n *xmldb.Node, store *fragment.Store, now func() float64, slots []string, ctx **xpatheval.Context) (bool, error) {
 	for i := range preds {
 		pr := &preds[i]
 		if pr.fast != nil {
-			if r, ok := pr.fast.Eval(n); ok {
+			if r, ok := pr.fast.Eval(n, slots); ok {
 				if !r {
 					return false, nil
 				}
@@ -289,11 +291,11 @@ func evalIdxPreds(preds []idxPred, n *xmldb.Node, store *fragment.Store, now fun
 			}
 		}
 		if *ctx == nil {
-			*ctx = &xpatheval.Context{Root: store.Root, Now: now}
+			*ctx = &xpatheval.Context{Root: store.Root, Now: now, Slots: slots}
 		}
 		r, err := xpatheval.EvalBool(pr.expr, *ctx, n)
 		if err != nil {
-			return false, fmt.Errorf("qeg: predicate %s: %w", pr.expr, err)
+			return false, fmt.Errorf("qeg: predicate %s: %w", exprText(pr.expr, slots), err)
 		}
 		if !r {
 			return false, nil

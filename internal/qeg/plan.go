@@ -19,10 +19,21 @@ import (
 	"irisnet/internal/xpatheval"
 )
 
-// Plan is a compiled QEG program for one location path.
+// Plan is a compiled QEG program for one location path: a template, shared
+// by every query of the path's shape (xpath.Shape), bound to one query's id
+// values. Binding copies nothing: the template's steps, predicates and
+// index steps read their slot literals through ids wherever they need an id.
 type Plan struct {
-	// Source is the original query text.
-	Source string
+	*template
+	// ids binds the template's slot literals (xpath.Literal.Slot) to the
+	// query's id values; nil when the template has no slots, as for a plan
+	// compiled from its text alone.
+	ids []string
+}
+
+// template is the query-independent part of a plan: everything compiled
+// from the path, with id slots left unbound. It is immutable once built.
+type template struct {
 	// Path is the parsed location path.
 	Path *xpath.Path
 	// Steps mirrors Path.Steps with per-step predicate analysis.
@@ -36,10 +47,6 @@ type Plan struct {
 	// nesting depth 0). At that step QEG gathers the entire subtree before
 	// evaluating (Section 4, "Larger nesting depths").
 	NestedIdx int
-	// LIR is the LOCAL-INFO-REQUIRED tag set of Section 3.5, retained for
-	// introspection; the walker derives the same information dynamically
-	// from step positions.
-	LIR map[string]bool
 	// Indexable marks plans the cache-conscious fragment index can answer
 	// without tree walking (indexed.go): depth-0 plans whose main path is
 	// built from plain child/descendant name steps with no consistency
@@ -65,7 +72,7 @@ type idxStep struct {
 	name string
 	// ids is the step's finite IDConstraint, used to prune candidates
 	// before predicate evaluation; nil when unconstrained.
-	ids []string
+	ids xpath.IDConstraint
 	// idPreds are the Pid conjuncts: a candidate failing them is pruned
 	// silently, exactly like the walker's id rejection.
 	idPreds []idxPred
@@ -106,29 +113,34 @@ type PlanStep struct {
 	// subqueries on nodes whose local information is missing.
 	Opaque []xpath.Expr
 	// IDConstraint, when non-nil, is the finite set of ids the IDPreds
-	// admit, used for fast pruning.
-	IDConstraint []string
+	// admit, used for fast pruning. Its slot literals read the plan's
+	// binding.
+	IDConstraint xpath.IDConstraint
 	// DOS marks a descendant-or-self::node() step produced by //.
 	DOS bool
 }
 
-// CompilePlan builds a Plan directly from the query — the paper's "fast
-// XSLT creation" path, where a precompiled template program is patched with
-// the query-dependent parts. Only single location paths (possibly under a
-// top-level union handled by the caller) are compilable.
+// CompilePlan builds a Plan directly from the query text: one parse plus
+// per-step predicate classification, with no template or cache. Only single
+// location paths (possibly under a top-level union handled by the caller)
+// are compilable.
 func CompilePlan(query string, schema *xpath.Schema) (*Plan, error) {
 	path, err := xpath.ParsePath(query)
 	if err != nil {
 		return nil, err
 	}
-	return compileParsed(query, path, schema)
+	t, err := compileParsed(query, path, schema)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{template: t}, nil
 }
 
-func compileParsed(query string, path *xpath.Path, schema *xpath.Schema) (*Plan, error) {
+func compileParsed(query string, path *xpath.Path, schema *xpath.Schema) (*template, error) {
 	if !path.Absolute {
 		return nil, fmt.Errorf("qeg: query %q must be absolute (user queries address the logical document root)", query)
 	}
-	p := &Plan{Source: query, Path: path, Schema: schema, NestedIdx: -1}
+	p := &template{Path: path, Schema: schema, NestedIdx: -1}
 	for _, s := range path.Steps {
 		ps, err := compileStep(s, schema)
 		if err != nil {
@@ -152,7 +164,6 @@ func compileParsed(query string, path *xpath.Path, schema *xpath.Schema) (*Plan,
 			p.NestedIdx = 0
 		}
 	}
-	p.LIR = xpath.LocalInfoRequired(path, schema)
 	p.compileIndex()
 	return p, nil
 }
@@ -162,7 +173,7 @@ func compileParsed(query string, path *xpath.Path, schema *xpath.Schema) (*Plan,
 // indexed evaluator cannot reproduce exactly — nested predicates,
 // attribute/text/self/wildcard steps, consistency predicates — leaves the
 // plan on the walker.
-func (p *Plan) compileIndex() {
+func (p *template) compileIndex() {
 	if p.NestedIdx >= 0 || len(p.Steps) == 0 {
 		return
 	}
@@ -195,7 +206,7 @@ func (p *Plan) compileIndex() {
 		case s.Axis == xpath.AxisChild && plainName(s.Test):
 			st = idxStep{name: s.Test.Name, ids: ps.IDConstraint}
 			st.idPreds, st.dataPreds = compileIdxPreds(ps)
-			st.pure = len(st.ids) == 1 && len(ps.IDPreds) == 1 &&
+			st.pure = len(st.ids) == 1 && len(st.ids[0]) == 1 && len(ps.IDPreds) == 1 &&
 				len(ps.RestPreds) == 0 && len(ps.Opaque) == 0
 		default:
 			return
@@ -268,25 +279,55 @@ func compileStep(s *xpath.LocStep, schema *xpath.Schema) (*PlanStep, error) {
 }
 
 // CompileQuery compiles a full user query, which may be a top-level union
-// of location paths, into one Plan per branch.
+// of location paths, into one Plan per branch. It compiles the text as it
+// stands, with no template or cache: the reference Compiler.Compile's
+// shape-bound plans are held to.
 func CompileQuery(query string, schema *xpath.Schema) ([]*Plan, error) {
 	expr, err := xpath.Parse(query)
 	if err != nil {
 		return nil, err
 	}
+	return compileBranches(query, expr, schema)
+}
+
+// compileBranches compiles each union branch of a parsed query into a plan
+// with no binding.
+func compileBranches(query string, expr xpath.Expr, schema *xpath.Schema) ([]*Plan, error) {
 	paths, err := unionBranches(expr)
 	if err != nil {
 		return nil, fmt.Errorf("qeg: %q: %w", query, err)
 	}
 	plans := make([]*Plan, 0, len(paths))
 	for _, p := range paths {
-		plan, err := compileParsed(p.String(), p, schema)
+		t, err := compileParsed(query, p, schema)
 		if err != nil {
 			return nil, err
 		}
-		plans = append(plans, plan)
+		plans = append(plans, &Plan{template: t})
 	}
 	return plans, nil
+}
+
+// bind returns the plans of a compiled shape bound to one query's slot
+// values: a handle per branch, sharing the templates and the values.
+func bind(plans []*Plan, ids []string) []*Plan {
+	if ids == nil {
+		return plans
+	}
+	hs := make([]Plan, len(plans))
+	out := make([]*Plan, len(plans))
+	for i, p := range plans {
+		hs[i] = Plan{template: p.template, ids: ids}
+		out[i] = &hs[i]
+	}
+	return out
+}
+
+// exprText is e's text with its slot literals bound to slots.
+func exprText(e xpath.Expr, slots []string) string {
+	var sb strings.Builder
+	xpath.WriteExpr(&sb, e, slots)
+	return sb.String()
 }
 
 func unionBranches(e xpath.Expr) ([]*xpath.Path, error) {
@@ -360,7 +401,7 @@ func (p *Plan) pinnedQuery(target xmldb.IDPath, i int, pin bool) string {
 			}
 			if keep {
 				sb.WriteByte('[')
-				sb.WriteString(pred.String())
+				xpath.WriteExpr(&sb, pred, p.ids)
 				sb.WriteByte(']')
 			}
 		}
@@ -373,7 +414,7 @@ func (p *Plan) pinnedQuery(target xmldb.IDPath, i int, pin bool) string {
 			continue
 		}
 		sb.WriteByte('/')
-		sb.WriteString(s.String())
+		xpath.WriteStep(&sb, s, p.ids)
 	}
 	return sb.String()
 }

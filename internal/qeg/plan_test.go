@@ -21,7 +21,7 @@ func TestCompilePlanClassifiesPredicates(t *testing.T) {
 	if len(nb.IDPreds) != 1 || len(nb.ConsPreds) != 1 || len(nb.RestPreds) != 1 {
 		t.Fatalf("split = id:%d cons:%d rest:%d", len(nb.IDPreds), len(nb.ConsPreds), len(nb.RestPreds))
 	}
-	if nb.IDConstraint == nil || nb.IDConstraint[0] != "Oakland" {
+	if len(nb.IDConstraint) != 1 || !nb.IDConstraint.Admits("Oakland", nil) || nb.IDConstraint.Admits("Etna", nil) {
 		t.Fatalf("id constraint = %v", nb.IDConstraint)
 	}
 }

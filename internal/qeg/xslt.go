@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"irisnet/internal/metrics"
 	"irisnet/internal/xmldb"
 	"irisnet/internal/xpath"
 )
@@ -18,11 +19,12 @@ import (
 //     the executable plan from the parsed stylesheet. This is what "create
 //     and compile the XSLT program through traditional interfaces" costs.
 //
-//   - Fast: a template program is compiled once at organizing-agent
-//     startup (from a dummy query); per query only the query-dependent
-//     XPath fragments are compiled and patched in. In this implementation
-//     that is CompilePlan: one parse of the query plus per-step predicate
-//     classification.
+//   - Fast: a template program is compiled once and only the
+//     query-dependent parts are patched in per query. In this
+//     implementation the Compiler compiles one template per query shape
+//     (the text with its id values cut out, xpath.Shape) and binds each
+//     query's id values into it; a query of a known shape is scanned, not
+//     parsed.
 //
 // The generated stylesheet is a faithful rendering of the QEG algorithm:
 // one template per location step performing the four-way status dispatch.
@@ -104,7 +106,11 @@ func NaiveCompile(query string, schema *xpath.Schema) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return compileParsed(query, rebuilt, schema)
+	t, err := compileParsed(query, rebuilt, schema)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{template: t}, nil
 }
 
 // planFromStylesheet reconstructs the location path from the parsed
@@ -178,13 +184,14 @@ func reconstructStep(match, axisName, predText string) (*xpath.LocStep, error) {
 	return step, nil
 }
 
-// DefaultPlanCacheCap bounds the number of distinct query texts whose plans
-// a Compiler retains. Sized for a site's realistic working set of query
+// DefaultPlanCacheCap bounds the number of query shapes whose templates a
+// Compiler retains. Sized well above a site's realistic working set of
 // shapes; ad-hoc workloads past the cap recompile cold entries instead of
 // growing the cache without bound.
 const DefaultPlanCacheCap = 1024
 
-// planEntry is one cached compilation result plus its clock reference bit.
+// planEntry is one cached compilation result — the unbound template plans
+// of one shape — plus its clock reference bit.
 type planEntry struct {
 	plans []*Plan
 	ref   atomic.Bool // set on hit; cleared (second chance) by the sweeper
@@ -200,7 +207,7 @@ type planEntry struct {
 // only job is to stop unbounded growth.
 type planCache struct {
 	cap  int
-	m    sync.Map // query text -> *planEntry
+	m    sync.Map // query shape -> *planEntry
 	size atomic.Int64
 	mu   sync.Mutex // serializes sweeps
 }
@@ -211,7 +218,12 @@ func (c *planCache) get(query string) ([]*Plan, bool) {
 		return nil, false
 	}
 	e := v.(*planEntry)
-	e.ref.Store(true)
+	// Every query of a shape hits one entry, from every CPU slot: store the
+	// bit only when a sweep has cleared it, so hits share the entry's cache
+	// line instead of bouncing it between cores.
+	if !e.ref.Load() {
+		e.ref.Store(true)
+	}
 	return e.plans, true
 }
 
@@ -249,21 +261,28 @@ func (c *planCache) sweep() {
 
 func (c *planCache) len() int { return int(c.size.Load()) }
 
-// Compiler caches compiled plans per query text and implements the paper's
-// fast path; construct one per organizing agent. The zero value is not
-// usable: NewCompiler "pre-compiles the template program" exactly as an OA
-// does at startup.
+// Compiler caches compiled plans per query shape and implements the paper's
+// fast path; construct one per organizing agent with NewCompiler.
+//
+// The cache holds one template per shape (xpath.Shape: the query text with
+// its id values cut out), and Compile patches each query's id values into
+// it, as the paper's sites patch the query-dependent parts of a
+// pre-compiled XSLT program. A hit scans the text once and allocates only
+// the bound plan handles; only a new shape parses and compiles.
 //
 // Compile is safe for concurrent use: sites with more than one CPU slot
 // compile on whichever slot the query landed on, so the plan cache is a
-// clock-swept sync.Map (lock-free reads once a query's plans are cached;
-// duplicate compilation of a brand-new query is possible and harmless —
-// plans are immutable and either copy wins). The cache is bounded by
+// clock-swept sync.Map (lock-free reads once a shape is cached; duplicate
+// compilation of a brand-new shape is possible and harmless — templates
+// are immutable and either copy wins). The cache is bounded by
 // DefaultPlanCacheCap so ad-hoc query workloads cannot grow it forever.
 type Compiler struct {
 	schema *xpath.Schema
 	naive  bool
 	cache  *planCache
+	// Misses counts compilations: queries whose shape was not cached (every
+	// query in naive mode).
+	Misses metrics.Counter
 }
 
 // NewCompiler builds a compiler for a service schema. naive selects the
@@ -274,18 +293,13 @@ func NewCompiler(schema *xpath.Schema, naive bool) *Compiler {
 	c := &Compiler{schema: schema, naive: naive}
 	if !naive {
 		c.cache = &planCache{cap: DefaultPlanCacheCap}
-		// Startup template compilation from a dummy query, as the paper's
-		// organizing agents do.
-		if _, err := CompilePlan("/dummy[@id='x']/probe", schema); err != nil {
-			panic(fmt.Sprintf("qeg: template precompilation failed: %v", err))
-		}
 	}
 	return c
 }
 
-// CachedPlans reports the number of query texts currently cached (tests and
+// Shapes reports the number of query shapes currently cached (tests and
 // observability; approximate while sweeps race inserts).
-func (c *Compiler) CachedPlans() int {
+func (c *Compiler) Shapes() int {
 	if c.cache == nil {
 		return 0
 	}
@@ -294,37 +308,38 @@ func (c *Compiler) CachedPlans() int {
 
 // Compile produces the plans (one per union branch) for a query.
 func (c *Compiler) Compile(query string) ([]*Plan, error) {
-	if c.cache != nil {
-		if plans, ok := c.cache.get(query); ok {
-			return plans, nil
-		}
-	}
-	var plans []*Plan
-	var err error
 	if c.naive {
-		expr, perr := xpath.Parse(query)
-		if perr != nil {
-			return nil, perr
-		}
-		paths, perr := unionBranches(expr)
-		if perr != nil {
-			return nil, fmt.Errorf("qeg: %q: %w", query, perr)
-		}
-		for _, p := range paths {
-			plan, nerr := NaiveCompile(p.String(), c.schema)
-			if nerr != nil {
-				return nil, nerr
-			}
-			plans = append(plans, plan)
-		}
-	} else {
-		plans, err = CompileQuery(query, c.schema)
+		c.Misses.Inc()
+		expr, err := xpath.Parse(query)
 		if err != nil {
 			return nil, err
 		}
+		paths, err := unionBranches(expr)
+		if err != nil {
+			return nil, fmt.Errorf("qeg: %q: %w", query, err)
+		}
+		var plans []*Plan
+		for _, p := range paths {
+			plan, err := NaiveCompile(p.String(), c.schema)
+			if err != nil {
+				return nil, err
+			}
+			plans = append(plans, plan)
+		}
+		return plans, nil
 	}
-	if c.cache != nil {
-		c.cache.put(query, plans)
+	shape, ids := xpath.Shape(query)
+	plans, ok := c.cache.get(shape)
+	if !ok {
+		c.Misses.Inc()
+		expr, err := xpath.ParseTemplate(query)
+		if err != nil {
+			return nil, err
+		}
+		if plans, err = compileBranches(query, expr, c.schema); err != nil {
+			return nil, err
+		}
+		c.cache.put(shape, plans)
 	}
-	return plans, nil
+	return bind(plans, ids), nil
 }

@@ -2,7 +2,6 @@ package site
 
 import (
 	"fmt"
-	"log/slog"
 	"maps"
 	"strings"
 
@@ -39,8 +38,7 @@ func pathStrings(paths []xmldb.IDPath) []string {
 }
 
 // parsePaths is the inverse of pathStrings. An entry that does not parse is
-// dropped and reported: a wire handler rejects the message on it, replay
-// applies the rest of the damaged record.
+// dropped and reported: a wire handler rejects the message on it.
 func parsePaths(keys []string) ([]xmldb.IDPath, error) {
 	var out []xmldb.IDPath
 	var bad error
@@ -172,9 +170,11 @@ func (s *Site) commit(cmds ...walOp) (uint64, error) {
 // whole of the checkpoint consistency invariant (durable.go).
 //
 // replayOf is the LSN of the record being replayed during recovery, 0 on a
-// live commit. Replay decodes each command first, logs and skips one that
-// fails and commits the rest (a later checkpoint supersedes the damage), and
-// appends nothing, because recovery turns durability on only when it is done.
+// live commit. Replay decodes each command first and appends nothing,
+// because recovery turns durability on only when it is done. A record is
+// all or nothing on replay as it was live: a command that fails fails the
+// record, naming its LSN and the command's index, and publishes nothing, so
+// recovery never comes up in a state no live site had.
 func (s *Site) commitLocked(cmds []walOp, replayOf uint64) (uint64, error) {
 	st := s.state.Load()
 	tx := txn{store: st.store, owned: st.owned, migrated: st.migrated}
@@ -193,11 +193,10 @@ func (s *Site) commitLocked(cmds []walOp, replayOf uint64) (uint64, error) {
 			err = s.apply(&tx, c)
 		}
 		if err != nil {
-			if replayOf == 0 {
-				return 0, err
+			if replayOf != 0 {
+				return 0, fmt.Errorf("record at lsn %d: op %d (%s): %w", replayOf, i, c.Op, err)
 			}
-			s.log.Warn("wal replay: op skipped",
-				slog.Uint64("lsn", replayOf), slog.String("op", c.Op), slog.String("err", err.Error()))
+			return 0, err
 		}
 	}
 	// An eviction pass (always a transaction's last command: it makes room

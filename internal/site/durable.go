@@ -248,7 +248,9 @@ func (s *Site) Recover(store *fragment.Store, owned []xmldb.IDPath) (bool, error
 			// cannot read: refuse to come up without it.
 			return fmt.Errorf("undecodable record at lsn %d: %w", lsn, uerr)
 		}
-		_, _ = s.commitLocked(r.Ops, lsn)
+		if _, cerr := s.commitLocked(r.Ops, lsn); cerr != nil {
+			return cerr
+		}
 		replayed++
 		return nil
 	})

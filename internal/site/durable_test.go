@@ -431,6 +431,55 @@ func TestDurableRecoveryRefusesUndecodableRecord(t *testing.T) {
 	}
 }
 
+// TestDurableRecoveryRefusesFailingRecord appends a record that decodes but
+// whose second op cannot apply (a merge with no fragment) after a valid
+// update: replay must fail and name the record's LSN and the op, rather than
+// skip the op and publish the update alone — a state no live site ever had,
+// since a live commit of that record fails as a whole.
+func TestDurableRecoveryRefusesFailingRecord(t *testing.T) {
+	h := newDurHarness(t, "solo")
+	dir := filepath.Join(t.TempDir(), "solo")
+	s, _ := h.start(t, "solo", dir, nil)
+	s.Crash()
+
+	rec, err := json.Marshal(walRecord{Ops: []walOp{
+		{Op: opUpdate, Path: h.db.SpacePaths[0].String(), Fields: map[string]string{"available": "half"}, TS: 1},
+		{Op: opMerge},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := log.Append(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := New(Config{
+		Name:     "solo",
+		Service:  workload.Service,
+		Net:      h.net,
+		DNS:      naming.NewClient(h.registry, workload.Service, time.Hour, nil),
+		Registry: h.registry,
+		Schema:   h.db.Schema,
+		Clock:    h.clock,
+		DataDir:  dir,
+	}, workload.RootName, workload.RootID)
+	_, err = s2.Recover(h.stores["solo"], h.owned["solo"])
+	if err == nil {
+		t.Fatal("recovery skipped an op that failed to apply")
+	}
+	if want := fmt.Sprintf("lsn %d: op 1 (merge)", lsn); !strings.Contains(err.Error(), want) {
+		t.Fatalf("recovery error %q does not name %s", err, want)
+	}
+}
+
 // TestDurableFailedLogRefusesUpdate fails the log underneath a durable site:
 // an update it can no longer log must get an error, not an ack, and must not
 // become visible.

@@ -228,6 +228,9 @@ func (s *Site) Register(r *metrics.Registry) {
 		func() float64 { return float64(s.CachedFragments()) })
 	r.GaugeFunc("irisnet_owned_nodes", "IDable nodes this site owns.", l,
 		func() float64 { return float64(s.ownedCount()) })
+	r.RegisterCounter("irisnet_qeg_plan_cache_misses_total", "Queries whose shape had no cached plan template and was compiled.", l, &s.compiler.Misses)
+	r.GaugeFunc("irisnet_qeg_plan_shapes", "Query shapes whose plan templates the site caches.", l,
+		func() float64 { return float64(s.compiler.Shapes()) })
 }
 
 // siteState is one immutable version of everything a reader needs in a

@@ -21,42 +21,42 @@ func IDPrefix(p *Path) (xmldb.IDPath, int) {
 	}
 	var out xmldb.IDPath
 	for i, s := range p.Steps {
-		id, ok := stepIDEquality(s)
+		lit, ok := stepIDEquality(s)
 		if !ok {
 			return out, i
 		}
-		out = append(out, xmldb.Step{Name: s.Test.Name, ID: id})
+		out = append(out, xmldb.Step{Name: s.Test.Name, ID: lit.Value})
 	}
 	return out, len(p.Steps)
 }
 
 // stepIDEquality reports whether the step is child::name[@id='lit'] and
 // returns the literal.
-func stepIDEquality(s *LocStep) (string, bool) {
+func stepIDEquality(s *LocStep) (*Literal, bool) {
 	if s.Axis != AxisChild || s.Test.Name == "" || s.Test.Name == "*" ||
 		s.Test.Text || s.Test.AnyNode || len(s.Preds) != 1 {
-		return "", false
+		return nil, false
 	}
 	return idEqualityLiteral(s.Preds[0])
 }
 
-// idEqualityLiteral matches @id = 'x' or 'x' = @id and returns x.
-func idEqualityLiteral(e Expr) (string, bool) {
+// idEqualityLiteral matches @id = 'x' or 'x' = @id and returns the literal.
+func idEqualityLiteral(e Expr) (*Literal, bool) {
 	b, ok := e.(*Binary)
 	if !ok || b.Op != TokEq {
-		return "", false
+		return nil, false
 	}
 	if isAttrRef(b.L, xmldb.AttrID) {
 		if lit, ok := b.R.(*Literal); ok {
-			return lit.Value, true
+			return lit, true
 		}
 	}
 	if isAttrRef(b.R, xmldb.AttrID) {
 		if lit, ok := b.L.(*Literal); ok {
-			return lit.Value, true
+			return lit, true
 		}
 	}
-	return "", false
+	return nil, false
 }
 
 // isAttrRef reports whether e is a relative single-step attribute path @name.
@@ -199,45 +199,6 @@ func EarliestNestedTag(p *Path, schema *Schema) (string, int, bool) {
 	return "", -1, false
 }
 
-// LocalInfoRequired computes the LOCAL-INFO-REQUIRED set of Section 3.5:
-// the element tags whose matching IDable nodes must contribute their entire
-// local information to the answer. Because XPath returns whole subtrees
-// rooted at selected nodes, this is the tag selected by the final step plus
-// every tag that can occur beneath it in the schema.
-func LocalInfoRequired(p *Path, schema *Schema) map[string]bool {
-	out := map[string]bool{}
-	if p == nil || len(p.Steps) == 0 {
-		return out
-	}
-	last := p.Steps[len(p.Steps)-1]
-	var seeds []string
-	switch {
-	case last.Test.Name == "*" || last.Test.AnyNode:
-		// Wildcard final step: any tag may be selected.
-		for tag := range schema.Children {
-			seeds = append(seeds, tag)
-		}
-		for tag := range schema.IDable {
-			seeds = append(seeds, tag)
-		}
-	case last.Axis == AxisAttribute || last.Test.Text:
-		// Attribute or text selections need the local info of the owner
-		// element, i.e. the previous step's tag.
-		if len(p.Steps) >= 2 {
-			seeds = append(seeds, p.Steps[len(p.Steps)-2].Test.Name)
-		}
-	default:
-		seeds = append(seeds, last.Test.Name)
-	}
-	for _, tag := range seeds {
-		out[tag] = true
-		for d := range schema.DescendantTags(tag) {
-			out[d] = true
-		}
-	}
-	return out
-}
-
 // PredicateClass classifies one conjunct of a step predicate for the QEG
 // split P = Pid && Pconsistency && Prest (Sections 3.5 and 4).
 type PredicateClass int
@@ -336,29 +297,45 @@ func collectRefs(e Expr, r refSet) refSet {
 	return r
 }
 
+// IDConstraint is the finite set of ids a step's id-class conjuncts pin a
+// node to: the intersection of its groups, each holding the literals of one
+// id disjunction. It keeps the literals rather than their values, so a shape
+// template's constraint reads its slot literals through the binding. nil
+// means unconstrained.
+type IDConstraint [][]*Literal
+
 // StepIDConstraint inspects a step's predicates and, when the id-class
 // conjuncts pin the node's id to a finite set of literals, returns that
-// set. It returns nil when the id is unconstrained. This powers subquery
-// pruning at incomplete nodes without evaluating full predicates.
-func StepIDConstraint(s *LocStep) []string {
-	var ids []string
-	found := false
+// constraint. It returns nil when the id is unconstrained. This powers
+// subquery pruning at incomplete nodes without evaluating full predicates.
+func StepIDConstraint(s *LocStep) IDConstraint {
+	var c IDConstraint
 	for _, pred := range s.Preds {
-		for _, c := range Conjuncts(pred) {
-			if set, ok := idDisjunction(c); ok {
-				if !found {
-					ids = set
-					found = true
-				} else {
-					ids = intersect(ids, set)
-				}
+		for _, conj := range Conjuncts(pred) {
+			if set, ok := idDisjunction(conj); ok {
+				c = append(c, set)
 			}
 		}
 	}
-	if !found {
-		return nil
+	return c
+}
+
+// Admits reports whether id satisfies every group, with slot literals bound
+// to slots. An unconstrained (nil) constraint admits every id.
+func (c IDConstraint) Admits(id string, slots []string) bool {
+	for _, group := range c {
+		found := false
+		for _, lit := range group {
+			if lit.Bound(slots) == id {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
 	}
-	return ids
+	return true
 }
 
 // IDDisjunction reports whether e is a pure disjunction of id-equality
@@ -371,9 +348,9 @@ func IDDisjunction(e Expr) bool {
 
 // idDisjunction matches an expression that is a disjunction of id-equality
 // tests (including a single equality) and returns the id literals.
-func idDisjunction(e Expr) ([]string, bool) {
-	if id, ok := idEqualityLiteral(e); ok {
-		return []string{id}, true
+func idDisjunction(e Expr) ([]*Literal, bool) {
+	if lit, ok := idEqualityLiteral(e); ok {
+		return []*Literal{lit}, true
 	}
 	if b, ok := e.(*Binary); ok && b.Op == TokOr {
 		l, okL := idDisjunction(b.L)
@@ -481,22 +458,6 @@ func stripPreds(preds []Expr) []Expr {
 		}
 		if kept != nil {
 			out = append(out, kept)
-		}
-	}
-	return out
-}
-
-func intersect(a, b []string) []string {
-	set := map[string]bool{}
-	for _, x := range b {
-		set[x] = true
-	}
-	// Non-nil so a contradictory constraint ("no id can match") stays
-	// distinguishable from "unconstrained" (nil).
-	out := []string{}
-	for _, x := range a {
-		if set[x] {
-			out = append(out, x)
 		}
 	}
 	return out

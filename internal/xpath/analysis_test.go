@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -167,42 +168,6 @@ func TestEarliestNestedTag(t *testing.T) {
 	}
 }
 
-func TestLocalInfoRequired(t *testing.T) {
-	s := parkingSchema()
-	// .../block requires local info for block and everything below.
-	p := MustParsePath(`/usRegion[@id='NE']/state[@id='PA']/county[@id='A']` +
-		`/city[@id='P']/neighborhood[@id='Oakland']/block`)
-	lir := LocalInfoRequired(p, s)
-	for _, tag := range []string{"block", "parkingSpace", "available", "price"} {
-		if !lir[tag] {
-			t.Errorf("LIR missing %q", tag)
-		}
-	}
-	if lir["neighborhood"] || lir["city"] {
-		t.Errorf("LIR should not include ancestors: %v", keys(lir))
-	}
-	// .../block/parkingSpace requires only parkingSpace and below.
-	p2 := MustParsePath(`/usRegion[@id='NE']/state[@id='PA']/county[@id='A']` +
-		`/city[@id='P']/neighborhood[@id='Oakland']/block[@id='1']/parkingSpace`)
-	lir2 := LocalInfoRequired(p2, s)
-	if lir2["block"] {
-		t.Error("LIR for .../parkingSpace should not include block")
-	}
-	if !lir2["parkingSpace"] {
-		t.Error("LIR for .../parkingSpace must include parkingSpace")
-	}
-}
-
-func TestLocalInfoRequiredAttributeTail(t *testing.T) {
-	s := parkingSchema()
-	p := MustParsePath(`/usRegion[@id='NE']/state[@id='PA']/county[@id='A']` +
-		`/city[@id='P']/neighborhood[@id='Oakland']/@zipcode`)
-	lir := LocalInfoRequired(p, s)
-	if !lir["neighborhood"] {
-		t.Error("attribute selection needs the owner element's local info")
-	}
-}
-
 func keys(m map[string]bool) []string {
 	var out []string
 	for k := range m {
@@ -252,11 +217,16 @@ func TestSplitPredicateConjunction(t *testing.T) {
 }
 
 func TestStepIDConstraint(t *testing.T) {
+	admits := func(c IDConstraint, ids ...string) []bool {
+		out := make([]bool, len(ids))
+		for i, id := range ids {
+			out[i] = c.Admits(id, nil)
+		}
+		return out
+	}
 	p := MustParsePath(`/n[@id='Oakland' or @id='Shadyside']`)
-	ids := StepIDConstraint(p.Steps[0])
-	sort.Strings(ids)
-	if len(ids) != 2 || ids[0] != "Oakland" || ids[1] != "Shadyside" {
-		t.Fatalf("ids = %v", ids)
+	if got := admits(StepIDConstraint(p.Steps[0]), "Oakland", "Shadyside", "Etna"); !reflect.DeepEqual(got, []bool{true, true, false}) {
+		t.Fatalf("disjunction admits %v", got)
 	}
 	// Unconstrained step.
 	p2 := MustParsePath(`/n[available='yes']`)
@@ -265,15 +235,23 @@ func TestStepIDConstraint(t *testing.T) {
 	}
 	// Conjunction of two id constraints intersects.
 	p3 := MustParsePath(`/n[@id='a' and (@id='a' or @id='b')]`)
-	ids3 := StepIDConstraint(p3.Steps[0])
-	if len(ids3) != 1 || ids3[0] != "a" {
-		t.Fatalf("intersection = %v", ids3)
+	if got := admits(StepIDConstraint(p3.Steps[0]), "a", "b"); !reflect.DeepEqual(got, []bool{true, false}) {
+		t.Fatalf("intersection admits %v", got)
 	}
-	// Contradictory constraints yield empty non-nil set.
+	// Contradictory constraints admit nothing, and are not "unconstrained".
 	p4 := MustParsePath(`/n[@id='a' and @id='b']`)
-	ids4 := StepIDConstraint(p4.Steps[0])
-	if ids4 == nil || len(ids4) != 0 {
-		t.Fatalf("contradiction = %v", ids4)
+	c4 := StepIDConstraint(p4.Steps[0])
+	if got := admits(c4, "a", "b"); c4 == nil || !reflect.DeepEqual(got, []bool{false, false}) {
+		t.Fatalf("contradiction admits %v", got)
+	}
+	// A template's slot literals read the binding.
+	e, err := ParseTemplate(`/n[@id='x' or @id='y']`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c5 := StepIDConstraint(e.(*Path).Steps[0])
+	if got := c5.Admits("b", []string{"a", "b"}); !got || c5.Admits("x", []string{"a", "b"}) {
+		t.Fatalf("bound constraint admits b=%v x=%v", got, c5.Admits("x", []string{"a", "b"}))
 	}
 }
 

@@ -1,7 +1,7 @@
 package xpath
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -70,7 +70,7 @@ func (t NodeTest) String() string {
 
 // Expr is an XPath expression node.
 type Expr interface {
-	fmt.Stringer
+	String() string
 	isExpr()
 }
 
@@ -108,9 +108,22 @@ type Call struct {
 	Args []Expr
 }
 
-// Literal is a string literal.
+// Literal is a string literal. In a shape template (ParseTemplate) an id
+// literal is a slot: Slot is its 1-based position among the template's
+// slots and Value is empty, because the value belongs to each query of the
+// shape and is read through a binding (Bound).
 type Literal struct {
 	Value string
+	Slot  int
+}
+
+// Bound returns the literal's value under a binding: a slot reads its entry
+// of slots, any other literal its own Value.
+func (l *Literal) Bound(slots []string) string {
+	if l.Slot > 0 && l.Slot <= len(slots) {
+		return slots[l.Slot-1]
+	}
+	return l.Value
 }
 
 // Number is a numeric literal.
@@ -132,25 +145,75 @@ var opText = map[TokenKind]string{
 	TokMod: "mod", TokPipe: "|",
 }
 
-func (p *Path) String() string {
-	var sb strings.Builder
-	if p.Absolute {
-		sb.WriteByte('/')
-	}
-	for i, s := range p.Steps {
-		if i > 0 {
-			sb.WriteByte('/')
-		}
-		sb.WriteString(s.String())
-	}
-	if p.Absolute && len(p.Steps) == 0 {
-		return "/"
-	}
-	return sb.String()
-}
+func (p *Path) String() string    { return exprString(p) }
+func (b *Binary) String() string  { return exprString(b) }
+func (u *Unary) String() string   { return exprString(u) }
+func (c *Call) String() string    { return exprString(c) }
+func (l *Literal) String() string { return exprString(l) }
+func (n *Number) String() string  { return exprString(n) }
 
 func (s *LocStep) String() string {
 	var sb strings.Builder
+	WriteStep(&sb, s, nil)
+	return sb.String()
+}
+
+func exprString(e Expr) string {
+	var sb strings.Builder
+	WriteExpr(&sb, e, nil)
+	return sb.String()
+}
+
+// WriteExpr writes e's canonical text (what String returns) to sb, with slot
+// literals bound to slots.
+func WriteExpr(sb *strings.Builder, e Expr, slots []string) {
+	switch v := e.(type) {
+	case *Path:
+		if v.Absolute {
+			sb.WriteByte('/')
+		}
+		for i, s := range v.Steps {
+			if i > 0 {
+				sb.WriteByte('/')
+			}
+			WriteStep(sb, s, slots)
+		}
+	case *Binary:
+		sb.WriteByte('(')
+		WriteExpr(sb, v.L, slots)
+		sb.WriteByte(' ')
+		sb.WriteString(opText[v.Op])
+		sb.WriteByte(' ')
+		WriteExpr(sb, v.R, slots)
+		sb.WriteByte(')')
+	case *Unary:
+		sb.WriteString("(-")
+		WriteExpr(sb, v.X, slots)
+		sb.WriteByte(')')
+	case *Call:
+		sb.WriteString(v.Name)
+		sb.WriteByte('(')
+		for i, a := range v.Args {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			WriteExpr(sb, a, slots)
+		}
+		sb.WriteByte(')')
+	case *Literal:
+		sb.WriteString(strconv.Quote(v.Bound(slots)))
+	case *Number:
+		if v.Value == float64(int64(v.Value)) {
+			sb.WriteString(strconv.FormatInt(int64(v.Value), 10))
+		} else {
+			sb.WriteString(strconv.FormatFloat(v.Value, 'g', -1, 64))
+		}
+	}
+}
+
+// WriteStep writes one location step's canonical text to sb, with slot
+// literals in its predicates bound to slots.
+func WriteStep(sb *strings.Builder, s *LocStep, slots []string) {
 	switch s.Axis {
 	case AxisChild:
 		sb.WriteString(s.Test.String())
@@ -186,31 +249,7 @@ func (s *LocStep) String() string {
 	}
 	for _, p := range s.Preds {
 		sb.WriteByte('[')
-		sb.WriteString(p.String())
+		WriteExpr(sb, p, slots)
 		sb.WriteByte(']')
 	}
-	return sb.String()
-}
-
-func (b *Binary) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.L, opText[b.Op], b.R)
-}
-
-func (u *Unary) String() string { return fmt.Sprintf("(-%s)", u.X) }
-
-func (c *Call) String() string {
-	args := make([]string, len(c.Args))
-	for i, a := range c.Args {
-		args[i] = a.String()
-	}
-	return fmt.Sprintf("%s(%s)", c.Name, strings.Join(args, ", "))
-}
-
-func (l *Literal) String() string { return fmt.Sprintf("%q", l.Value) }
-
-func (n *Number) String() string {
-	if n.Value == float64(int64(n.Value)) {
-		return fmt.Sprintf("%d", int64(n.Value))
-	}
-	return fmt.Sprintf("%g", n.Value)
 }

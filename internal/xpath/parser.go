@@ -7,18 +7,24 @@ import (
 
 // Parse parses an XPath expression (the unordered XPath 1.0 fragment) into
 // an AST. The common case for IrisNet queries is an absolute Path.
-func Parse(src string) (Expr, error) {
+func Parse(src string) (Expr, error) { return parse(src, nil) }
+
+// parse parses src, making the literals at the given id slots slot literals.
+func parse(src string, slots []slotSpan) (Expr, error) {
 	toks, err := Lex(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, src: src}
+	p := &parser{toks: toks, src: src, slots: slots}
 	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
 	if p.peek().Kind != TokEOF {
 		return nil, fmt.Errorf("xpath: parse %q: trailing input at %q", src, p.peek())
+	}
+	if p.slot != len(slots) {
+		return nil, fmt.Errorf("xpath: template %q: %d of %d id slots parsed as literals", src, p.slot, len(slots))
 	}
 	return e, nil
 }
@@ -51,6 +57,12 @@ type parser struct {
 	toks []Token
 	pos  int
 	src  string
+	// slots lists the id slots of a template parse (ParseTemplate) in text
+	// order; slot counts the ones parsed so far. Tokens are consumed in text
+	// order, so the next literal token is a slot when it opens at the next
+	// span.
+	slots []slotSpan
+	slot  int
 }
 
 func (p *parser) peek() Token         { return p.toks[p.pos] }
@@ -197,7 +209,12 @@ func (p *parser) parseUnion() (Expr, error) {
 func (p *parser) parsePathExpr() (Expr, error) {
 	switch p.peek().Kind {
 	case TokLiteral:
-		return &Literal{Value: p.next().Text}, nil
+		t := p.next()
+		if p.slot < len(p.slots) && p.slots[p.slot].lo == t.Pos+1 {
+			p.slot++
+			return &Literal{Slot: p.slot}, nil
+		}
+		return &Literal{Value: t.Text}, nil
 	case TokNumber:
 		t := p.next()
 		v, err := strconv.ParseFloat(t.Text, 64)

@@ -16,6 +16,9 @@ type Context struct {
 	// Now returns the current time in seconds; used by the now() function.
 	// When nil, now() evaluates to NaN.
 	Now func() float64
+	// Slots binds the slot literals of a shape template (xpath.Literal.Slot)
+	// to one query's id values; nil for an expression without slots.
+	Slots []string
 }
 
 // Eval evaluates an expression with n as the context node.
@@ -62,7 +65,7 @@ type evaluator struct {
 func (ev *evaluator) eval(e xpath.Expr, n *xmldb.Node) (Value, error) {
 	switch v := e.(type) {
 	case *xpath.Literal:
-		return String(v.Value), nil
+		return String(v.Bound(ev.ctx.Slots)), nil
 	case *xpath.Number:
 		return Number(v.Value), nil
 	case *xpath.Unary:
@@ -406,7 +409,7 @@ func (ev *evaluator) fastPreds(s *xpath.LocStep) []*FastPred {
 func (ev *evaluator) passesPreds(preds []xpath.Expr, fast []*FastPred, n *xmldb.Node) (bool, error) {
 	for i, p := range preds {
 		if fast != nil && fast[i] != nil {
-			if r, ok := fast[i].Eval(n); ok {
+			if r, ok := fast[i].Eval(n, ev.ctx.Slots); ok {
 				if !r {
 					return false, nil
 				}

@@ -34,6 +34,7 @@ type fastTerm struct {
 	attr    bool    // lhs is @name rather than a child element
 	name    string  // lhs child/attribute name
 	str     string  // rhs for string-equality forms
+	slot    int     // rhs is this slot literal of a shape template, not str
 	num     float64 // rhs for numeric forms
 	numeric bool
 }
@@ -110,11 +111,11 @@ func compileTerm(e xpath.Expr) (fastTerm, bool) {
 			return fastTerm{}, false
 		}
 		attr, name, ok := fastLHS(v.L)
-		str, num, isNum, lok := fastRHS(v.R)
+		str, slot, num, isNum, lok := fastRHS(v.R)
 		if !ok || !lok {
 			// Literal on the left: mirror the comparison.
 			attr, name, ok = fastLHS(v.R)
-			str, num, isNum, lok = fastRHS(v.L)
+			str, slot, num, isNum, lok = fastRHS(v.L)
 			if !ok || !lok {
 				return fastTerm{}, false
 			}
@@ -126,8 +127,12 @@ func compileTerm(e xpath.Expr) (fastTerm, bool) {
 				t.numeric = true
 				t.num = num
 			} else {
-				t.str = str
+				t.str, t.slot = str, slot
 			}
+		} else if slot > 0 {
+			// A slot's number is known only per query: leave the term to
+			// the full evaluator.
+			return fastTerm{}, false
 		} else {
 			// Relational comparisons coerce both sides to numbers.
 			t.numeric = true
@@ -166,14 +171,14 @@ func fastLHS(e xpath.Expr) (attr bool, name string, ok bool) {
 	return false, "", false
 }
 
-func fastRHS(e xpath.Expr) (str string, num float64, isNum bool, ok bool) {
+func fastRHS(e xpath.Expr) (str string, slot int, num float64, isNum bool, ok bool) {
 	switch v := e.(type) {
 	case *xpath.Literal:
-		return v.Value, 0, false, true
+		return v.Value, v.Slot, 0, false, true
 	case *xpath.Number:
-		return "", v.Value, true, true
+		return "", 0, v.Value, true, true
 	}
-	return "", 0, false, false
+	return "", 0, 0, false, false
 }
 
 // mirrorOp swaps the comparison direction for literal-on-the-left forms
@@ -195,11 +200,12 @@ func mirrorOp(op uint8) uint8 {
 // Eval evaluates the predicate against n with the full evaluator's
 // semantics. ok is false when a matched child's string-value would need a
 // subtree walk (the child has element children) and that decides the
-// result — the caller must fall back to EvalBool then. The success path
+// result — the caller must fall back to EvalBool then. slots binds the slot
+// literals of a shape template (nil without them). The success path
 // performs no allocations.
-func (p *FastPred) Eval(n *xmldb.Node) (result, ok bool) {
+func (p *FastPred) Eval(n *xmldb.Node, slots []string) (result, ok bool) {
 	for i := range p.terms {
-		r, o := p.terms[i].eval(n)
+		r, o := p.terms[i].eval(n, slots)
 		if !o {
 			return false, false
 		}
@@ -212,7 +218,7 @@ func (p *FastPred) Eval(n *xmldb.Node) (result, ok bool) {
 		// others would say; otherwise one that declined leaves it open.
 		held, declined := false, false
 		for _, a := range alts {
-			r, o := a.Eval(n)
+			r, o := a.Eval(n, slots)
 			if o && r {
 				held = true
 				break
@@ -226,7 +232,7 @@ func (p *FastPred) Eval(n *xmldb.Node) (result, ok bool) {
 	return true, true
 }
 
-func (t *fastTerm) eval(n *xmldb.Node) (result, ok bool) {
+func (t *fastTerm) eval(n *xmldb.Node, slots []string) (result, ok bool) {
 	if t.attr {
 		for _, a := range n.Attrs {
 			if a.Name != t.name {
@@ -236,7 +242,7 @@ func (t *fastTerm) eval(n *xmldb.Node) (result, ok bool) {
 				return true, true
 			}
 			// Attribute node-sets hold exactly one node.
-			return t.compare(a.Value), true
+			return t.compare(a.Value, slots), true
 		}
 		return false, true // empty node-set: exists and comparisons all false
 	}
@@ -254,7 +260,7 @@ func (t *fastTerm) eval(n *xmldb.Node) (result, ok bool) {
 			sawComplex = true
 			continue
 		}
-		if t.compare(c.Text) {
+		if t.compare(c.Text, slots) {
 			return true, true
 		}
 	}
@@ -268,7 +274,7 @@ func (t *fastTerm) eval(n *xmldb.Node) (result, ok bool) {
 // following compareEquality/compareRelational for a singleton node-set
 // against a literal. NaN propagates IEEE-style: any relational or equality
 // comparison with NaN is false, and != with NaN is true.
-func (t *fastTerm) compare(sv string) bool {
+func (t *fastTerm) compare(sv string, slots []string) bool {
 	if t.numeric {
 		v := stringToNumber(sv)
 		switch t.op {
@@ -286,8 +292,12 @@ func (t *fastTerm) compare(sv string) bool {
 			return v >= t.num
 		}
 	}
-	if t.op == feNeq {
-		return sv != t.str
+	str := t.str
+	if t.slot > 0 {
+		str = slots[t.slot-1]
 	}
-	return sv == t.str
+	if t.op == feNeq {
+		return sv != str
+	}
+	return sv == str
 }

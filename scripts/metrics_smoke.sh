@@ -53,6 +53,7 @@ for series in irisnet_queries_total irisnet_cache_hits_total irisnet_cache_misse
     irisnet_aggregate_pushdowns_total irisnet_aggregate_fallbacks_total \
     irisnet_gather_bytes_saved_total \
     irisnet_cache_merge_commits_total irisnet_cache_merged_fragments_total \
+    irisnet_qeg_plan_cache_misses_total irisnet_qeg_plan_shapes \
     irisnet_process_heap_live_bytes irisnet_process_gc_cycles_total; do
     if ! printf '%s\n' "$METRICS" | grep -q "^$series"; then
         echo "metrics-smoke: /metrics missing series $series" >&2

@@ -20,7 +20,7 @@ COUNT="${COUNT:-6}"
 BENCHTIME="${BENCHTIME:-100ms}"
 THRESHOLD="${THRESHOLD:-15}"
 OUT="${OUT:-bench_gate}"
-PATTERN='BenchmarkSnapshotQuery|BenchmarkSerialize|BenchmarkParse|BenchmarkAggregateCompute|BenchmarkReplicaApplyDelta|BenchmarkWALAppend|BenchmarkWALReplay|BenchmarkCacheMissMerge|BenchmarkTouchAnswer|BenchmarkAnswerMerge|BenchmarkExtractAnswer'
+PATTERN='BenchmarkSnapshotQuery|BenchmarkCompile|BenchmarkSerialize|BenchmarkParse|BenchmarkAggregateCompute|BenchmarkReplicaApplyDelta|BenchmarkWALAppend|BenchmarkWALReplay|BenchmarkCacheMissMerge|BenchmarkTouchAnswer|BenchmarkAnswerMerge|BenchmarkExtractAnswer'
 ALL_PKGS=(./internal/site ./internal/xmldb ./internal/qeg ./internal/fragment ./internal/wal)
 
 # pkgs_for <tree>: the subset of ALL_PKGS that exists in that checkout, so
